@@ -42,6 +42,13 @@ from .ktheory import (
 from .weights import build_realization
 
 
+def _box_bound(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"box bound must be >= 0, not {value}")
+    return value
+
+
 def _load_gcm(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -374,8 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="sub", required=True)
     for name in ("levi", "dirac", "numerator", "spinor", "ambient"):
         q = subcommand(psub, name, _cmd_character)
-        q.add_argument("--j", default=None)
-        q.add_argument("--weight", default=None)
+        q.add_argument("--j", default=None, required=name != "numerator")
+        q.add_argument("--weight", default=None, required=name != "spinor")
         q.add_argument("--max-length", type=int, default=None)
 
     p = sub.add_parser("davis", help="building combinatorics and cohomology")
@@ -391,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="sub", required=True)
     for name in ("compact", "extended", "homology", "predicates", "oracle"):
         q = subcommand(psub, name, _cmd_ktheory)
-        q.add_argument("--box", type=int, default=2)
+        q.add_argument("--box", type=_box_bound, default=2)
         q.add_argument("--max-length", type=int, default=4)
         q.add_argument("--k", default="")
-        q.add_argument("--weight", default=None)
+        q.add_argument("--weight", default=None, required=name == "predicates")
         q.add_argument("--generators", action="store_true")
         if name == "oracle":
             q.add_argument("--direction", choices=("limit", "colimit"), default="limit")

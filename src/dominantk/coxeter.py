@@ -2,9 +2,11 @@
 
 Elements act on the simple-root lattice through the crystallographic
 reflection representation r_i(alpha_j) = alpha_j - a[i][j] alpha_i, which is
-faithful and integral; the word problem, lengths and descents all reduce to
-sign tests on root images.  Stored words are ShortLex-minimal reduced words
-with the input node order as tie-break.
+faithful and integral.  Each element stores its right and left descents as
+bitmasks, read once off its root images when it is built; cosets, purity,
+strips and the Bruhat order are mask tests against subset masks.  Stored
+words are ShortLex-minimal reduced words with the input node order as
+tie-break, so the first letter of a word is its least left descent.
 """
 
 from __future__ import annotations
@@ -23,15 +25,19 @@ class CoxeterElement:
 
     ``cols[j]`` is the coefficient vector of w(alpha_j) over the simple
     roots; ``inv_rows`` stores the matrix of the inverse element by rows.
+    Bit j of ``right`` is set when w(alpha_j) is negative (l(w r_j) < l(w)),
+    bit i of ``left`` when w^{-1}(alpha_i) is negative (l(r_i w) < l(w)).
     """
 
-    __slots__ = ("group", "word", "cols", "inv_rows")
+    __slots__ = ("group", "word", "cols", "inv_rows", "right", "left")
 
     def __init__(self, group, word, cols, inv_rows):
         self.group = group
         self.word = word
         self.cols = cols
         self.inv_rows = inv_rows
+        self.right = _negative_mask(cols, group.n)
+        self.left = _negative_mask(zip(*inv_rows), group.n)
 
     @property
     def length(self) -> int:
@@ -43,22 +49,12 @@ class CoxeterElement:
             raise IndexError(f"root index {j} out of range")
         return self.cols[j]
 
-    def inverse_root_image(self, i: int) -> tuple[int, ...]:
-        return tuple(row[i] for row in self.inv_rows)
-
     def descent_set(self, side: str = "right") -> tuple[int, ...]:
         """Indices i with l(w r_i) < l(w) (right) or l(r_i w) < l(w) (left)."""
-        if side == "right":
-            return tuple(
-                j for j in range(self.group.n) if _is_negative(self.cols[j])
-            )
-        if side == "left":
-            return tuple(
-                i
-                for i in range(self.group.n)
-                if _is_negative(self.inverse_root_image(i))
-            )
-        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
+        mask = self.right if side == "right" else self.left
+        return tuple(i for i in range(self.group.n) if mask >> i & 1)
 
     def sign(self) -> int:
         return -1 if self.length % 2 else 1
@@ -80,9 +76,24 @@ class CoxeterElement:
         return f"CoxeterElement({','.join(map(str, self.word)) or 'e'})"
 
 
-def _is_negative(coeffs) -> bool:
-    # nonzero root vectors have uniform sign; negative <=> all entries <= 0
-    return all(x <= 0 for x in coeffs) and any(x < 0 for x in coeffs)
+def _negative_mask(roots, n: int) -> int:
+    # a nonzero root has coefficients of one sign, so it is negative exactly
+    # when it sorts below the zero vector
+    zero = (0,) * n
+    return sum(1 << j for j, root in enumerate(roots) if root < zero)
+
+
+def subset_mask(subset) -> int:
+    """Bitmask of a set of node indices, to test against descent masks."""
+    return sum(1 << i for i in set(subset))
+
+
+def _support(vector) -> int:
+    return sum(1 << i for i, x in enumerate(vector) if x)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 class WeylGroup:
@@ -146,25 +157,21 @@ class WeylGroup:
             new_rows.append(tuple(lst))
         return tuple(new_cols), tuple(new_rows)
 
-    @staticmethod
-    def _least_left_descent(inv_rows, n):
-        for i in range(n):
-            col = [row[i] for row in inv_rows]
-            if all(x <= 0 for x in col) and any(x < 0 for x in col):
-                return i
-        return None
-
     def _normalize(self, cols, inv_rows) -> CoxeterElement:
-        """ShortLex word by repeatedly stripping the least left descent."""
-        word = []
-        c, r = cols, inv_rows
-        while True:
-            i = self._least_left_descent(r, self.n)
-            if i is None:
-                break
+        """Cached element, or ShortLex word by repeatedly stripping the
+        least left descent."""
+        cached = self._by_cols.get(cols)
+        if cached is not None:
+            return cached
+        w = CoxeterElement(self, (), cols, inv_rows)
+        word, left, c, r = [], w.left, cols, inv_rows
+        while left:
+            i = _lowest(left)
             word.append(i)
             c, r = self._lmul(c, r, i)
-        return CoxeterElement(self, tuple(word), cols, inv_rows)
+            left = _negative_mask(zip(*r), self.n)
+        w.word = tuple(word)
+        return w
 
     # -- public construction -------------------------------------------------
 
@@ -175,9 +182,6 @@ class WeylGroup:
             if not 0 <= s < self.n:
                 raise IndexError(f"generator index {s} out of range")
             cols, inv_rows = self._rmul(cols, inv_rows, s)
-        cached = self._by_cols.get(cols)
-        if cached is not None:
-            return cached
         return self._normalize(cols, inv_rows)
 
     def generator(self, s: int) -> CoxeterElement:
@@ -187,20 +191,16 @@ class WeylGroup:
         cols, inv_rows = u.cols, u.inv_rows
         for s in v.word:
             cols, inv_rows = self._rmul(cols, inv_rows, s)
-        cached = self._by_cols.get(cols)
-        if cached is not None:
-            return cached
         return self._normalize(cols, inv_rows)
 
     def inverse(self, w: CoxeterElement) -> CoxeterElement:
         return self.element(tuple(reversed(w.word)))
 
     def rmul_gen(self, w: CoxeterElement, s: int) -> CoxeterElement:
-        cols, inv_rows = self._rmul(w.cols, w.inv_rows, s)
-        cached = self._by_cols.get(cols)
-        if cached is not None:
-            return cached
-        return self._normalize(cols, inv_rows)
+        return self._normalize(*self._rmul(w.cols, w.inv_rows, s))
+
+    def lmul_gen(self, s: int, w: CoxeterElement) -> CoxeterElement:
+        return self._normalize(*self._lmul(w.cols, w.inv_rows, s))
 
     # -- ball enumeration -----------------------------------------------------
 
@@ -213,19 +213,16 @@ class WeylGroup:
             frontier = {}
             for el in self._spheres[-1]:
                 for s in range(self.n):
-                    if _is_negative(el.cols[s]):
+                    if el.right >> s & 1:
                         continue  # descent: ws is shorter
                     cols, inv_rows = self._rmul(el.cols, el.inv_rows, s)
                     if cols in frontier:
                         continue
                     # ShortLex word: least left descent, then the cached
                     # normal form of the shorter element it strips to.
-                    i = self._least_left_descent(inv_rows, self.n)
-                    c2, r2 = self._lmul(cols, inv_rows, i)
-                    parent = self._by_cols[c2]
-                    frontier[cols] = CoxeterElement(
-                        self, (i,) + parent.word, cols, inv_rows
-                    )
+                    w = frontier[cols] = CoxeterElement(self, (), cols, inv_rows)
+                    i = _lowest(w.left)
+                    w.word = (i,) + self._by_cols[self._lmul(cols, inv_rows, i)[0]].word
             sphere = sorted(frontier.values(), key=lambda e: e.word)
             self._total += len(sphere)
             if self._total > self.element_cap:
@@ -271,7 +268,7 @@ class WeylGroup:
             nxt = {}
             for el in layer:
                 for s in J:
-                    if not _is_negative(el.cols[s]):
+                    if not el.right >> s & 1:
                         w = self.rmul_gen(el, s)
                         nxt[w.word] = w
             layer = list(nxt.values())
@@ -282,24 +279,16 @@ class WeylGroup:
 
     def min_coset_reps(self, J, K=None, L: int = 0) -> tuple[CoxeterElement, ...]:
         """Elements of length <= L minimal in W_J w (and in W_J w W_K if K given)."""
-        J = frozenset(J)
-        K = frozenset(K) if K is not None else None
-        out = []
-        for w in self.ball(L):
-            if any(i in J for i in w.descent_set("left")):
-                continue
-            if K is not None and any(k in K for k in w.descent_set("right")):
-                continue
-            out.append(w)
-        return tuple(out)
+        jmask, kmask = subset_mask(J), subset_mask(K or ())
+        return tuple(
+            w for w in self.ball(L) if not (w.left & jmask or w.right & kmask)
+        )
 
     def is_min_double_rep(self, w: CoxeterElement, J, K) -> bool:
         """For w minimal in W_J w: is w the minimal W_J-W_K double coset rep."""
-        J = frozenset(J)
-        if any(i in J for i in w.descent_set("left")):
+        if w.left & subset_mask(J):
             raise NotMinimalError("w is not a minimal left W_J-coset representative")
-        K = frozenset(K)
-        return not any(k in K for k in w.descent_set("right"))
+        return not w.right & subset_mask(K)
 
     def double_coset_intersection(self, w: CoxeterElement, J, K) -> tuple[int, ...]:
         """Subset L of J with W_K meet w W_J w^{-1} equal to w W_L w^{-1}.
@@ -307,27 +296,16 @@ class WeylGroup:
         Requires w minimal for (K-left, J-right).  j belongs to L exactly
         when w(alpha_j) is a positive root supported on K.
         """
-        J = tuple(sorted(set(J)))
-        K = frozenset(K)
-        if any(k in K for k in w.descent_set("left")) or any(
-            j in set(J) for j in w.descent_set("right")
-        ):
+        kmask = subset_mask(K)
+        if w.left & kmask or w.right & subset_mask(J):
             raise NotMinimalError("w is not a minimal (K, J) double coset representative")
-        out = []
-        for j in J:
-            col = w.cols[j]
-            if all(x >= 0 for x in col) and all(
-                col[i] == 0 for i in range(self.n) if i not in K
-            ):
-                out.append(j)
-        return tuple(out)
+        # j in J is a right ascent, so w(alpha_j) is positive
+        return tuple(j for j in sorted(set(J)) if not _support(w.cols[j]) & ~kmask)
 
     def pure_reps(self, K, J, L: int, maximal: bool = False) -> tuple[CoxeterElement, ...]:
         """Minimal (K, J) double coset reps w of length <= L whose conjugate
         of W_J meets W_K trivially; with ``maximal``, additionally pure for
         no proper superset of J."""
-        K = tuple(sorted(set(K)))
-        J = tuple(sorted(set(J)))
         out = []
         for w in self.min_coset_reps(K, J, L):
             if self.double_coset_intersection(w, J, K):
@@ -338,62 +316,49 @@ class WeylGroup:
         return tuple(out)
 
     def pure_for_proper_superset(self, w, K, J) -> bool:
-        rest = [i for i in range(self.n) if i not in J]
-        right = set(w.descent_set("right"))
-        for bits in range(1, 1 << len(rest)):
-            extra = [rest[t] for t in range(len(rest)) if bits >> t & 1]
-            if any(i in right for i in extra):
-                continue  # not even a minimal rep for the bigger parabolic
-            if not self.double_coset_intersection(w, tuple(sorted(J + tuple(extra))), K):
-                return True
-        return False
+        """Is w, minimal for (K-left, J-right), pure for some proper superset of J?
+
+        Purity for J' asks that no j in J' have w(alpha_j) positive and
+        supported on K, one node at a time.  So for w pure for J the answer
+        is yes exactly when some right ascent j outside J has w(alpha_j)
+        not supported on K; for w not pure for J it is no.
+        """
+        if self.double_coset_intersection(w, J, K):
+            return False
+        outside, kmask = ~(subset_mask(J) | w.right), subset_mask(K)
+        return any(
+            outside >> j & 1 and _support(w.cols[j]) & ~kmask for j in range(self.n)
+        )
 
     def bruhat_leq(self, v: CoxeterElement, w: CoxeterElement) -> bool:
         """Bruhat order: v is a subword of any reduced expression of w.
 
         Computed by the lifting property: with i a left descent of w,
         v <= w iff (r_i v <= r_i w when i is a descent of v) else v <= r_i w.
+        The letters of w's ShortLex word are those descents in turn.
         """
-        vc, vr, vl = v.cols, v.inv_rows, v.length
-        wc, wr, wl = w.cols, w.inv_rows, w.length
-        while True:
-            if vl == 0:
-                return True
-            if vl > wl:
-                return False
-            i = self._least_left_descent(wr, self.n)
-            wc, wr = self._lmul(wc, wr, i)
-            wl -= 1
-            col = [row[i] for row in vr]
-            if all(x <= 0 for x in col) and any(x < 0 for x in col):
-                vc, vr = self._lmul(vc, vr, i)
-                vl -= 1
+        for k, i in enumerate(w.word):
+            if v.length == 0 or v.length > w.length - k:
+                break
+            if v.left >> i & 1:
+                v = self.lmul_gen(i, v)
+        return v.length == 0
 
     # -- canonical coset minimization -----------------------------------------
 
     def rstrip(self, w: CoxeterElement, S) -> CoxeterElement:
         """Minimal length element of w W_S."""
-        S = tuple(sorted(set(S)))
-        while True:
-            for s in S:
-                if _is_negative(w.cols[s]):
-                    w = self.rmul_gen(w, s)
-                    break
-            else:
-                return w
+        smask = subset_mask(S)
+        while w.right & smask:
+            w = self.rmul_gen(w, _lowest(w.right & smask))
+        return w
 
     def lstrip(self, w: CoxeterElement, S) -> CoxeterElement:
         """Minimal length element of W_S w."""
-        S = tuple(sorted(set(S)))
-        while True:
-            for s in S:
-                col = w.inverse_root_image(s)
-                if all(x <= 0 for x in col) and any(x < 0 for x in col):
-                    cols, inv_rows = self._lmul(w.cols, w.inv_rows, s)
-                    w = self._by_cols.get(cols) or self._normalize(cols, inv_rows)
-                    break
-            else:
-                return w
+        smask = subset_mask(S)
+        while w.left & smask:
+            w = self.lmul_gen(_lowest(w.left & smask), w)
+        return w
 
     def double_strip(self, w: CoxeterElement, J, K) -> CoxeterElement:
         """Minimal length element of W_J w W_K."""

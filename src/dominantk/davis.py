@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg
-from .coxeter import CoxeterElement, WeylGroup, weyl_group
+from .coxeter import CoxeterElement, WeylGroup, subset_mask, weyl_group
 from .errors import DominantKError, ResourceExceededError, WrongTypeError
 from .gcm import FINITE, GeneralizedCartanMatrix, classify_type, spherical_poset
 
@@ -172,6 +172,7 @@ def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):
     members, i0, j0 = _building_data(A)
     group = weyl_group(A)
     K = tuple(sorted(set(K)))
+    kmask = subset_mask(K)
     chambers = group.min_coset_reps(K, j0, L)
     chains = _chains(members)
 
@@ -189,7 +190,7 @@ def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):
     frontier_cells = []
     for label, min_subset in cells.items():
         base = group.element(label[0][0])
-        if _cell_meets_long_chamber(group, base, glue(min_subset), j0, K, L):
+        if _cell_meets_long_chamber(group, base, glue(min_subset), j0, kmask, L):
             frontier_cells.append(label)
 
     complex_ = _complex_from_cells(list(cells))
@@ -201,15 +202,10 @@ def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):
     return complex_, frontier
 
 
-def _cell_meets_long_chamber(group: WeylGroup, base, glue_subset, j0, K, L) -> bool:
-    K = set(K)
-    seen = set()
+def _cell_meets_long_chamber(group: WeylGroup, base, glue_subset, j0, kmask, L) -> bool:
     for x in group.subgroup_elements(glue_subset):
         v = group.rstrip(group.multiply(base, x), j0)
-        if v.word in seen:
-            continue
-        seen.add(v.word)
-        if v.length > L and not any(i in K for i in v.descent_set("left")):
+        if v.length > L and not v.left & kmask:
             return True
     return False
 
@@ -334,19 +330,16 @@ def sector_filtration_cohomology(A: GeneralizedCartanMatrix, K, L: int) -> Secto
         raise WrongTypeError("sector scan requires compact or extended compact type")
     group = weyl_group(A)
     K = tuple(sorted(set(K)))
-    kset = set(K)
+    kmask = subset_mask(K)
     reps = group.min_coset_reps(K, i0, L)
     n = len(i0) - 1
 
     steps = []
     for idx, w in enumerate(reps):
-        continuation = []
-        for j in range(A.size):
-            if all(x <= 0 for x in w.cols[j]):
-                continue  # descent
-            wr = group.rmul_gen(w, j)
-            if not any(i in kset for i in wr.descent_set("left")):
-                continuation.append(j)
+        continuation = tuple(
+            j for j in range(A.size)
+            if not w.right >> j & 1 and not group.rmul_gen(w, j).left & kmask
+        )
         if not continuation:
             verdict = EMPTY
         elif not group.double_coset_intersection(w, i0, K) and not (
@@ -355,7 +348,7 @@ def sector_filtration_cohomology(A: GeneralizedCartanMatrix, K, L: int) -> Secto
             verdict = FULL
         else:
             verdict = SILENT
-        steps.append(SectorStep(w, tuple(continuation), verdict))
+        steps.append(SectorStep(w, continuation, verdict))
         if verdict == EMPTY:
             if idx != len(reps) - 1:
                 raise DominantKError(

@@ -186,10 +186,9 @@ class SphericalPoset:
     listed in (size, lexicographic) order and closed downward."""
 
     members: tuple[tuple[int, ...], ...]
-    covers: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def __contains__(self, subset) -> bool:
-        return tuple(sorted(subset)) in set(self.members)
+        return tuple(sorted(subset)) in self.members
 
 
 def _leading_minors(entries) -> list[int]:
@@ -333,14 +332,7 @@ def spherical_poset(A: GeneralizedCartanMatrix) -> SphericalPoset:
         for subset in combinations(A.index_set, size)
         if _subset_finite(A, subset)
     ]
-    member_set = set(members)
-    covers = tuple(
-        (small, big)
-        for big in members
-        for i in range(len(big))
-        if (small := big[:i] + big[i + 1 :]) in member_set
-    )
-    return SphericalPoset(members=tuple(members), covers=covers)
+    return SphericalPoset(members=tuple(members))
 
 
 def coxeter_matrix(A: GeneralizedCartanMatrix):

@@ -34,13 +34,16 @@ def det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def rank(rows) -> int:
-    """Rank of an integer (or Fraction) matrix via exact Gaussian elimination."""
+def _rref(rows):
+    """Reduced row echelon form over the rationals: (rows, pivot columns)."""
     m = [[Fraction(x) for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
-    r = 0
+    pivots = []
     for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
@@ -51,10 +54,13 @@ def rank(rows) -> int:
             if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        pivots.append(c)
+    return m, pivots
+
+
+def rank(rows) -> int:
+    """Rank of an integer (or Fraction) matrix via exact Gaussian elimination."""
+    return len(_rref(rows)[1])
 
 
 def primitive_null_vector(rows) -> tuple[int, ...]:
@@ -64,30 +70,15 @@ def primitive_null_vector(rows) -> tuple[int, ...]:
     normalized so that the first nonzero entry is positive.
     """
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
+    m, pivots = _rref(rows)
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         raise ValueError("matrix does not have corank one")
     c0 = free[0]
     vec = [Fraction(0)] * n
     vec[c0] = Fraction(1)
-    for c, row_i in pivots.items():
-        vec[c] = -m[row_i][c0]
+    for r, c in enumerate(pivots):
+        vec[c] = -m[r][c0]
     denom = 1
     for x in vec:
         denom = denom * x.denominator // gcd(denom, x.denominator)

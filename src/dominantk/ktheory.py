@@ -272,44 +272,27 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
                 labels.append((chain, k))
         dims.append(labels)
 
-    def structure_maps(p):
-        """Sparse columns of the map C_p -> C_{p-1} (colimit) for p >= 1."""
-        cols = []
-        for chain, k in dims[p]:
-            col: dict[int, int] = {}
-            for i in range(len(chain)):
-                sub = chain[:i] + chain[i + 1 :]
-                sign = (-1) ** i
-                if i == 0:
-                    mat = functor.matrix(chain[0], chain[1])
-                    for row_k in range(len(functor.basis[chain[1]])):
-                        v = mat[row_k][k]
-                        if v:
-                            idx = basis_index[(sub, row_k)]
-                            col[idx] = col.get(idx, 0) + sign * v
-                else:
-                    idx = basis_index[(sub, k)]
-                    col[idx] = col.get(idx, 0) + sign
-            cols.append(col)
-        return cols
+    def faces(p):
+        """Sparse rows, indexed by p-chains, of the face map to (p-1)-chains.
 
-    def costructure_maps(p):
-        """Sparse rows of the map C^p -> C^{p+1} (limit), rows indexed by
-        (p+1)-chains."""
+        This is the colimit's chain differential C_p -> C_{p-1} transposed,
+        or the limit's cochain differential C^{p-1} -> C^p itself; Smith
+        invariants do not see the transpose.
+        """
         rows = []
-        for chain, k in dims[p + 1]:
+        for chain, k in dims[p]:
             row: dict[int, int] = {}
             for i in range(len(chain)):
                 sub = chain[:i] + chain[i + 1 :]
                 sign = (-1) ** i
                 if i == 0:
-                    # contravariant: matrix(J0, J1) maps F(J1) -> F(J0); the
-                    # cochain value on `sub` lies in F(J1)
+                    # matrix(J0, J1) maps F(J0) -> F(J1) for a covariant
+                    # functor and F(J1) -> F(J0) for a contravariant one
                     mat = functor.matrix(chain[0], chain[1])
-                    for col_k in range(len(functor.basis[chain[1]])):
-                        v = mat[k][col_k]
+                    for c in range(len(functor.basis[chain[1]])):
+                        v = mat[k][c] if direction == "limit" else mat[c][k]
                         if v:
-                            idx = basis_index[(sub, col_k)]
+                            idx = basis_index[(sub, c)]
                             row[idx] = row.get(idx, 0) + sign * v
                 else:
                     idx = basis_index[(sub, k)]
@@ -317,34 +300,18 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
             rows.append(row)
         return rows
 
+    invariants = {
+        p: intlinalg.smith_invariants(faces(p), len(dims[p - 1]))
+        for p in range(1, top + 1)
+    }
+    # torsion in degree p comes from the map into degree p, built from the
+    # (p+1)-chains for a colimit and from the p-chains for a limit
+    shift = 1 if direction == "colimit" else 0
     groups = []
-    if direction == "colimit":
-        # d_p: C_p -> C_{p-1}; homology in degree p
-        invariants = {}
-        for p in range(1, top + 1):
-            cols = structure_maps(p)
-            rows: list[dict[int, int]] = [dict() for _ in range(len(dims[p - 1]))]
-            for j, col in enumerate(cols):
-                for i, v in col.items():
-                    rows[i][j] = v
-            invariants[p] = intlinalg.smith_invariants(rows, len(cols))
-        for p in range(top + 1):
-            rank_out = len(invariants.get(p, []))
-            rank_in = len(invariants.get(p + 1, []))
-            free = len(dims[p]) - rank_out - rank_in
-            torsion = tuple(d for d in invariants.get(p + 1, []) if d > 1)
-            groups.append((free, torsion))
-    else:
-        invariants = {}
-        for p in range(top):
-            rows = costructure_maps(p)
-            invariants[p] = intlinalg.smith_invariants(rows, len(dims[p]))
-        for p in range(top + 1):
-            rank_here = len(invariants.get(p, []))
-            rank_prev = len(invariants.get(p - 1, []))
-            free = len(dims[p]) - rank_here - rank_prev
-            torsion = tuple(d for d in invariants.get(p - 1, []) if d > 1)
-            groups.append((free, torsion))
+    for p in range(top + 1):
+        free = len(dims[p]) - len(invariants.get(p, [])) - len(invariants.get(p + 1, []))
+        torsion = tuple(d for d in invariants.get(p + shift, []) if d > 1)
+        groups.append((free, torsion))
     return IntegerCohomology(tuple(groups))
 
 

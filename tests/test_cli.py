@@ -216,6 +216,38 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 1  # the Levi subset is not of finite type
 
 
+def _usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "Traceback" not in err
+    return err
+
+
+def test_levi_without_j_is_usage_error(capsys):
+    err = _usage_error(
+        ["character", "levi", "--gcm", data_path("affine_a1"), "--weight", "0,2/0"],
+        capsys,
+    )
+    assert "--j" in err
+
+
+def test_missing_weight_is_usage_error(capsys):
+    for argv in (
+        ["character", "levi", "--gcm", data_path("affine_a1"), "--j", "1"],
+        ["ktheory", "predicates", "--gcm", data_path("ext4")],
+    ):
+        assert "--weight" in _usage_error(argv, capsys)
+
+
+def test_negative_box_is_usage_error(capsys):
+    err = _usage_error(
+        ["ktheory", "compact", "--gcm", data_path("affine_a1"), "--box", "-1"], capsys
+    )
+    assert "--box" in err
+
+
 def test_weight_syntax_errors():
     code, _ = run(
         ["weights", "stratum", "--gcm", data_path("affine_a1"), "--weight", "1,1"]

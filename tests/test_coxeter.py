@@ -157,6 +157,15 @@ def test_root_positivity_dichotomy(matrices):
 
 
 def test_descents(matrices):
+    """Descent masks against lengths: bit j of ``right`` (``left``) is set
+    exactly when w r_j (r_j w) is shorter than w."""
+    for name, A in matrices.items():
+        group = weyl_group(A)
+        for w in group.ball(3 if A.size > 4 else 5):
+            for j in range(A.size):
+                assert bool(w.right >> j & 1) == (group.rmul_gen(w, j).length < w.length)
+                shorter = group.multiply(group.generator(j), w).length < w.length
+                assert bool(w.left >> j & 1) == shorter
     group = weyl_group(matrices["a2"])
     assert group.identity.descent_set("right") == ()
     longest = group.element((0, 1, 0))
@@ -172,11 +181,12 @@ def test_descents(matrices):
 def test_descent_sets_are_spherical(matrices):
     from dominantk.gcm import spherical_poset
 
-    for name in ("affine_a1", "hyper_rank3"):
-        poset = spherical_poset(matrices[name])
-        group = weyl_group(matrices[name])
-        for w in group.ball(5):
+    for name, A in matrices.items():
+        poset = spherical_poset(A)
+        group = weyl_group(A)
+        for w in group.ball(3 if A.size > 4 else 5):
             assert w.descent_set("right") in poset
+            assert w.descent_set("left") in poset
 
 
 # -- Bruhat order ------------------------------------------------------------------
@@ -362,6 +372,38 @@ def test_maximally_pure_subset_of_pure(matrices):
             pure = set(group.pure_reps(K, (0, 1, 2), 6))
             maximal = set(group.pure_reps(K, (0, 1, 2), 6, maximal=True))
             assert maximal <= pure
+
+
+def superset_purity_oracle(group, w, K, J):
+    """Is w pure for some proper superset of J: every superset, one by one."""
+    rest = [i for i in range(group.n) if i not in J]
+    right = set(w.descent_set("right"))
+    for bits in range(1, 1 << len(rest)):
+        extra = [rest[t] for t in range(len(rest)) if bits >> t & 1]
+        if any(i in right for i in extra):
+            continue  # not even a minimal rep for the bigger parabolic
+        if not group.double_coset_intersection(w, tuple(J) + tuple(extra), K):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "name,bound", [("a2", 3), ("affine_a1", 8), ("hyper_rank3", 7), ("ext4", 8)]
+)
+def test_maximal_purity_matches_superset_oracle(matrices, name, bound):
+    """The per-node purity test agrees with the loop over all supersets, on
+    every minimal (K, J) double coset rep, pure for J or not."""
+    group = weyl_group(matrices[name])
+    n = matrices[name].size
+    subsets = [s for size in range(n + 1) for s in combinations(range(n), size)]
+    pure = 0
+    for K in subsets:
+        for J in subsets:
+            for w in group.min_coset_reps(K, J, bound):
+                expected = superset_purity_oracle(group, w, K, J)
+                assert group.pure_for_proper_superset(w, K, J) == expected
+                pure += not group.double_coset_intersection(w, J, K)
+    assert pure  # the oracle ran on pure representatives, not only impure ones
 
 
 def test_concurrent_enumeration(matrices):
