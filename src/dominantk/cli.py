@@ -42,10 +42,10 @@ from .ktheory import (
 from .weights import build_realization
 
 
-def _box_bound(text: str) -> int:
+def _nonnegative(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"box bound must be >= 0, not {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
     return value
 
 
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="sub", required=True)
     for name in ("ball", "cosets", "pure"):
         q = subcommand(psub, name, _cmd_coxeter)
-        q.add_argument("--max-length", type=int, required=True)
+        q.add_argument("--max-length", type=_nonnegative, required=True)
         q.add_argument("--j", default=None, help="comma-separated node labels ('' = empty)")
         q.add_argument("--k", default=None, help="comma-separated node labels ('' = empty)")
         if name == "pure":
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--weight", required=True,
             help="coroot values, slash, complement values; use --weight=-1,2/0 for negatives",
         )
-        q.add_argument("--max-steps", type=int, default=None)
+        q.add_argument("--max-steps", type=_nonnegative, default=None)
 
     p = sub.add_parser("character", help="character-ring operations")
     psub = p.add_subparsers(dest="sub", required=True)
@@ -383,14 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
         q = subcommand(psub, name, _cmd_character)
         q.add_argument("--j", default=None, required=name != "numerator")
         q.add_argument("--weight", default=None, required=name != "spinor")
-        q.add_argument("--max-length", type=int, default=None)
+        q.add_argument("--max-length", type=_nonnegative, default=None)
 
     p = sub.add_parser("davis", help="building combinatorics and cohomology")
     psub = p.add_subparsers(dest="sub", required=True)
     for name in ("nerve", "hc", "hc-hat"):
         q = subcommand(psub, name, _cmd_davis)
         q.add_argument("--k", default="")
-        q.add_argument("--max-length", type=int, default=6)
+        q.add_argument("--max-length", type=_nonnegative, default=6)
         if name == "hc":
             q.add_argument("--method", choices=("sector", "snf"), default="sector")
 
@@ -398,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="sub", required=True)
     for name in ("compact", "extended", "homology", "predicates", "oracle"):
         q = subcommand(psub, name, _cmd_ktheory)
-        q.add_argument("--box", type=_box_bound, default=2)
-        q.add_argument("--max-length", type=int, default=4)
+        q.add_argument("--box", type=_nonnegative, default=2)
+        q.add_argument("--max-length", type=_nonnegative, default=4)
         q.add_argument("--k", default="")
         q.add_argument("--weight", default=None, required=name == "predicates")
         q.add_argument("--generators", action="store_true")

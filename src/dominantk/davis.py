@@ -176,24 +176,28 @@ def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):
     chambers = group.min_coset_reps(K, j0, L)
     chains = _chains(members)
 
-    def glue(subset):
-        return tuple(sorted(set(subset) | set(j0)))
-
-    cells = {}
-    for w in chambers:
-        for chain in chains:
-            label = tuple(
-                (group.rstrip(w, glue(m)).word, m) for m in chain
-            )
-            cells.setdefault(label, chain[0])
-
+    glued = {m: tuple(sorted(set(m) | set(j0))) for m in members}
+    cells = set()
     frontier_cells = []
-    for label, min_subset in cells.items():
-        base = group.element(label[0][0])
-        if _cell_meets_long_chamber(group, base, glue(min_subset), j0, kmask, L):
-            frontier_cells.append(label)
+    # a cell is in the frontier when its first vertex, the coset w W_{m + J0}
+    # of the smallest subset m in its chain, meets a long chamber
+    meets_long = {}
+    for w in chambers:
+        vertices = {}
+        for m in members:
+            base = group.rstrip(w, glued[m])
+            vertex = vertices[m] = (base.word, m)
+            if vertex not in meets_long:
+                meets_long[vertex] = _cell_meets_long_chamber(
+                    group, base, glued[m], j0, kmask, L)
+        for chain in chains:
+            label = tuple(vertices[m] for m in chain)
+            if label not in cells:
+                cells.add(label)
+                if meets_long[label[0]]:
+                    frontier_cells.append(label)
 
-    complex_ = _complex_from_cells(list(cells))
+    complex_ = _complex_from_cells(cells)
     frontier = (
         _complex_from_cells(frontier_cells)
         if frontier_cells

@@ -6,6 +6,7 @@ anywhere, so determinants, ranks and Smith normal forms are exact at any size.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd
 
@@ -97,112 +98,99 @@ def smith_invariants(dense_rows, ncols=None) -> list[int]:
     """Invariant factors (positive, each dividing the next) of an integer matrix.
 
     Accepts either a dense list of rows or a sparse list of ``{col: value}``
-    dicts (with ``ncols`` given).  Small unit pivots are preferred so sparse
-    boundary matrices reduce without coefficient blowup.
+    dicts (with ``ncols`` given); the input is not modified.  Two stages:
+
+    1. Unit sweep.  Rows are taken shortest first from a lazy heap keyed by
+       row length; a row changed by a row operation is pushed again.  In
+       each row the ±1 entry whose column has the fewest nonzeros is the
+       pivot: row operations clear its column, and the pivot row and column
+       are dropped with an invariant factor 1.  A unit pivot needs no column
+       operations, since they would touch nothing outside its row.
+    2. Residual.  Once no ±1 entry is left, the remaining rows go to a dense
+       Euclidean Smith normal form.  Boundary matrices usually leave none.
     """
     if ncols is None:
-        sparse = [
-            {j: v for j, v in enumerate(row) if v} for row in dense_rows
-        ]
-    else:
-        sparse = [dict(row) for row in dense_rows]
-    rows = {i: r for i, r in enumerate(sparse) if r}
+        dense_rows = [dict(enumerate(row)) for row in dense_rows]
+    rows = {i: {j: v for j, v in r.items() if v} for i, r in enumerate(dense_rows)}
+    rows = {i: r for i, r in rows.items() if r}
     cols: dict[int, set[int]] = {}
     for i, r in rows.items():
         for j in r:
             cols.setdefault(j, set()).add(i)
 
-    def set_entry(i, j, v):
-        r = rows.get(i)
-        if r is None:
-            if v:
-                rows[i] = {j: v}
-                cols.setdefault(j, set()).add(i)
-            return
-        if v:
-            if j not in r:
-                cols.setdefault(j, set()).add(i)
-            r[j] = v
-        elif j in r:
-            del r[j]
-            cols[j].discard(i)
-            if not cols[j]:
-                del cols[j]
-            if not r:
-                del rows[i]
-
-    def add_row_multiple(dst, src, c):
-        # row[dst] += c * row[src]
-        for j, v in list(rows.get(src, {}).items()):
-            set_entry(dst, j, rows.get(dst, {}).get(j, 0) + c * v)
-
-    def add_col_multiple(dst, src, c):
-        # col[dst] += c * col[src]
-        for i in list(cols.get(src, set())):
-            v = rows[i].get(src, 0)
-            set_entry(i, dst, rows.get(i, {}).get(dst, 0) + c * v)
-
-    diag: list[int] = []
-    while rows:
-        # pivot choice: units first, then smallest magnitude, then least fill
-        best = None
-        for i, r in rows.items():
-            for j, v in r.items():
-                key = (abs(v) != 1, abs(v), len(r) * len(cols[j]))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-                    if key[0] is False and key[2] <= 1:
-                        break
+    units = 0
+    heap = [(len(r), i) for i, r in rows.items()]
+    heapq.heapify(heap)
+    while heap:
+        size, pi = heapq.heappop(heap)
+        prow = rows.get(pi)
+        if prow is None or len(prow) != size:
+            continue  # stale: the row was used or changed and pushed again
+        pj = min((j for j, v in prow.items() if v in (1, -1)),
+                 key=lambda j: len(cols[j]), default=None)
+        if pj is None:
+            continue
+        p = prow[pj]
+        for i in cols.pop(pj):
+            if i == pi:
+                continue
+            row = rows[i]
+            c = row[pj] * p  # row[i] -= c * row[pi] clears column pj
+            for j, v in prow.items():
+                new = row.get(j, 0) - c * v
+                if new:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = new
+                else:
+                    del row[j]
+                    if j != pj:
+                        cols[j].discard(i)
+            if row:
+                heapq.heappush(heap, (len(row), i))
             else:
-                continue
-            break
-        _, pi, pj = best
-        while True:
-            p = rows[pi][pj]
-            # clear the pivot column with exact or euclidean steps
-            dirty = False
-            for i in list(cols.get(pj, set())):
-                if i == pi:
-                    continue
-                v = rows[i].get(pj, 0)
-                if v:
-                    add_row_multiple(i, pi, -(v // p))
-                    if rows.get(i, {}).get(pj, 0):
-                        # remainder is smaller than |p|: swap pivot row
-                        pi = i
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in list(rows.get(pi, {}).keys()):
-                if j == pj:
-                    continue
-                v = rows[pi].get(j, 0)
-                if v:
-                    add_col_multiple(j, pj, -(v // p))
-                    if rows.get(pi, {}).get(j, 0):
-                        pj = j
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            if len(rows.get(pi, {})) == 1 and len(cols.get(pj, set())) == 1:
-                break
-        p = abs(rows[pi][pj])
-        set_entry(pi, pj, 0)
-        diag.append(p)
+                del rows[i]
+        del rows[pi]
+        for j in prow:
+            if j != pj:
+                cols[j].discard(pi)
+        units += 1
 
-    # enforce the divisibility chain
-    diag = [d for d in diag if d]
-    changed = True
-    while changed:
-        changed = False
-        for a in range(len(diag)):
-            for b in range(a + 1, len(diag)):
-                if diag[b] % diag[a]:
-                    g = gcd(diag[a], diag[b])
-                    l = diag[a] * diag[b] // g
-                    diag[a], diag[b] = g, l
-                    changed = True
-    diag.sort()
-    return diag
+    used = sorted({j for r in rows.values() for j in r})
+    return [1] * units + _dense_smith([[r.get(j, 0) for j in used] for r in rows.values()])
+
+
+def _dense_smith(m) -> list[int]:
+    """Smith invariants of a dense integer matrix: move the smallest entry to
+    the corner and reduce its row and column by Euclidean steps until both are
+    clear; while the corner fails to divide some row, add that row to the top
+    one, so that the diagonal is a divisibility chain."""
+    diag = []
+    while True:
+        entries = [(abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v]
+        if not entries:
+            return diag
+        _, pi, pj = min(entries)
+        m[0], m[pi] = m[pi], m[0]
+        for row in m:
+            row[0], row[pj] = row[pj], row[0]
+        p, top = m[0][0], m[0]
+        clear = True
+        for row in m[1:]:
+            q = row[0] // p
+            for j in range(len(row)):
+                row[j] -= q * top[j]
+            clear = clear and not row[0]
+        for j in range(1, len(top)):
+            q = top[j] // p
+            for row in m:
+                row[j] -= q * row[0]
+            clear = clear and not top[j]
+        if not clear:
+            continue
+        bad = next((row for row in m[1:] if any(v % p for v in row)), None)
+        if bad is None:
+            diag.append(abs(p))
+            m = [row[1:] for row in m[1:]]
+        else:
+            m[0] = [a + b for a, b in zip(top, bad)]

@@ -1,9 +1,14 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import dominantk
 from dominantk.cli import main
 
 
@@ -248,6 +253,25 @@ def test_negative_box_is_usage_error(capsys):
     assert "--box" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["coxeter", "ball", "--gcm", data_path("a2")],
+    ["character", "numerator", "--gcm", data_path("affine_a1"), "--weight", "1,1/0"],
+    ["davis", "hc", "--gcm", data_path("affine_a1")],
+    ["ktheory", "oracle", "--gcm", data_path("affine_a1")],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_negative_max_length_is_usage_error(argv, capsys):
+    assert "--max-length" in _usage_error(argv + ["--max-length", "-1"], capsys)
+
+
+def test_negative_max_steps_is_usage_error(capsys):
+    err = _usage_error(
+        ["weights", "reduce", "--gcm", data_path("affine_a1"), "--weight=-1,2/0",
+         "--max-steps", "-1"],
+        capsys,
+    )
+    assert "--max-steps" in err
+
+
 def test_weight_syntax_errors():
     code, _ = run(
         ["weights", "stratum", "--gcm", data_path("affine_a1"), "--weight", "1,1"]
@@ -260,3 +284,14 @@ def test_help_documents_tsv_schema(capsys):
         main(["davis", "hc", "--help"])
     assert exc.value.code == 0
     assert "tsv rows:" in capsys.readouterr().out
+
+
+def test_python_m_dominantk_runs_the_cli():
+    src = str(Path(dominantk.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    argv = ["coxeter", "ball", "--gcm", data_path("a2"), "--max-length", "1"]
+    proc = subprocess.run([sys.executable, "-m", "dominantk", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run(argv)[1]

@@ -115,6 +115,13 @@ def test_truncation_stabilizes_to_sector_answer(matrices):
             assert prev == scan.groups
 
 
+def test_large_truncation_equals_sector_scan(matrices):
+    A = matrices["hyper_rank3"]
+    cx, fr = davis_truncation(A, (), 10)
+    scan = sector_filtration_cohomology(A, (), 10).cohomology()
+    assert snf_cohomology(cx, fr).groups == scan.groups
+
+
 # -- sector scans ---------------------------------------------------------------------
 
 

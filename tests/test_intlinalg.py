@@ -3,8 +3,11 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dominantk import intlinalg
+from dominantk.davis import davis_truncation, snf_cohomology
 
 
 def brute_det(rows):
@@ -36,6 +39,125 @@ def minor_gcd_invariants(rows, ncols):
         out.append(g // prev)
         prev = g
     return out
+
+
+def smith_invariants_reference(dense_rows, ncols=None) -> list[int]:
+    """Invariant factors (positive, each dividing the next) of an integer matrix.
+
+    The general sparse routine that ``intlinalg.smith_invariants`` replaced,
+    kept verbatim as its oracle: every pivot is chosen by a scan of all
+    nonzeros (units first, then smallest magnitude, then least fill).
+
+    Accepts either a dense list of rows or a sparse list of ``{col: value}``
+    dicts (with ``ncols`` given).  Small unit pivots are preferred so sparse
+    boundary matrices reduce without coefficient blowup.
+    """
+    if ncols is None:
+        sparse = [
+            {j: v for j, v in enumerate(row) if v} for row in dense_rows
+        ]
+    else:
+        sparse = [dict(row) for row in dense_rows]
+    rows = {i: r for i, r in enumerate(sparse) if r}
+    cols: dict[int, set[int]] = {}
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+
+    def set_entry(i, j, v):
+        r = rows.get(i)
+        if r is None:
+            if v:
+                rows[i] = {j: v}
+                cols.setdefault(j, set()).add(i)
+            return
+        if v:
+            if j not in r:
+                cols.setdefault(j, set()).add(i)
+            r[j] = v
+        elif j in r:
+            del r[j]
+            cols[j].discard(i)
+            if not cols[j]:
+                del cols[j]
+            if not r:
+                del rows[i]
+
+    def add_row_multiple(dst, src, c):
+        # row[dst] += c * row[src]
+        for j, v in list(rows.get(src, {}).items()):
+            set_entry(dst, j, rows.get(dst, {}).get(j, 0) + c * v)
+
+    def add_col_multiple(dst, src, c):
+        # col[dst] += c * col[src]
+        for i in list(cols.get(src, set())):
+            v = rows[i].get(src, 0)
+            set_entry(i, dst, rows.get(i, {}).get(dst, 0) + c * v)
+
+    diag: list[int] = []
+    while rows:
+        # pivot choice: units first, then smallest magnitude, then least fill
+        best = None
+        for i, r in rows.items():
+            for j, v in r.items():
+                key = (abs(v) != 1, abs(v), len(r) * len(cols[j]))
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+                    if key[0] is False and key[2] <= 1:
+                        break
+            else:
+                continue
+            break
+        _, pi, pj = best
+        while True:
+            p = rows[pi][pj]
+            # clear the pivot column with exact or euclidean steps
+            dirty = False
+            for i in list(cols.get(pj, set())):
+                if i == pi:
+                    continue
+                v = rows[i].get(pj, 0)
+                if v:
+                    add_row_multiple(i, pi, -(v // p))
+                    if rows.get(i, {}).get(pj, 0):
+                        # remainder is smaller than |p|: swap pivot row
+                        pi = i
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in list(rows.get(pi, {}).keys()):
+                if j == pj:
+                    continue
+                v = rows[pi].get(j, 0)
+                if v:
+                    add_col_multiple(j, pj, -(v // p))
+                    if rows.get(pi, {}).get(j, 0):
+                        pj = j
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            if len(rows.get(pi, {})) == 1 and len(cols.get(pj, set())) == 1:
+                break
+        p = abs(rows[pi][pj])
+        set_entry(pi, pj, 0)
+        diag.append(p)
+
+    # enforce the divisibility chain
+    diag = [d for d in diag if d]
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(diag)):
+            for b in range(a + 1, len(diag)):
+                if diag[b] % diag[a]:
+                    g = gcd(diag[a], diag[b])
+                    l = diag[a] * diag[b] // g
+                    diag[a], diag[b] = g, l
+                    changed = True
+    diag.sort()
+    return diag
 
 
 def test_det_against_cofactors():
@@ -83,3 +205,72 @@ def test_smith_against_minor_gcds():
 def test_smith_sparse_input():
     rows = [{0: 1, 2: -1}, {1: 2}]
     assert intlinalg.smith_invariants(rows, 3) == [1, 2]
+
+
+# -- the unit sweep against the minor-gcd and pre-sweep oracles ---------------------
+
+#: dense unit entries mixed with non-units, so that both the sweep (with
+#: fill-in) and the dense residual stage run
+ENTRIES = st.sampled_from((1, -1, 1, -1, 1, -1, 2, -2, 3, -3, 4, -4, 6, -6))
+
+
+@st.composite
+def sparse_matrices(draw, max_size):
+    ncols = draw(st.integers(1, max_size))
+    row = st.dictionaries(st.integers(0, ncols - 1), ENTRIES, max_size=min(ncols, 6))
+    return draw(st.lists(row, max_size=max_size)), ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(4))
+def test_smith_property_against_minor_gcds(matrix):
+    rows, ncols = matrix
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    expected = minor_gcd_invariants(dense, ncols)
+    assert intlinalg.smith_invariants(rows, ncols) == expected
+    assert intlinalg.smith_invariants(dense) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(30))
+def test_smith_property_against_reference(matrix):
+    rows, ncols = matrix
+    before = [dict(row) for row in rows]
+    assert intlinalg.smith_invariants(rows, ncols) == smith_invariants_reference(rows, ncols)
+    assert rows == before  # the input is not modified
+
+
+def test_smith_torsion_block_beside_unit_rows():
+    block = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    rows = [{3: 1, 0: 2, 1: -3}]
+    rows += [{j: v for j, v in enumerate(r)} for r in block]
+    rows += [{4: -1, 5: 1, 2: 3}, {5: 1, 0: 4}]
+    assert intlinalg.smith_invariants(rows, 6) == [1, 1, 1, 2, 2, 156]
+    assert smith_invariants_reference(rows, 6) == [1, 1, 1, 2, 2, 156]
+
+
+def test_smith_empty_rows_and_unused_columns():
+    assert intlinalg.smith_invariants([{}, {0: 2}, {}, {1: 1}], 3) == [1, 2]
+    assert intlinalg.smith_invariants([{}, {}], 4) == []
+    assert intlinalg.smith_invariants([{0: 3}, {2: -6}], 10) == [3, 6]
+    assert intlinalg.smith_invariants([[], []]) == []
+    assert intlinalg.smith_invariants([]) == []
+
+
+def test_unit_sweep_matches_reference_on_ext4_truncation(matrices, monkeypatch):
+    complex_, frontier = davis_truncation(matrices["ext4"], (3,), 10)
+    assert complex_.f_vector() == (1637, 4522, 2886)
+    assert frontier.f_vector() == (592, 646)
+    sweep = intlinalg.smith_invariants
+    checked = []
+
+    def against_reference(rows, ncols=None):
+        result = sweep(rows, ncols)
+        assert result == smith_invariants_reference(rows, ncols)
+        checked.append(len(rows))
+        return result
+
+    monkeypatch.setattr(intlinalg, "smith_invariants", against_reference)
+    snf_cohomology(complex_, frontier)
+    # one coboundary matrix per degree below the top: rows are 1- and 2-cells
+    assert len(checked) == 2
