@@ -43,7 +43,11 @@ from .weights import build_realization
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, not {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
     return value

@@ -273,6 +273,11 @@ class WeylGroup:
                         nxt[w.word] = w
             layer = list(nxt.values())
             out.extend(layer)
+            if len(out) > self.element_cap:
+                raise ResourceExceededError(
+                    f"parabolic subgroup on {J} exceeded the cap of {self.element_cap}"
+                    f" elements ({len(out)} enumerated)"
+                )
         return tuple(sorted(out, key=lambda e: e.sort_key()))
 
     # -- cosets, purity, Bruhat order -----------------------------------------

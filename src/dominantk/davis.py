@@ -217,26 +217,39 @@ def _cell_meets_long_chamber(group: WeylGroup, base, glue_subset, j0, kmask, L) 
 # -- Smith normal form oracle ---------------------------------------------------
 
 
+def cochain_cohomology(sizes, coboundaries) -> IntegerCohomology:
+    """Integral cohomology, via Smith normal form, of a cochain complex of
+    free groups: C^p has rank ``sizes[p]``, and ``coboundaries[p]`` (a
+    generator holds one at a time) lists the sparse rows ``{col: value}`` of
+    C^p -> C^{p+1}, one per basis element of C^{p+1}.  Degree p has free
+    rank sizes[p] minus the ranks of the maps out of and into it; its
+    torsion is the invariant factors above 1 of the map into it."""
+    sizes = list(sizes)
+    into = [[]]  # invariant factors of the coboundary into each degree
+    for size, rows in zip(sizes, coboundaries):
+        into.append(intlinalg.smith_invariants(rows, size) if rows else [])
+    into.append([])
+    groups = tuple(
+        (size - len(into[p]) - len(into[p + 1]), tuple(d for d in into[p] if d > 1))
+        for p, size in enumerate(sizes)
+    )
+    euler_cells = sum((-1) ** p * size for p, size in enumerate(sizes))
+    euler_ranks = sum((-1) ** p * free for p, (free, _) in enumerate(groups))
+    if euler_cells != euler_ranks:
+        raise DominantKError("internal: Euler characteristic mismatch in SNF cohomology")
+    return IntegerCohomology(groups)
+
+
 def snf_cohomology(complex_: SimplicialComplexDesc,
                    relative_to: SimplicialComplexDesc | None = None) -> IntegerCohomology:
     """Integral (relative) simplicial cohomology via Smith normal form."""
-    excluded = [
-        relative_to.simplex_labels(d) if relative_to is not None else set()
-        for d in range(complex_.dim + 1)
-    ]
     cells = []
-    for d in range(complex_.dim + 1):
-        level = [
-            cell
-            for cell in complex_.simplices[d]
-            if tuple(complex_.vertices[i] for i in cell) not in excluded[d]
-        ]
-        cells.append(level)
+    for d, level in enumerate(complex_.simplices):
+        excluded = relative_to.simplex_labels(d) if relative_to is not None else set()
+        cells.append([c for c in level if tuple(complex_.vertices[i] for i in c) not in excluded])
 
     def coboundary(p):
         # rows: (p+1)-cells, cols: p-cells; transpose of the boundary map
-        if p + 1 > complex_.dim:
-            return [], len(cells[p])
         col_index = {cell: k for k, cell in enumerate(cells[p])}
         rows = []
         for big in cells[p + 1]:
@@ -247,22 +260,19 @@ def snf_cohomology(complex_: SimplicialComplexDesc,
                 if j is not None:
                     row[j] = (-1) ** k
             rows.append(row)
-        return rows, len(cells[p])
+        return rows
 
-    groups = []
-    prev_invariants: list[int] = []
-    for p in range(complex_.dim + 1):
-        rows, ncols = coboundary(p)
-        invariants = intlinalg.smith_invariants(rows, ncols) if rows else []
-        rank_delta_p = len(invariants)
-        free = len(cells[p]) - rank_delta_p - len(prev_invariants)
-        torsion = tuple(d for d in prev_invariants if d > 1)
-        groups.append((free, torsion))
-        prev_invariants = invariants
-    euler_cells = sum((-1) ** p * len(cells[p]) for p in range(complex_.dim + 1))
-    euler_ranks = sum((-1) ** p * groups[p][0] for p in range(len(groups)))
-    if euler_cells != euler_ranks:
-        raise DominantKError("internal: Euler characteristic mismatch in SNF cohomology")
+    return cochain_cohomology(
+        [len(level) for level in cells], (coboundary(p) for p in range(complex_.dim))
+    )
+
+
+def _two_degree_cohomology(top_degree: int, zero_rank: int, top_rank: int) -> IntegerCohomology:
+    """Z^zero_rank in degree 0 and Z^top_rank in ``top_degree``, added
+    together when the top degree is 0."""
+    groups = [(0, ())] * (top_degree + 1)
+    groups[top_degree] = (top_rank, ())
+    groups[0] = (groups[0][0] + zero_rank, ())
     return IntegerCohomology(tuple(groups))
 
 
@@ -295,14 +305,8 @@ class SectorReport:
         return tuple(s.element for s in self.steps if s.verdict == FULL)
 
     def cohomology(self) -> IntegerCohomology:
-        groups = [(0, ())] * (self.top_degree + 1)
-        groups[0] = (1 if self.compact else 0, ())
-        n_rank = len(self.degree_n_generators)
-        if self.top_degree == 0:
-            groups[0] = (groups[0][0] + n_rank, ())
-        else:
-            groups[self.top_degree] = (n_rank, ())
-        return IntegerCohomology(tuple(groups))
+        return _two_degree_cohomology(
+            self.top_degree, int(self.compact), len(self.degree_n_generators))
 
 
 def sector_filtration_cohomology(A: GeneralizedCartanMatrix, K, L: int) -> SectorReport:
@@ -379,13 +383,8 @@ class HatSectorReport:
     degree_n: tuple[CoxeterElement, ...]
 
     def cohomology(self) -> IntegerCohomology:
-        groups = [(0, ())] * (self.top_degree + 1)
-        groups[0] = (len(self.degree_zero), ())
-        if self.top_degree == 0:
-            groups[0] = (groups[0][0] + len(self.degree_n), ())
-        else:
-            groups[self.top_degree] = (len(self.degree_n), ())
-        return IntegerCohomology(tuple(groups))
+        return _two_degree_cohomology(
+            self.top_degree, len(self.degree_zero), len(self.degree_n))
 
 
 def hat_sector_cohomology(A: GeneralizedCartanMatrix, K, L: int) -> HatSectorReport:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import intlinalg
 from .coxeter import CoxeterElement, weyl_group
-from .davis import IntegerCohomology, _chains
+from .davis import IntegerCohomology, _chains, cochain_cohomology
 from .characters import FormalCharacter, dirac_induction, levi_irreducible_character
 from .errors import (
     ConeReductionFailedError,
@@ -190,11 +189,16 @@ def st_r_image_predicates(A: GeneralizedCartanMatrix, lam: Weight,
 
 class FunctorOnPoset:
     """Finite free abelian groups indexed by spherical subsets with integer
-    transition matrices along inclusions.
+    transitions along inclusions.
 
     ``variance`` is "covariant" (maps go up the poset) or "contravariant"
-    (maps go down); transitions are stored for every strict inclusion pair
-    and checked for functoriality on composable pairs.
+    (maps go down).  ``transitions[(J, Jp)]`` is stored for every strict
+    inclusion J < Jp as one sparse row ``{c: coefficient}`` (nonzero
+    coefficients only) per basis element k of F(J), where c indexes the
+    basis of F(Jp): for a covariant functor row k is the image of k, for a
+    contravariant one it is row k of the matrix of F(Jp) -> F(J).  Either
+    way the transition along J < Jpp is the row product of those along
+    J < Jp and Jp < Jpp, which is what the functoriality check compares.
     """
 
     def __init__(self, members, variance, basis, transitions):
@@ -203,43 +207,24 @@ class FunctorOnPoset:
         self.basis = dict(basis)
         self.transitions = dict(transitions)
 
-    def rank(self, J) -> int:
-        return len(self.basis[J])
-
-    def matrix(self, J, Jp):
-        """Transition along J < Jp, oriented by the variance."""
-        return self.transitions[(J, Jp)]
-
     def check_functoriality(self) -> None:
-        for J in self.members:
-            for Jp in self.members:
-                if not (set(J) < set(Jp)):
-                    continue
-                for Jpp in self.members:
-                    if not (set(Jp) < set(Jpp)):
-                        continue
-                    if self.variance == "covariant":
-                        lhs = _matmul(self.matrix(Jp, Jpp), self.matrix(J, Jp))
-                    else:
-                        lhs = _matmul(self.matrix(J, Jp), self.matrix(Jp, Jpp))
-                    if lhs != self.matrix(J, Jpp):
-                        raise FunctorialityError(
-                            f"transitions through {Jp} break on {J} < {Jpp}"
-                        )
-
-
-def _matmul(a, b):
-    if not a or not b:
-        return tuple(() for _ in a)
-    cols_b = len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols_b))
-        for i in range(len(a))
-    )
-
-
-def _zero_matrix(nrows, ncols):
-    return tuple((0,) * ncols for _ in range(nrows))
+        above: dict = {}
+        for J, Jp in self.transitions:
+            above.setdefault(J, []).append(Jp)
+        for (J, Jp), rows in self.transitions.items():
+            for Jpp in above.get(Jp, ()):
+                outer = self.transitions[(Jp, Jpp)]
+                composed = []
+                for row in rows:
+                    out: dict[int, int] = {}
+                    for c, v in row.items():
+                        for d, x in outer[c].items():
+                            out[d] = out.get(d, 0) + v * x
+                    composed.append({d: x for d, x in out.items() if x})
+                if composed != list(self.transitions.get((J, Jpp), ())):
+                    raise FunctorialityError(
+                        f"transitions through {Jp} break on {J} < {Jpp}"
+                    )
 
 
 def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
@@ -257,65 +242,46 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
         raise FunctorialityError(f"{direction} needs a {expected} functor")
     functor.check_functoriality()
 
-    chains = [c for c in _chains(functor.members)]
-    by_dim: dict[int, list] = {}
-    for c in chains:
-        by_dim.setdefault(len(c) - 1, []).append(c)
-    top = max(by_dim) if by_dim else 0
-    basis_index = {}
-    dims = []
-    for p in range(top + 1):
-        labels = []
-        for chain in sorted(by_dim.get(p, [])):
-            for k, _ in enumerate(functor.basis[chain[0]]):
-                basis_index[(chain, k)] = len(labels)
-                labels.append((chain, k))
-        dims.append(labels)
+    chains = _chains(functor.members)
+    top = max(map(len, chains), default=1) - 1
+    dims = [
+        [(chain, k) for chain in sorted(c for c in chains if len(c) == p + 1)
+         for k in range(len(functor.basis[chain[0]]))]
+        for p in range(top + 1)
+    ]
+    basis_index = {label: i for labels in dims for i, label in enumerate(labels)}
 
     def faces(p):
         """Sparse rows, indexed by p-chains, of the face map to (p-1)-chains.
 
-        This is the colimit's chain differential C_p -> C_{p-1} transposed,
-        or the limit's cochain differential C^{p-1} -> C^p itself; Smith
-        invariants do not see the transpose.
+        This is the limit's coboundary C^{p-1} -> C^p, and the transpose of
+        the colimit's boundary C_p -> C_{p-1}: the coboundary of its dual.
         """
         rows = []
         for chain, k in dims[p]:
-            row: dict[int, int] = {}
-            for i in range(len(chain)):
-                sub = chain[:i] + chain[i + 1 :]
-                sign = (-1) ** i
-                if i == 0:
-                    # matrix(J0, J1) maps F(J0) -> F(J1) for a covariant
-                    # functor and F(J1) -> F(J0) for a contravariant one
-                    mat = functor.matrix(chain[0], chain[1])
-                    for c in range(len(functor.basis[chain[1]])):
-                        v = mat[k][c] if direction == "limit" else mat[c][k]
-                        if v:
-                            idx = basis_index[(sub, c)]
-                            row[idx] = row.get(idx, 0) + sign * v
-                else:
-                    idx = basis_index[(sub, k)]
-                    row[idx] = row.get(idx, 0) + sign
+            row = {basis_index[(chain[1:], c)]: v
+                   for c, v in functor.transitions[chain[:2]][k].items()}
+            for i in range(1, len(chain)):
+                row[basis_index[(chain[:i] + chain[i + 1 :], k)]] = (-1) ** i
             rows.append(row)
         return rows
 
-    invariants = {
-        p: intlinalg.smith_invariants(faces(p), len(dims[p - 1]))
-        for p in range(1, top + 1)
-    }
-    # torsion in degree p comes from the map into degree p, built from the
-    # (p+1)-chains for a colimit and from the p-chains for a limit
-    shift = 1 if direction == "colimit" else 0
-    groups = []
-    for p in range(top + 1):
-        free = len(dims[p]) - len(invariants.get(p, [])) - len(invariants.get(p + 1, []))
-        torsion = tuple(d for d in invariants.get(p + shift, []) if d > 1)
-        groups.append((free, torsion))
-    return IntegerCohomology(tuple(groups))
+    coh = cochain_cohomology([len(labels) for labels in dims],
+                             (faces(p) for p in range(1, top + 1)))
+    if direction == "limit":
+        return coh
+    # universal coefficients: H_p has the free rank of H^p of the dual
+    # complex and the torsion of H^{p+1}
+    return IntegerCohomology(tuple((free, coh.torsion(p + 1))
+                                   for p, (free, _) in enumerate(coh.groups)))
 
 
 # -- truncated strata functors ---------------------------------------------------------
+
+
+def _inclusions(members):
+    """Strict inclusion pairs (J, Jp) of poset members, J in member order."""
+    return [(J, Jp) for J in members for Jp in members if set(J) < set(Jp)]
 
 
 def strata_limit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> FunctorOnPoset:
@@ -332,40 +298,29 @@ def strata_limit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> Fun
     taus = real.dominant_box_weights(K, box)
     members = spherical_poset(A).members
 
-    basis = {}
+    reps = {}
     for J in members:
-        reps = []
         subgroup = group.subgroup_elements(J)
-        for w in group.min_coset_reps(J, K, L):
-            if all(
-                group.rstrip(group.multiply(u, w), K).length <= L for u in subgroup
-            ):
-                reps.append(w)
-        basis[J] = tuple((w.word, tau) for tau in taus for w in reps)
+        reps[J] = [
+            w for w in group.min_coset_reps(J, K, L)
+            if all(group.rstrip(group.multiply(u, w), K).length <= L for u in subgroup)
+        ]
+    basis = {J: tuple((w.word, tau) for tau in taus for w in reps[J]) for J in members}
 
     transitions = {}
-    for J in members:
-        jset = set(J)
-        for Jp in members:
-            if not jset < set(Jp):
-                continue
-            index = {lab: i for i, lab in enumerate(basis[J])}
-            cols = []
-            for wp_word, tau in basis[Jp]:
-                wp = group.element(wp_word)
-                seen = set()
-                for u in group.subgroup_elements(Jp):
-                    v = group.double_strip(group.multiply(u, wp), J, K)
-                    seen.add(v.word)
-                col = [0] * len(basis[J])
-                for word in seen:
-                    col[index[(word, tau)]] = 1
-                cols.append(col)
-            nrows = len(basis[J])
-            matrix = tuple(
-                tuple(cols[j][i] for j in range(len(cols))) for i in range(nrows)
-            )
-            transitions[(J, Jp)] = matrix
+    for J, Jp in _inclusions(members):
+        # restricted to J, the orbit sum of wp over Jp is the sum of the
+        # J-representatives in its W_Jp-orbit: the same block for every tau
+        index = {w.word: i for i, w in enumerate(reps[J])}
+        hits = [[] for _ in reps[J]]
+        for c, wp in enumerate(reps[Jp]):
+            for i in {index[group.double_strip(group.multiply(u, wp), J, K).word]
+                      for u in group.subgroup_elements(Jp)}:
+                hits[i].append(c)
+        width = len(reps[Jp])
+        transitions[(J, Jp)] = tuple(
+            {t * width + c: 1 for c in hit} for t in range(len(taus)) for hit in hits
+        )
     return FunctorOnPoset(members, "contravariant", basis, transitions)
 
 
@@ -381,22 +336,12 @@ def strata_colimit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> F
     members = spherical_poset(A).members
     cosets = group.min_coset_reps((), K, L)
 
-    all_weights = []
-    seen = set()
-    for tau in taus:
-        for w in cosets:
-            lam = real.act(w, tau)
-            if lam not in seen:
-                seen.add(lam)
-                all_weights.append(lam)
-
-    basis = {}
-    for J in members:
-        basis[J] = tuple(
-            lam
-            for lam in all_weights
-            if real.is_dominant_for(lam, J) and real.is_regular_for(lam, J)
-        )
+    all_weights = dict.fromkeys(real.act(w, tau) for tau in taus for w in cosets)
+    basis = {
+        J: tuple(lam for lam in all_weights
+                 if real.is_dominant_for(lam, J) and real.is_regular_for(lam, J))
+        for J in members
+    }
 
     def dominantize(lam, J):
         sign = 1
@@ -415,24 +360,13 @@ def strata_colimit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> F
         return lam, sign
 
     transitions = {}
-    for J in members:
-        jset = set(J)
-        for Jp in members:
-            if not jset < set(Jp):
-                continue
-            index = {lam: i for i, lam in enumerate(basis[Jp])}
-            nrows = len(basis[Jp])
-            cols = []
-            for lam in basis[J]:
-                col = [0] * nrows
-                target, sign = dominantize(lam, Jp)
-                if target is not None:
-                    col[index[target]] = sign
-                cols.append(col)
-            matrix = tuple(
-                tuple(cols[j][i] for j in range(len(cols))) for i in range(nrows)
-            )
-            transitions[(J, Jp)] = matrix
+    for J, Jp in _inclusions(members):
+        index = {lam: i for i, lam in enumerate(basis[Jp])}
+        rows = []
+        for lam in basis[J]:
+            target, sign = dominantize(lam, Jp)
+            rows.append({} if target is None else {index[target]: sign})
+        transitions[(J, Jp)] = tuple(rows)
     return FunctorOnPoset(members, "covariant", basis, transitions)
 
 

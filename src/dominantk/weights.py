@@ -91,12 +91,6 @@ class Realization:
         """The fixed Weyl element: value 1 on every coroot, 0 on complements."""
         return (1,) * self.coroot_count + (0,) * (self.rank - self.coroot_count)
 
-    def coroot_dual(self, i: int) -> Weight:
-        """h_i^*: value delta_ij on coroots, 0 on complements."""
-        return tuple(
-            1 if k == i else 0 for k in range(self.coroot_count)
-        ) + (0,) * (self.rank - self.coroot_count)
-
     def partial_rho(self, K) -> Weight:
         """Sum of h_i^* over i in K."""
         K = set(K)

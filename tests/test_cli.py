@@ -263,6 +263,18 @@ def test_negative_max_length_is_usage_error(argv, capsys):
     assert "--max-length" in _usage_error(argv + ["--max-length", "-1"], capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["coxeter", "ball", "--gcm", data_path("a2"), "--max-length", "x"],
+    ["ktheory", "compact", "--gcm", data_path("affine_a1"), "--box", "1.5"],
+    ["weights", "reduce", "--gcm", data_path("affine_a1"), "--weight=-1,2/0",
+     "--max-steps", "many"],
+], ids=lambda argv: argv[-2])
+def test_non_integer_bound_is_usage_error(argv, capsys):
+    err = _usage_error(argv, capsys)
+    assert f"{argv[-2]}: expected a nonnegative integer, not '{argv[-1]}'" in err
+    assert "_nonnegative" not in err
+
+
 def test_negative_max_steps_is_usage_error(capsys):
     err = _usage_error(
         ["weights", "reduce", "--gcm", data_path("affine_a1"), "--weight=-1,2/0",

@@ -258,6 +258,11 @@ def test_element_cap():
     group = WeylGroup(A, element_cap=10)
     with pytest.raises(ResourceExceededError):
         group.ball(20)
+    # a finite parabolic past the cap is refused too, naming subset and cap
+    B = gcm_from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    with pytest.raises(ResourceExceededError, match=r"\(0, 1, 2\).* 20 elements"):
+        WeylGroup(B, element_cap=20).subgroup_elements((0, 1, 2))
+    assert len(WeylGroup(B, element_cap=24).subgroup_elements((0, 1, 2))) == 24
 
 
 # -- cosets ------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dominantk.errors import WrongTypeError
 from dominantk.coxeter import weyl_group
 from dominantk.davis import (
     FULL,
+    cochain_cohomology,
     davis_truncation,
     hat_sector_cohomology,
     nerve_complex,
@@ -13,6 +14,7 @@ from dominantk.davis import (
     snf_cohomology,
     _chains,
     _complex_from_cells,
+    _two_degree_cohomology,
 )
 from dominantk.gcm import spherical_poset
 
@@ -66,6 +68,22 @@ def test_projective_plane_torsion():
     )
     coh = snf_cohomology(rp2)
     assert coh.groups == ((1, ()), (0, ()), (0, (2,)))
+
+
+def test_cochain_cohomology_torsion_and_lazy_coboundaries():
+    # Z --x(2, 2)--> Z^2 --(a - b)--> Z: the diagonal mod twice itself is
+    # Z/2 in degree 1, and a - b is onto
+    coh = cochain_cohomology([1, 2, 1], iter([[{0: 2}, {0: 2}], [{0: 1, 1: -1}]]))
+    assert coh.groups == ((0, ()), (0, (2,)), (0, ()))
+    # a zero coboundary, and a complex in one degree
+    assert cochain_cohomology([2, 3], [[{}, {}, {}]]).groups == ((2, ()), (3, ()))
+    assert cochain_cohomology([4], []).groups == ((4, ()),)
+
+
+def test_two_degree_cohomology():
+    assert _two_degree_cohomology(2, 1, 4).groups == ((1, ()), (0, ()), (4, ()))
+    # a top degree of 0 adds both ranks in degree 0
+    assert _two_degree_cohomology(0, 1, 2).groups == ((3, ()),)
 
 
 # -- truncations --------------------------------------------------------------------

@@ -211,7 +211,7 @@ def constant_functor(A):
     for J in members:
         for Jp in members:
             if set(J) < set(Jp):
-                transitions[(J, Jp)] = ((1,),)
+                transitions[(J, Jp)] = ({0: 1},)
     return FunctorOnPoset(members, "contravariant", basis, transitions)
 
 
@@ -225,9 +225,25 @@ def test_constant_functor_limit(matrices):
 def test_functoriality_violation(matrices):
     A = matrices["hyper_rank3"]
     functor = constant_functor(A)
-    functor.transitions[((), (0, 1))] = ((0,),)
+    functor.transitions[((), (0, 1))] = ({},)  # the zero map
     with pytest.raises(FunctorialityError):
         derived_limit_oracle(A, functor, "limit")
+
+
+def test_oracle_torsion_placement(matrices):
+    """Z everywhere with both transitions x2: the cokernel Z/2 is degree-1
+    torsion of the limit and degree-0 torsion of the colimit."""
+    A = matrices["affine_a1"]
+    members = spherical_poset(A).members
+    assert members == ((), (0,), (1,))
+    basis = {J: ("*",) for J in members}
+    transitions = {((), (0,)): ({0: 2},), ((), (1,)): ({0: 2},)}
+    lim = derived_limit_oracle(
+        A, FunctorOnPoset(members, "contravariant", basis, transitions), "limit")
+    col = derived_limit_oracle(
+        A, FunctorOnPoset(members, "covariant", basis, transitions), "colimit")
+    assert lim.groups == ((1, ()), (0, (2,)))
+    assert col.groups == ((1, (2,)), (0, ()))
 
 
 def test_direction_variance_mismatch(matrices):
@@ -331,14 +347,15 @@ def test_colimit_functor_transitions_match_induction(matrices):
     real = build_realization(A)
     functor = strata_colimit_functor(A, (), 4, Box(2, 0))
     for J, Jp in [((), (0,)), ((), (1,))]:
-        matrix = functor.matrix(J, Jp)
-        for col, lam in enumerate(functor.basis[J]):
+        images = functor.transitions[(J, Jp)]
+        assert len(images) == len(functor.basis[J])
+        for lam, image in zip(functor.basis[J], images):
+            assert len(image) <= 1
+            assert all(image.values())
             induced = dirac_induction(real, Jp, lam)
-            column = [matrix[row][col] for row in range(len(functor.basis[Jp]))]
             if not induced:
-                assert not any(column)
+                assert not image
                 continue
-            row = next(r for r, v in enumerate(column) if v)
-            sign = column[row]
+            ((row, sign),) = image.items()
             target = functor.basis[Jp][row]
             assert induced == dirac_induction(real, Jp, target).scaled(sign)
