@@ -7,6 +7,8 @@ elimination, with a nonzero remainder treated as an internal bug.
 
 from __future__ import annotations
 
+import heapq
+
 from .coxeter import weyl_group
 from .errors import (
     ConeReductionFailedError,
@@ -141,20 +143,30 @@ class FormalCharacter:
 
 
 def exact_divide(numerator: FormalCharacter, denominator: FormalCharacter) -> FormalCharacter:
-    """Exact division in the group ring by leading-term elimination."""
+    """Exact division in the group ring by leading-term elimination.
+
+    The leading term of the remainder comes from a heap of negated weights
+    (lexicographic order reverses under negation) with lazy deletion: a
+    popped weight no longer in the remainder is skipped, and every weight
+    in the remainder has an entry in the heap.
+    """
     if not denominator:
         raise ZeroDivisionError("character division by zero")
     glt, gc = denominator.leading()
     rest = [(w, c) for w, c in denominator.terms.items() if w != glt]
     remainder = dict(numerator.terms)
+    heap = [tuple(-x for x in w) for w in remainder]
+    heapq.heapify(heap)
     quotient: dict = {}
     steps = 0
     while remainder:
+        flt = tuple(-x for x in heapq.heappop(heap))
+        fc = remainder.pop(flt, 0)
+        if not fc:
+            continue
         steps += 1
         if steps > _DIVISION_STEP_CAP:
             raise DivisionRemainderError("character division did not terminate")
-        flt = max(remainder)
-        fc = remainder.pop(flt)
         if fc % gc:
             raise DivisionRemainderError(
                 f"leading coefficient {fc} not divisible by {gc}"
@@ -165,10 +177,12 @@ def exact_divide(numerator: FormalCharacter, denominator: FormalCharacter) -> Fo
         for w, c in rest:
             key = tuple(a + b for a, b in zip(w, shift))
             val = remainder.get(key, 0) - coeff * c
-            if val:
-                remainder[key] = val
-            else:
-                remainder.pop(key, None)
+            if not val:
+                del remainder[key]
+                continue
+            if key not in remainder:
+                heapq.heappush(heap, tuple(-x for x in key))
+            remainder[key] = val
     return FormalCharacter(quotient)
 
 
@@ -203,13 +217,21 @@ def levi_positive_roots(A: GeneralizedCartanMatrix, J) -> tuple[tuple[int, ...],
     return tuple(sorted(positives))
 
 
+def _weyl_denominator_factors(real: Realization, J) -> list[FormalCharacter]:
+    """e^{rho_J}, then one (1 - e^{-alpha}) per positive Levi root."""
+    one = FormalCharacter.monomial(real.zero())
+    factors = [FormalCharacter.monomial(real.partial_rho(J))]
+    for root in levi_positive_roots(real.gcm, J):
+        factors.append(one - FormalCharacter.monomial(real.root_weight([-c for c in root])))
+    return factors
+
+
 def weyl_denominator(real: Realization, J) -> FormalCharacter:
     """A_J: e^{rho_J} times the product of (1 - e^{-alpha}) over the
     positive Levi roots."""
-    out = FormalCharacter.monomial(real.partial_rho(J))
-    for root in levi_positive_roots(real.gcm, J):
-        neg = real.root_weight([-c for c in root])
-        out = out * (FormalCharacter.monomial(real.zero()) - FormalCharacter.monomial(neg))
+    out, *rest = _weyl_denominator_factors(real, J)
+    for factor in rest:
+        out = out * factor
     return out
 
 
@@ -242,11 +264,25 @@ def weyl_numerator(real: Realization, lam: Weight, J=None,
             )
         elements = group.ball(length_bound)
         bound = length_bound
+    # ShortLex words are closed under suffixes and ``elements`` is sorted
+    # by length, so w = r_i w' with w' = word[1:] already seen
+    orbit = {(): lam}
     terms: dict = {}
     for w in elements:
-        key = real.act(w, lam)
+        key = orbit[w.word] = (
+            real.reflect(w.word[0], orbit[w.word[1:]]) if w.word else lam
+        )
         terms[key] = terms.get(key, 0) + w.sign()
     return FormalCharacter(terms, length_bound=bound)
+
+
+def _divide_by_weyl_denominator(real: Realization, J, numerator) -> FormalCharacter:
+    """numerator / A_J, one factor of A_J at a time.  A two-term divisor
+    costs one update a step; the expanded A_J has |W_J| terms (denominator
+    formula), each updated at every step."""
+    for factor in _weyl_denominator_factors(real, J):
+        numerator = exact_divide(numerator, factor)
+    return numerator
 
 
 def levi_irreducible_character(real: Realization, J, mu: Weight) -> FormalCharacter:
@@ -256,7 +292,7 @@ def levi_irreducible_character(real: Realization, J, mu: Weight) -> FormalCharac
     if not real.is_dominant_for(mu, J):
         raise NotDominantError(f"{mu} is not dominant for the Levi on {J}")
     shifted = tuple(a + b for a, b in zip(mu, real.partial_rho(J)))
-    return exact_divide(weyl_numerator(real, shifted, J), weyl_denominator(real, J))
+    return _divide_by_weyl_denominator(real, J, weyl_numerator(real, shifted, J))
 
 
 def dirac_induction(real: Realization, J, mu: Weight) -> FormalCharacter:
@@ -267,7 +303,7 @@ def dirac_induction(real: Realization, J, mu: Weight) -> FormalCharacter:
     numerator = weyl_numerator(real, mu, J)
     if not numerator:
         return FormalCharacter.zero()
-    return exact_divide(numerator, weyl_denominator(real, J))
+    return _divide_by_weyl_denominator(real, J, numerator)
 
 
 # -- ambient dominance -------------------------------------------------------------

@@ -81,7 +81,7 @@ def _parse_weight(real, text: str):
     )
     c = real.rank - real.coroot_count
     if len(coroot) != real.coroot_count or len(complement) != c:
-        raise DominantKError(
+        raise ValueError(
             f"weight needs {real.coroot_count} coroot values"
             + (f" and {c} complement values" if c else "")
         )
@@ -422,7 +422,9 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error {exc.code}: {exc}\n")
         return 1
     except (OSError, ValueError, IndexError, KeyError) as exc:
-        sys.stderr.write(f"error invalid-input: {exc}\n")
+        # str() of a KeyError quotes its message as a repr
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        sys.stderr.write(f"error invalid-input: {message}\n")
         return 1
 
 

@@ -1,12 +1,22 @@
 """The Weyl group of a generalized Cartan matrix as a computational object.
 
-Elements act on the simple-root lattice through the crystallographic
-reflection representation r_i(alpha_j) = alpha_j - a[i][j] alpha_i, which is
-faithful and integral.  Each element stores its right and left descents as
-bitmasks, read once off its root images when it is built; cosets, purity,
-strips and the Bruhat order are mask tests against subset masks.  Stored
-words are ShortLex-minimal reduced words with the input node order as
-tie-break, so the first letter of a word is its least left descent.
+An element w is stored as its ShortLex-minimal reduced word (input node order
+as tie-break, so the first letter is the least left descent) and the two
+orbit vectors w(rho) and w^{-1}(rho) in coroot coordinates <., h_k>, where
+rho takes the value 1 on every simple coroot.  A simple reflection acts on
+these coordinates through the matrix alone, lam_k <- lam_k - lam_i a[k][i],
+touching only the nonzero entries of column i.
+
+The orbit vector determines the element and its descents (Kac,
+*Infinite-dimensional Lie algebras*, Prop. 3.12 and Lemma 3.11):
+<w(rho), h_i> = <rho, w^{-1}(h_i)> is negative exactly when the coroot
+w^{-1}(h_i) is negative, that is when l(r_i w) < l(w).  An element u != e
+has a left descent, so u(rho) != rho, and w -> w(rho) is injective.  Left
+descents are the negative coordinates of w(rho), right descents those of
+w^{-1}(rho); cosets, purity, strips and the Bruhat order are mask tests
+against subset masks.  Root images w(alpha_j) on the simple-root basis,
+through the crystallographic reflection r_i(alpha_j) = alpha_j - a[i][j]
+alpha_i, are filled in per element on first use.
 """
 
 from __future__ import annotations
@@ -21,23 +31,26 @@ DEFAULT_ELEMENT_CAP = 10**6
 
 
 class CoxeterElement:
-    """Group element carrying its ShortLex reduced word and root action.
+    """Group element: its ShortLex reduced word and two orbit vectors.
 
-    ``cols[j]`` is the coefficient vector of w(alpha_j) over the simple
-    roots; ``inv_rows`` stores the matrix of the inverse element by rows.
-    Bit j of ``right`` is set when w(alpha_j) is negative (l(w r_j) < l(w)),
-    bit i of ``left`` when w^{-1}(alpha_i) is negative (l(r_i w) < l(w)).
+    ``orbit`` is w(rho) and ``inv_orbit`` is w^{-1}(rho), both in coroot
+    coordinates.  Bit i of ``left`` is set when <w(rho), h_i> < 0, that is
+    when l(r_i w) < l(w); bit j of ``right`` when <w^{-1}(rho), h_j> < 0,
+    that is when w(alpha_j) is negative and l(w r_j) < l(w).  ``roots``
+    holds the images w(alpha_j) once ``act_on_root`` or the coset tests
+    have asked for them.
     """
 
-    __slots__ = ("group", "word", "cols", "inv_rows", "right", "left")
+    __slots__ = ("group", "word", "orbit", "inv_orbit", "right", "left", "roots")
 
-    def __init__(self, group, word, cols, inv_rows):
+    def __init__(self, group, word, orbit, inv_orbit):
         self.group = group
         self.word = word
-        self.cols = cols
-        self.inv_rows = inv_rows
-        self.right = _negative_mask(cols, group.n)
-        self.left = _negative_mask(zip(*inv_rows), group.n)
+        self.orbit = orbit
+        self.inv_orbit = inv_orbit
+        self.left = _negative_mask(orbit)
+        self.right = _negative_mask(inv_orbit)
+        self.roots = None
 
     @property
     def length(self) -> int:
@@ -47,7 +60,7 @@ class CoxeterElement:
         """Coefficients of w(alpha_j) over the simple-root basis."""
         if not 0 <= j < self.group.n:
             raise IndexError(f"root index {j} out of range")
-        return self.cols[j]
+        return self.group._root_images(self)[j]
 
     def descent_set(self, side: str = "right") -> tuple[int, ...]:
         """Indices i with l(w r_i) < l(w) (right) or l(r_i w) < l(w) (left)."""
@@ -76,11 +89,8 @@ class CoxeterElement:
         return f"CoxeterElement({','.join(map(str, self.word)) or 'e'})"
 
 
-def _negative_mask(roots, n: int) -> int:
-    # a nonzero root has coefficients of one sign, so it is negative exactly
-    # when it sorts below the zero vector
-    zero = (0,) * n
-    return sum(1 << j for j, root in enumerate(roots) if root < zero)
+def _negative_mask(vector) -> int:
+    return sum(1 << k for k, x in enumerate(vector) if x < 0)
 
 
 def subset_mask(subset) -> int:
@@ -96,6 +106,16 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _reflect_root(i: int, row, root):
+    """r_i on simple-root coefficients: beta_i <- beta_i - sum_k a[i][k] beta_k."""
+    pairing = sum(a * root[k] for k, a in row)
+    if not pairing:
+        return root
+    out = list(root)
+    out[i] -= pairing
+    return tuple(out)
+
+
 class WeylGroup:
     """Reflection group of a generalized Cartan matrix with ball enumeration,
     coset machinery and the Bruhat order."""
@@ -105,102 +125,108 @@ class WeylGroup:
         self.n = A.size
         self.key = A.entries
         self.element_cap = element_cap
-        ident = tuple(
-            tuple(1 if i == j else 0 for i in range(self.n)) for j in range(self.n)
+        n, a = self.n, A.entries
+        # nonzero a[k][i] by column i (coroot coordinates) and by row i (roots)
+        self._columns = tuple(
+            tuple((k, a[k][i]) for k in range(n) if a[k][i]) for i in range(n)
         )
-        self.identity = CoxeterElement(self, (), ident, ident)
+        self._rows = tuple(
+            tuple((k, a[i][k]) for k in range(n) if a[i][k]) for i in range(n)
+        )
+        self._rho = (1,) * n
+        self.identity = CoxeterElement(self, (), self._rho, self._rho)
+        self.identity.roots = tuple(
+            tuple(1 if k == j else 0 for k in range(n)) for j in range(n)
+        )
         self._spheres = [[self.identity]]
-        self._by_cols = {ident: self.identity}
+        self._by_orbit = {self._rho: self.identity}
+        self._by_inverse = {self._rho: self.identity}
         self._total = 1
         self._lock = threading.RLock()  # enumeration caches are shared state
 
-    # -- elementary matrix updates (sparse in the bond degree) ---------------
+    # -- reflections in coroot coordinates (sparse in the bond degree) ---------
 
-    def _rmul(self, cols, inv_rows, s):
-        """Matrices of w*r_s from those of w."""
-        row_s = self.gcm.entries[s]
-        col_s = cols[s]
-        new_cols = list(cols)
-        for j in range(self.n):
-            a = row_s[j]
-            if a:
-                new_cols[j] = tuple(x - a * y for x, y in zip(cols[j], col_s))
-        acc = [-x for x in inv_rows[s]]
-        for j in range(self.n):
-            a = row_s[j]
-            if a and j != s:
-                acc = [x - a * y for x, y in zip(acc, inv_rows[j])]
-        new_rows = list(inv_rows)
-        new_rows[s] = tuple(acc)
-        return tuple(new_cols), tuple(new_rows)
+    def _reflect(self, i: int, vector):
+        """r_i on coroot coordinates: lam_k <- lam_k - lam_i a[k][i]."""
+        v = vector[i]
+        out = list(vector)
+        for k, a in self._columns[i]:
+            out[k] -= v * a
+        return tuple(out)
 
-    def _lmul(self, cols, inv_rows, s):
-        """Matrices of r_s*w from those of w."""
-        row_s = self.gcm.entries[s]
-        new_cols = []
-        for col in cols:
-            acc = -col[s]
-            for k in range(self.n):
-                a = row_s[k]
-                if a and k != s:
-                    acc -= a * col[k]
-            lst = list(col)
-            lst[s] = acc
-            new_cols.append(tuple(lst))
-        new_rows = []
-        for row in inv_rows:
-            lst = list(row)
-            for j in range(self.n):
-                a = row_s[j]
-                if a:
-                    lst[j] = row[j] - a * row[s]
-            new_rows.append(tuple(lst))
-        return tuple(new_cols), tuple(new_rows)
+    def _fold(self, letters, vector):
+        """Apply r_s for each s of ``letters`` in turn, the first one first."""
+        for s in letters:
+            vector = self._reflect(s, vector)
+        return vector
 
-    def _normalize(self, cols, inv_rows) -> CoxeterElement:
-        """Cached element, or ShortLex word by repeatedly stripping the
-        least left descent."""
-        cached = self._by_cols.get(cols)
-        if cached is not None:
-            return cached
-        w = CoxeterElement(self, (), cols, inv_rows)
-        word, left, c, r = [], w.left, cols, inv_rows
+    def _strip(self, orbit) -> tuple[int, ...]:
+        """ShortLex word of the element with orbit vector ``orbit``: strip
+        the least negative coordinate until the vector is dominant."""
+        word = []
+        left = _negative_mask(orbit)
         while left:
             i = _lowest(left)
             word.append(i)
-            c, r = self._lmul(c, r, i)
-            left = _negative_mask(zip(*r), self.n)
-        w.word = tuple(word)
-        return w
+            orbit = self._reflect(i, orbit)
+            left = _negative_mask(orbit)
+        return tuple(word)
+
+    def _normalize(self, orbit) -> CoxeterElement:
+        """The element w with w(rho) = ``orbit``: cached, or built from its
+        stripped word; w^{-1}(rho) applies the word's letters first to last."""
+        cached = self._by_orbit.get(orbit)
+        if cached is not None:
+            return cached
+        word = self._strip(orbit)
+        return CoxeterElement(self, word, orbit, self._fold(word, self._rho))
+
+    def _from_inverse(self, inv_orbit) -> CoxeterElement:
+        """The element w with w^{-1}(rho) = ``inv_orbit``."""
+        cached = self._by_inverse.get(inv_orbit)
+        if cached is not None:
+            return cached
+        # the stripped word is that of w^{-1}, so it applies to rho as w
+        return self._normalize(self._fold(self._strip(inv_orbit), self._rho))
+
+    def _root_images(self, w: CoxeterElement) -> tuple[tuple[int, ...], ...]:
+        """w(alpha_j) over the simple roots for every j, filled in on first
+        use from the suffix r_i w (i the first letter): one reflection a root."""
+        chain = []
+        while w.roots is None:
+            chain.append(w)
+            w = self._normalize(self._reflect(w.word[0], w.orbit))
+        roots = w.roots
+        for el in reversed(chain):
+            i, row = el.word[0], self._rows[el.word[0]]
+            roots = el.roots = tuple(_reflect_root(i, row, r) for r in roots)
+        return roots
 
     # -- public construction -------------------------------------------------
 
     def element(self, word) -> CoxeterElement:
         """Normal form of an arbitrary generator word."""
-        cols, inv_rows = self.identity.cols, self.identity.inv_rows
+        word = tuple(word)
         for s in word:
             if not 0 <= s < self.n:
                 raise IndexError(f"generator index {s} out of range")
-            cols, inv_rows = self._rmul(cols, inv_rows, s)
-        return self._normalize(cols, inv_rows)
+        return self._normalize(self._fold(reversed(word), self._rho))
 
     def generator(self, s: int) -> CoxeterElement:
         return self.element((s,))
 
     def multiply(self, u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
-        cols, inv_rows = u.cols, u.inv_rows
-        for s in v.word:
-            cols, inv_rows = self._rmul(cols, inv_rows, s)
-        return self._normalize(cols, inv_rows)
+        # (uv)^{-1} rho = v^{-1} u^{-1} rho
+        return self._from_inverse(self._fold(v.word, u.inv_orbit))
 
     def inverse(self, w: CoxeterElement) -> CoxeterElement:
-        return self.element(tuple(reversed(w.word)))
+        return self._normalize(w.inv_orbit)
 
     def rmul_gen(self, w: CoxeterElement, s: int) -> CoxeterElement:
-        return self._normalize(*self._rmul(w.cols, w.inv_rows, s))
+        return self._from_inverse(self._reflect(s, w.inv_orbit))
 
     def lmul_gen(self, s: int, w: CoxeterElement) -> CoxeterElement:
-        return self._normalize(*self._lmul(w.cols, w.inv_rows, s))
+        return self._normalize(self._reflect(s, w.orbit))
 
     # -- ball enumeration -----------------------------------------------------
 
@@ -210,26 +236,29 @@ class WeylGroup:
 
     def _extend_locked(self, L: int) -> None:
         while len(self._spheres) <= L:
+            shorter = self._spheres[-1]
             frontier = {}
-            for el in self._spheres[-1]:
-                for s in range(self.n):
-                    if el.right >> s & 1:
-                        continue  # descent: ws is shorter
-                    cols, inv_rows = self._rmul(el.cols, el.inv_rows, s)
-                    if cols in frontier:
-                        continue
-                    # ShortLex word: least left descent, then the cached
-                    # normal form of the shorter element it strips to.
-                    w = frontier[cols] = CoxeterElement(self, (), cols, inv_rows)
-                    i = _lowest(w.left)
-                    w.word = (i,) + self._by_cols[self._lmul(cols, inv_rows, i)[0]].word
+            for el in shorter:
+                for i in range(self.n):
+                    if not el.left >> i & 1:  # r_i el is longer
+                        frontier.setdefault(self._reflect(i, el.orbit))
+            # ShortLex word: least left descent, then the cached normal form
+            # of the shorter element it strips to; w^{-1}(rho) is that of
+            # the word's prefix w r_s reflected by the last letter s.
+            prefixes = {el.word: el.inv_orbit for el in shorter}
+            for orbit in frontier:
+                i = _lowest(_negative_mask(orbit))
+                word = (i,) + self._by_orbit[self._reflect(i, orbit)].word
+                inv_orbit = self._reflect(word[-1], prefixes[word[:-1]])
+                frontier[orbit] = CoxeterElement(self, word, orbit, inv_orbit)
             sphere = sorted(frontier.values(), key=lambda e: e.word)
             self._total += len(sphere)
             if self._total > self.element_cap:
                 raise ResourceExceededError(
                     f"ball enumeration exceeded the cap of {self.element_cap} elements"
                 )
-            self._by_cols.update(frontier)
+            self._by_orbit.update(frontier)
+            self._by_inverse.update((w.inv_orbit, w) for w in sphere)
             self._spheres.append(sphere)
 
     def sphere(self, length: int) -> tuple[CoxeterElement, ...]:
@@ -305,7 +334,8 @@ class WeylGroup:
         if w.left & kmask or w.right & subset_mask(J):
             raise NotMinimalError("w is not a minimal (K, J) double coset representative")
         # j in J is a right ascent, so w(alpha_j) is positive
-        return tuple(j for j in sorted(set(J)) if not _support(w.cols[j]) & ~kmask)
+        roots = self._root_images(w)
+        return tuple(j for j in sorted(set(J)) if not _support(roots[j]) & ~kmask)
 
     def pure_reps(self, K, J, L: int, maximal: bool = False) -> tuple[CoxeterElement, ...]:
         """Minimal (K, J) double coset reps w of length <= L whose conjugate
@@ -331,8 +361,9 @@ class WeylGroup:
         if self.double_coset_intersection(w, J, K):
             return False
         outside, kmask = ~(subset_mask(J) | w.right), subset_mask(K)
+        roots = self._root_images(w)
         return any(
-            outside >> j & 1 and _support(w.cols[j]) & ~kmask for j in range(self.n)
+            outside >> j & 1 and _support(roots[j]) & ~kmask for j in range(self.n)
         )
 
     def bruhat_leq(self, v: CoxeterElement, w: CoxeterElement) -> bool:

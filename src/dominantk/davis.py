@@ -249,7 +249,7 @@ def snf_cohomology(complex_: SimplicialComplexDesc,
         cells.append([c for c in level if tuple(complex_.vertices[i] for i in c) not in excluded])
 
     def coboundary(p):
-        # rows: (p+1)-cells, cols: p-cells; transpose of the boundary map
+        # rows: (p+1)-cells, columns: p-cells; transpose of the boundary map
         col_index = {cell: k for k, cell in enumerate(cells[p])}
         rows = []
         for big in cells[p + 1]:

@@ -113,10 +113,10 @@ def smith_invariants(dense_rows, ncols=None) -> list[int]:
         dense_rows = [dict(enumerate(row)) for row in dense_rows]
     rows = {i: {j: v for j, v in r.items() if v} for i, r in enumerate(dense_rows)}
     rows = {i: r for i, r in rows.items() if r}
-    cols: dict[int, set[int]] = {}
+    col_rows: dict[int, set[int]] = {}
     for i, r in rows.items():
         for j in r:
-            cols.setdefault(j, set()).add(i)
+            col_rows.setdefault(j, set()).add(i)
 
     units = 0
     heap = [(len(r), i) for i, r in rows.items()]
@@ -127,11 +127,11 @@ def smith_invariants(dense_rows, ncols=None) -> list[int]:
         if prow is None or len(prow) != size:
             continue  # stale: the row was used or changed and pushed again
         pj = min((j for j, v in prow.items() if v in (1, -1)),
-                 key=lambda j: len(cols[j]), default=None)
+                 key=lambda j: len(col_rows[j]), default=None)
         if pj is None:
             continue
         p = prow[pj]
-        for i in cols.pop(pj):
+        for i in col_rows.pop(pj):
             if i == pi:
                 continue
             row = rows[i]
@@ -140,12 +140,12 @@ def smith_invariants(dense_rows, ncols=None) -> list[int]:
                 new = row.get(j, 0) - c * v
                 if new:
                     if j not in row:
-                        cols[j].add(i)
+                        col_rows[j].add(i)
                     row[j] = new
                 else:
                     del row[j]
                     if j != pj:
-                        cols[j].discard(i)
+                        col_rows[j].discard(i)
             if row:
                 heapq.heappush(heap, (len(row), i))
             else:
@@ -153,7 +153,7 @@ def smith_invariants(dense_rows, ncols=None) -> list[int]:
         del rows[pi]
         for j in prow:
             if j != pj:
-                cols[j].discard(pi)
+                col_rows[j].discard(pi)
         units += 1
 
     used = sorted({j for r in rows.values() for j in r})

@@ -298,24 +298,25 @@ def strata_limit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> Fun
     taus = real.dominant_box_weights(K, box)
     members = spherical_poset(A).members
 
+    # reps[J]: each kept representative w with its W_J-orbit u*w
     reps = {}
     for J in members:
         subgroup = group.subgroup_elements(J)
-        reps[J] = [
-            w for w in group.min_coset_reps(J, K, L)
-            if all(group.rstrip(group.multiply(u, w), K).length <= L for u in subgroup)
-        ]
-    basis = {J: tuple((w.word, tau) for tau in taus for w in reps[J]) for J in members}
+        reps[J] = []
+        for w in group.min_coset_reps(J, K, L):
+            orbit = [group.multiply(u, w) for u in subgroup]
+            if all(group.rstrip(uw, K).length <= L for uw in orbit):
+                reps[J].append((w, orbit))
+    basis = {J: tuple((w.word, tau) for tau in taus for w, _ in reps[J]) for J in members}
 
     transitions = {}
     for J, Jp in _inclusions(members):
         # restricted to J, the orbit sum of wp over Jp is the sum of the
         # J-representatives in its W_Jp-orbit: the same block for every tau
-        index = {w.word: i for i, w in enumerate(reps[J])}
+        index = {w.word: i for i, (w, _) in enumerate(reps[J])}
         hits = [[] for _ in reps[J]]
-        for c, wp in enumerate(reps[Jp]):
-            for i in {index[group.double_strip(group.multiply(u, wp), J, K).word]
-                      for u in group.subgroup_elements(Jp)}:
+        for c, (_, orbit) in enumerate(reps[Jp]):
+            for i in {index[group.double_strip(uw, J, K).word] for uw in orbit}:
                 hits[i].append(c)
         width = len(reps[Jp])
         transitions[(J, Jp)] = tuple(

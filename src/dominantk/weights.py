@@ -65,11 +65,10 @@ class Realization:
         matrix_rank = intlinalg.rank(A.entries)
         c = m - matrix_rank
         removed: list[int] = []
-        cols = list(range(m))
         for j in range(m):
             if len(removed) == c:
                 break
-            trial = [x for x in cols if x not in removed and x != j]
+            trial = [x for x in range(m) if x not in removed and x != j]
             sub = [[A.entries[i][x] for x in trial] for i in range(m)]
             if intlinalg.rank(sub) == matrix_rank:
                 removed.append(j)

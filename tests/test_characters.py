@@ -260,6 +260,76 @@ def test_exact_divide_roundtrip(matrices):
         assert exact_divide(f * g, g) == f
 
 
+def exact_divide_reference(numerator, denominator):
+    """Leading-term elimination that scans the remainder for its maximum at
+    every step: the route the heap replaced."""
+    glt, gc = denominator.leading()
+    rest = [(w, c) for w, c in denominator.terms.items() if w != glt]
+    remainder = dict(numerator.terms)
+    quotient = {}
+    while remainder:
+        flt = max(remainder)
+        fc = remainder.pop(flt)
+        if fc % gc:
+            raise DivisionRemainderError(f"leading coefficient {fc} not divisible by {gc}")
+        shift = tuple(a - b for a, b in zip(flt, glt))
+        coeff = fc // gc
+        quotient[shift] = quotient.get(shift, 0) + coeff
+        for w, c in rest:
+            key = tuple(a + b for a, b in zip(w, shift))
+            val = remainder.get(key, 0) - coeff * c
+            if val:
+                remainder[key] = val
+            else:
+                remainder.pop(key, None)
+    return FormalCharacter(quotient)
+
+
+def test_heap_division_matches_max_scan():
+    """Random exact products: the heap and the max scan give the same
+    quotient; with a denominator whose leading coefficient is 2, both refuse
+    the same odd numerators."""
+    rng = random.Random(17)
+    for _ in range(200):
+        f, g = (FormalCharacter({
+            tuple(rng.randint(-3, 3) for _ in range(3)): rng.choice([-3, -1, 1, 2])
+            for _ in range(rng.randint(1, size))
+        }) for size in (8, 4))
+        assert exact_divide(f * g, g) == exact_divide_reference(f * g, g) == f
+        g2 = g + FormalCharacter({(4, 0, 0): 2})
+        odd = f * g2 + FormalCharacter({(9, 0, 0): 1})
+        for divide in (exact_divide, exact_divide_reference):
+            with pytest.raises(DivisionRemainderError):
+                divide(odd, g2)
+
+
+def test_factorwise_division_matches_whole_denominator(matrices):
+    """Dividing by e^{rho_J} and then one (1 - e^{-alpha}) at a time equals
+    one division by the expanded A_J, for Levi characters and Dirac
+    induction (regular, singular and non-dominant weights)."""
+    cases = [
+        (matrices["affine_a2"], (0, 1)),
+        (matrices["hyper_rank3"], (0, 2)),
+        (gcm_from_rows(A3_ROWS), (0, 1, 2)),
+        (matrices["e10"], (4, 5, 6, 8)),
+    ]
+    rng = random.Random(5)
+    for A, J in cases:
+        real = build_realization(A)
+        denominator = weyl_denominator(real, J)
+        for _ in range(6):
+            mu = [0] * real.rank
+            for j in J:
+                mu[j] = rng.randint(0, 1)
+            mu = tuple(mu)
+            whole = exact_divide(weyl_numerator(real, shift(real, mu, J), J), denominator)
+            assert levi_irreducible_character(real, J, mu) == whole
+            nu = tuple(x - 1 if i in J else x for i, x in enumerate(mu))
+            numerator = weyl_numerator(real, nu, J)
+            whole = exact_divide(numerator, denominator) if numerator else numerator
+            assert dirac_induction(real, J, nu) == whole
+
+
 # -- dominance of the ambient group ------------------------------------------------------
 
 

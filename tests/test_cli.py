@@ -291,6 +291,16 @@ def test_weight_syntax_errors():
     assert code == 1  # missing complement block when one is required
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--j", "0,1", "--weight", "1,1,1"], "weight needs 2 coroot values"),
+    (["--j", "5", "--weight", "1,1"], "unknown node label '5'"),
+], ids=["weight-length", "node-label"])
+def test_bad_input_error_line(flags, message, capsys):
+    code, _ = run(["character", "levi", "--gcm", data_path("a2")] + flags)
+    assert code == 1
+    assert capsys.readouterr().err == f"error invalid-input: {message}\n"
+
+
 def test_help_documents_tsv_schema(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["davis", "hc", "--help"])

@@ -430,3 +430,223 @@ def test_concurrent_enumeration(matrices):
         t.join()
     assert len(set(results)) == 1
     assert results[0] == tuple(w.word for w in weyl_group(matrices["hyper_rank3"]).ball(6))
+
+
+# -- the root-matrix route, kept as the reference for the orbit vectors ------------
+
+
+def _negative_mask(roots, n: int) -> int:
+    # a nonzero root has coefficients of one sign, so it is negative exactly
+    # when it sorts below the zero vector
+    zero = (0,) * n
+    return sum(1 << j for j, root in enumerate(roots) if root < zero)
+
+
+class MatrixElement:
+    """An element as the matrices of its root action: ``cols[j]`` is w(alpha_j)
+    over the simple roots, ``inv_rows`` the matrix of w^{-1} by rows."""
+
+    def __init__(self, group, word, cols, inv_rows):
+        self.word = word
+        self.cols = cols
+        self.inv_rows = inv_rows
+        self.right = _negative_mask(cols, group.n)
+        self.left = _negative_mask(zip(*inv_rows), group.n)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+class MatrixWeylGroup:
+    """Reference route: every element carries two n x n matrices and every
+    product updates both."""
+
+    def __init__(self, A):
+        self.gcm = A
+        self.n = A.size
+        ident = tuple(
+            tuple(1 if i == j else 0 for i in range(self.n)) for j in range(self.n)
+        )
+        self.identity = MatrixElement(self, (), ident, ident)
+        self._spheres = [[self.identity]]
+        self._by_cols = {ident: self.identity}
+
+    def _rmul(self, cols, inv_rows, s):
+        """Matrices of w*r_s from those of w."""
+        row_s = self.gcm.entries[s]
+        col_s = cols[s]
+        new_cols = list(cols)
+        for j in range(self.n):
+            a = row_s[j]
+            if a:
+                new_cols[j] = tuple(x - a * y for x, y in zip(cols[j], col_s))
+        acc = [-x for x in inv_rows[s]]
+        for j in range(self.n):
+            a = row_s[j]
+            if a and j != s:
+                acc = [x - a * y for x, y in zip(acc, inv_rows[j])]
+        new_rows = list(inv_rows)
+        new_rows[s] = tuple(acc)
+        return tuple(new_cols), tuple(new_rows)
+
+    def _lmul(self, cols, inv_rows, s):
+        """Matrices of r_s*w from those of w."""
+        row_s = self.gcm.entries[s]
+        new_cols = []
+        for col in cols:
+            acc = -col[s]
+            for k in range(self.n):
+                a = row_s[k]
+                if a and k != s:
+                    acc -= a * col[k]
+            lst = list(col)
+            lst[s] = acc
+            new_cols.append(tuple(lst))
+        new_rows = []
+        for row in inv_rows:
+            lst = list(row)
+            for j in range(self.n):
+                a = row_s[j]
+                if a:
+                    lst[j] = row[j] - a * row[s]
+            new_rows.append(tuple(lst))
+        return tuple(new_cols), tuple(new_rows)
+
+    def _normalize(self, cols, inv_rows) -> MatrixElement:
+        """Cached element, or ShortLex word by repeatedly stripping the
+        least left descent."""
+        cached = self._by_cols.get(cols)
+        if cached is not None:
+            return cached
+        w = MatrixElement(self, (), cols, inv_rows)
+        word, left, c, r = [], w.left, cols, inv_rows
+        while left:
+            i = _lowest(left)
+            word.append(i)
+            c, r = self._lmul(c, r, i)
+            left = _negative_mask(zip(*r), self.n)
+        w.word = tuple(word)
+        return w
+
+    def element(self, word) -> MatrixElement:
+        cols, inv_rows = self.identity.cols, self.identity.inv_rows
+        for s in word:
+            cols, inv_rows = self._rmul(cols, inv_rows, s)
+        return self._normalize(cols, inv_rows)
+
+    def multiply(self, u, v) -> MatrixElement:
+        cols, inv_rows = u.cols, u.inv_rows
+        for s in v.word:
+            cols, inv_rows = self._rmul(cols, inv_rows, s)
+        return self._normalize(cols, inv_rows)
+
+    def inverse(self, w) -> MatrixElement:
+        return self.element(tuple(reversed(w.word)))
+
+    def rmul_gen(self, w, s) -> MatrixElement:
+        return self._normalize(*self._rmul(w.cols, w.inv_rows, s))
+
+    def lmul_gen(self, s, w) -> MatrixElement:
+        return self._normalize(*self._lmul(w.cols, w.inv_rows, s))
+
+    def ball(self, L: int) -> list[MatrixElement]:
+        while len(self._spheres) <= L:
+            frontier = {}
+            for el in self._spheres[-1]:
+                for s in range(self.n):
+                    if el.right >> s & 1:
+                        continue  # descent: ws is shorter
+                    cols, inv_rows = self._rmul(el.cols, el.inv_rows, s)
+                    if cols in frontier:
+                        continue
+                    w = frontier[cols] = MatrixElement(self, (), cols, inv_rows)
+                    i = _lowest(w.left)
+                    w.word = (i,) + self._by_cols[self._lmul(cols, inv_rows, i)[0]].word
+            self._by_cols.update(frontier)
+            self._spheres.append(sorted(frontier.values(), key=lambda e: e.word))
+        return [w for sphere in self._spheres[: L + 1] for w in sphere]
+
+
+def _same(w, ref) -> bool:
+    """Same word, both descent masks and every root image."""
+    n = len(ref.cols)
+    return (w.word, w.left, w.right, tuple(w.act_on_root(j) for j in range(n))) == (
+        ref.word, ref.left, ref.right, ref.cols)
+
+
+ALL_MATRICES = ("a2", "b2", "g2", "a1xa1", "affine_a1", "affine_a2",
+                "hyper_rank2", "hyper_rank3", "ext4", "e9", "e10")
+
+
+@pytest.mark.parametrize("name", ALL_MATRICES)
+def test_ball_matches_matrix_reference(matrices, name):
+    """Orbit-vector enumeration gives the reference's words, masks and root
+    images, and one-letter products agree, on singular matrices too."""
+    A = matrices[name]
+    bound = 5 if A.size > 4 else 8
+    group, ref = WeylGroup(A), MatrixWeylGroup(A)
+    ball, expected = group.ball(bound), ref.ball(bound)
+    assert len(ball) == len(expected)
+    for w, r in zip(ball, expected):
+        assert _same(w, r)
+    for w, r in zip(ball[:400], expected[:400]):
+        for s in range(A.size):
+            assert group.rmul_gen(w, s).word == ref.rmul_gen(r, s).word
+            assert group.lmul_gen(s, w).word == ref.lmul_gen(s, r).word
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(ALL_MATRICES),
+    cached=st.integers(0, 2),
+    words=st.tuples(st.lists(st.integers(0, 9), max_size=14),
+                    st.lists(st.integers(0, 9), max_size=14)),
+    s=st.integers(0, 9),
+)
+def test_cache_misses_match_matrix_reference(matrices, name, cached, words, s):
+    """Elements past the enumerated ball are normalized by stripping the orbit
+    vector: element, inverse, one-letter products and multiply agree with
+    the reference."""
+    A = matrices[name]
+    n = A.size
+    w1, w2 = (tuple(x % n for x in word) for word in words)
+    s %= n
+    group, ref = WeylGroup(A), MatrixWeylGroup(A)
+    group.ball(cached)
+    u, v = group.element(w1), group.element(w2)
+    ru, rv = ref.element(w1), ref.element(w2)
+    assert _same(u, ru) and _same(v, rv)
+    assert _same(group.inverse(u), ref.inverse(ru))
+    assert _same(group.rmul_gen(u, s), ref.rmul_gen(ru, s))
+    assert _same(group.lmul_gen(s, u), ref.lmul_gen(s, ru))
+    assert _same(group.multiply(u, v), ref.multiply(ru, rv))
+
+
+def test_thread_pool_shares_one_group(matrices):
+    """Four threads enumerate ball(6) of one fresh E10 group and multiply in
+    it; the words equal those of a serial run on another group."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    A = matrices["e10"]
+
+    def work(group, seed):
+        ball = group.ball(6)
+        products = [group.multiply(ball[(seed * 7919 + k * 104729) % len(ball)],
+                                   ball[(seed + 31 * k) % len(ball)]).word
+                    for k in range(300)]
+        return [w.word for w in ball], products
+
+    serial = WeylGroup(A)
+    expected = [work(serial, seed) for seed in range(4)]
+    shared = WeylGroup(A)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, shared, seed) for seed in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
