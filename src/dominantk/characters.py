@@ -8,6 +8,7 @@ elimination, with a nonzero remainder treated as an internal bug.
 from __future__ import annotations
 
 import heapq
+import math
 
 from .coxeter import weyl_group
 from .errors import (
@@ -16,10 +17,8 @@ from .errors import (
     NotDominantError,
     NotFiniteTypeError,
 )
-from .gcm import FINITE, GeneralizedCartanMatrix, classify_type
+from .gcm import GeneralizedCartanMatrix, is_finite_type
 from .weights import IN_CONE, NOT_IN_CONE, Realization, Weight
-
-_DIVISION_STEP_CAP = 1_000_000
 
 
 class FormalCharacter:
@@ -148,7 +147,9 @@ def exact_divide(numerator: FormalCharacter, denominator: FormalCharacter) -> Fo
     The leading term of the remainder comes from a heap of negated weights
     (lexicographic order reverses under negation) with lazy deletion: a
     popped weight no longer in the remainder is skipped, and every weight
-    in the remainder has an entry in the heap.
+    in the remainder has an entry in the heap.  The popped weights strictly
+    decrease; as Newton polytopes add (Ostrowski), an exact quotient's terms
+    lie in the box [min N - min D, max N - max D], whose points bound the steps.
     """
     if not denominator:
         raise ZeroDivisionError("character division by zero")
@@ -158,22 +159,23 @@ def exact_divide(numerator: FormalCharacter, denominator: FormalCharacter) -> Fo
     heap = [tuple(-x for x in w) for w in remainder]
     heapq.heapify(heap)
     quotient: dict = {}
-    steps = 0
+    budget = points = math.prod(max(0, max(n) - max(d) - min(n) + min(d) + 1)
+                                for n, d in zip(zip(*remainder), zip(*denominator.terms)))
     while remainder:
         flt = tuple(-x for x in heapq.heappop(heap))
         fc = remainder.pop(flt, 0)
         if not fc:
             continue
-        steps += 1
-        if steps > _DIVISION_STEP_CAP:
-            raise DivisionRemainderError("character division did not terminate")
+        if not budget:
+            raise DivisionRemainderError(f"not exact: the quotient exceeds the {points}"
+                                         " lattice points of its Newton box")
+        budget -= 1
         if fc % gc:
             raise DivisionRemainderError(
                 f"leading coefficient {fc} not divisible by {gc}"
             )
         shift = tuple(a - b for a, b in zip(flt, glt))
-        coeff = fc // gc
-        quotient[shift] = quotient.get(shift, 0) + coeff
+        coeff = quotient[shift] = fc // gc
         for w, c in rest:
             key = tuple(a + b for a, b in zip(w, shift))
             val = remainder.get(key, 0) - coeff * c
@@ -196,7 +198,7 @@ def levi_positive_roots(A: GeneralizedCartanMatrix, J) -> tuple[tuple[int, ...],
     basis, closed under the reflections r_j for j in J.
     """
     J = tuple(sorted(set(J)))
-    if J and classify_type(A.submatrix(J)).kind != FINITE:
+    if not is_finite_type(A, J):
         raise NotFiniteTypeError(f"subset {J} is not of finite type")
     n = A.size
     simple = [tuple(1 if k == j else 0 for k in range(n)) for j in J]
@@ -319,7 +321,7 @@ def ambient_dominance_test(real: Realization, J, mu: Weight,
     the group action and under addition, and mu is itself a weight of L_mu.
     """
     J = tuple(sorted(set(J)))
-    if classify_type(real.gcm.submatrix(J)).kind != FINITE:
+    if not is_finite_type(real.gcm, J):
         raise NotFiniteTypeError(f"subset {J} is not of finite type")
     if not real.is_dominant_for(mu, J):
         raise NotDominantError(f"{mu} is not dominant for the Levi on {J}")

@@ -22,10 +22,9 @@ alpha_i, are filled in per element on first use.
 from __future__ import annotations
 
 import threading
-from functools import lru_cache
 
 from .errors import NotFiniteTypeError, NotMinimalError, ResourceExceededError
-from .gcm import FINITE, GeneralizedCartanMatrix, classify_type
+from .gcm import GeneralizedCartanMatrix, is_finite_type, per_matrix
 
 DEFAULT_ELEMENT_CAP = 10**6
 
@@ -139,6 +138,7 @@ class WeylGroup:
             tuple(1 if k == j else 0 for k in range(n)) for j in range(n)
         )
         self._spheres = [[self.identity]]
+        self._parabolics = {}  # J -> the elements of W_J, within element_cap
         self._by_orbit = {self._rho: self.identity}
         self._by_inverse = {self._rho: self.identity}
         self._total = 1
@@ -285,11 +285,11 @@ class WeylGroup:
     def subgroup_elements(self, J) -> tuple[CoxeterElement, ...]:
         """All elements of the standard parabolic subgroup on J (finite type)."""
         J = tuple(sorted(set(J)))
-        if J and classify_type(self.gcm.submatrix(J)).kind != FINITE:
+        if not is_finite_type(self.gcm, J):
             raise NotFiniteTypeError(f"subset {J} does not span a finite subgroup")
-        return self._parabolic(J)
+        # never empty: W_J holds the identity
+        return self._parabolics.get(J) or self._parabolics.setdefault(J, self._parabolic(J))
 
-    @lru_cache(maxsize=None)
     def _parabolic(self, J) -> tuple[CoxeterElement, ...]:
         out = [self.identity]
         layer = [self.identity]
@@ -405,17 +405,10 @@ class WeylGroup:
             w = w2
 
 
-_GROUPS: dict[tuple, WeylGroup] = {}
-_GROUPS_LOCK = threading.Lock()
-
-
+@per_matrix
 def weyl_group(A: GeneralizedCartanMatrix) -> WeylGroup:
-    """Shared per-matrix group instance (balls and parabolics are cached)."""
-    with _GROUPS_LOCK:
-        group = _GROUPS.get(A.entries)
-        if group is None:
-            group = _GROUPS[A.entries] = WeylGroup(A)
-        return group
+    """The group of A, shared by every holder of A (it caches balls and parabolics)."""
+    return WeylGroup(A)
 
 
 def normal_form(word, A: GeneralizedCartanMatrix) -> CoxeterElement:

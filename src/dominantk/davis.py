@@ -143,22 +143,14 @@ def _building_data(A: GeneralizedCartanMatrix):
     """(poset members over I0, I0, J0) for the chamber complex of A.
 
     Extended compact matrices glue along the enlarged subsets J + J0; all
-    other non-finite matrices use their spherical poset directly.
+    other non-finite matrices use their whole spherical poset (I0 = I).
     """
     cls = classify_type(A)
     if cls.kind == FINITE:
         raise WrongTypeError("the chamber complex needs a non-finite matrix")
-    if cls.extended_compact is not None:
-        i0, j0 = cls.extended_compact
-        members = tuple(
-            m for m in spherical_poset(A.submatrix(i0)).members
-            if len(m) < len(i0)
-        )
-        # poset members are positions within I0: convert to ambient indices
-        members = tuple(tuple(i0[k] for k in m) for m in members)
-        return members, i0, j0
-    members = spherical_poset(A).members
-    return members, A.index_set, ()
+    i0, j0 = cls.extended_compact or (A.index_set, ())
+    members = tuple(m for m in spherical_poset(A).members if set(m) <= set(i0))
+    return members, i0, j0
 
 
 def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):

@@ -7,10 +7,10 @@ All classification arithmetic is exact (integer/rational).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from . import intlinalg
@@ -35,6 +35,7 @@ class GeneralizedCartanMatrix:
 
     entries: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -82,6 +83,21 @@ class GeneralizedCartanMatrix:
         lines = [f"n {self.size}", "labels " + " ".join(self.labels)]
         lines += [" ".join(str(x) for x in row) for row in self.entries]
         return "\n".join(lines) + "\n"
+
+
+def per_matrix(fn):
+    """Memoize ``fn(A, *args)`` in ``A._memo``, so derived data lives exactly
+    as long as A.  Racing threads may both compute; all return the first result."""
+
+    @functools.wraps(fn)
+    def memoized(A: GeneralizedCartanMatrix, *args):
+        key = (fn, *args)
+        try:
+            return A._memo[key]
+        except KeyError:
+            return A._memo.setdefault(key, fn(A, *args))
+
+    return memoized
 
 
 def gcm_from_rows(rows, labels=None) -> GeneralizedCartanMatrix:
@@ -209,10 +225,8 @@ def _block_kind(entries) -> str:
     return INDEFINITE
 
 
-@lru_cache(maxsize=None)
+@per_matrix
 def _subset_finite(A: GeneralizedCartanMatrix, subset: tuple[int, ...]) -> bool:
-    if not subset:
-        return True
     sub = A.submatrix(subset)
     return all(_block_kind(sub.submatrix(b).entries) == FINITE for b in sub.blocks())
 
@@ -289,7 +303,7 @@ def _extended_compact(A: GeneralizedCartanMatrix):
     return (i0, j0)
 
 
-@lru_cache(maxsize=None)
+@per_matrix
 def classify_type(A: GeneralizedCartanMatrix) -> TypeClassification:
     """Classify a generalized Cartan matrix.
 
@@ -323,7 +337,7 @@ def classify_type(A: GeneralizedCartanMatrix) -> TypeClassification:
     )
 
 
-@lru_cache(maxsize=None)
+@per_matrix
 def spherical_poset(A: GeneralizedCartanMatrix) -> SphericalPoset:
     """All subsets J with a finite reflection subgroup, ordered by inclusion."""
     members = [

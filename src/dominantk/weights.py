@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from . import intlinalg
@@ -19,7 +18,7 @@ from .errors import (
     NotDominantError,
     NotProperError,
 )
-from .gcm import AFFINE, GeneralizedCartanMatrix, classify_type
+from .gcm import AFFINE, GeneralizedCartanMatrix, classify_type, per_matrix
 
 Weight = tuple
 
@@ -210,7 +209,7 @@ class Realization:
         return tuple(product(*ranges))
 
 
-@lru_cache(maxsize=None)
+@per_matrix
 def _dual_labels(A: GeneralizedCartanMatrix) -> tuple[int, ...]:
     transpose = tuple(tuple(A.entries[j][i] for j in range(A.size)) for i in range(A.size))
     labels = intlinalg.primitive_null_vector(transpose)
@@ -219,6 +218,6 @@ def _dual_labels(A: GeneralizedCartanMatrix) -> tuple[int, ...]:
     return labels
 
 
-@lru_cache(maxsize=None)
+@per_matrix
 def build_realization(A: GeneralizedCartanMatrix) -> Realization:
     return Realization(A)

@@ -4,6 +4,9 @@ throughout, each printing a PASS line on success (run with -s to see them).
 
 from itertools import combinations, product
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dominantk import intlinalg
 from dominantk.characters import (
     ambient_dominance_oracle,
@@ -67,16 +70,33 @@ def principal_minors_kind(entries):
     return "indefinite"
 
 
+#: off-diagonal pairs (a_ij, a_ji) with entries in [-3, 0]: zeros pair up
+GRID_PAIRS = [(0, 0)] + [(a, b) for a in range(-3, 0) for b in range(-3, 0)]
+
+
+def gcm_with_pairs(size, chosen):
+    """The matrix with the pairs ``chosen`` at the spots i < j in order."""
+    rows = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
+    for (i, j), (a, b) in zip(combinations(range(size), 2), chosen):
+        rows[i][j], rows[j][i] = a, b
+    return gcm_from_rows(rows)
+
+
 def gcm_grid(size):
     """All generalized Cartan matrices of the given size with off-diagonal
     entries in [-3, 0]."""
-    pairs = [(0, 0)] + [(a, b) for a in range(-3, 0) for b in range(-3, 0)]
-    spots = list(combinations(range(size), 2))
-    for chosen in product(pairs, repeat=len(spots)):
-        rows = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
-        for (i, j), (a, b) in zip(spots, chosen):
-            rows[i][j], rows[j][i] = a, b
-        yield gcm_from_rows(rows)
+    for chosen in product(GRID_PAIRS, repeat=size * (size - 1) // 2):
+        yield gcm_with_pairs(size, chosen)
+
+
+def blockwise_minors_kind(A):
+    """The worst principal-minors verdict over the indecomposable blocks."""
+    kinds = {principal_minors_kind(A.submatrix(b).entries) for b in A.blocks()}
+    if kinds == {FINITE}:
+        return FINITE
+    if kinds <= {FINITE, AFFINE}:
+        return AFFINE
+    return "indefinite"
 
 
 def test_acceptance_1_classification_grid(matrices):
@@ -84,17 +104,7 @@ def test_acceptance_1_classification_grid(matrices):
     for size in (2, 3):
         for A in gcm_grid(size):
             cls = classify_type(A)
-            blocks = A.blocks()
-            kinds = {
-                principal_minors_kind(A.submatrix(b).entries) for b in blocks
-            }
-            if kinds == {FINITE}:
-                expected = FINITE
-            elif kinds <= {FINITE, AFFINE}:
-                expected = AFFINE
-            else:
-                expected = "indefinite"
-            assert cls.kind == expected
+            assert cls.kind == blockwise_minors_kind(A)
             if cls.kind == AFFINE and cls.indecomposable:
                 assert cls.compact_type
             checked += 1
@@ -104,6 +114,17 @@ def test_acceptance_1_classification_grid(matrices):
     assert classify_type(gcm_from_rows([[2, -2], [-2, 2]])).kind == AFFINE
     assert classify_type(gcm_from_rows([[2, -1], [-4, 2]])).kind == AFFINE
     print(PASS.format(1, f"classification grid of {checked} matrices vs minors oracle"))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.lists(st.one_of(st.just((0, 0)), st.sampled_from(GRID_PAIRS[1:])),
+                min_size=6, max_size=6))
+def test_classification_matches_minors_on_4x4(chosen):
+    """Random 4x4 matrices of the grid, which is too large (10^6) to run in
+    full here: the Kac classification equals the blockwise minors oracle.
+    Half the pairs are zero, so decomposable and finite matrices occur."""
+    A = gcm_with_pairs(4, chosen)
+    assert classify_type(A).kind == blockwise_minors_kind(A)
 
 
 def test_acceptance_2_coxeter_engine(matrices):

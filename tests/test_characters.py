@@ -239,6 +239,19 @@ def test_division_remainder_guard():
         exact_divide(a, b)
 
 
+def test_division_refused_outside_newton_box():
+    """A non-exact division stops as soon as the quotient outgrows the box
+    [min N - min D, max N - max D] that holds every exact quotient."""
+    one = FormalCharacter.monomial((0, 0))
+    with pytest.raises(DivisionRemainderError, match="0 lattice points of its Newton box"):
+        exact_divide(FormalCharacter.monomial((1, 0)), one - FormalCharacter.monomial((-1, 0)))
+    # (1 + x^2) / (1 - x): the box holds x^0 and x^1, so step 3 is refused
+    with pytest.raises(DivisionRemainderError, match="the 2 lattice points"):
+        exact_divide(FormalCharacter({(0,): 1, (2,): 1}), FormalCharacter({(0,): 1, (1,): -1}))
+    assert exact_divide(FormalCharacter({(0,): 1, (2,): -1}),
+                        FormalCharacter({(0,): 1, (1,): -1})) == FormalCharacter({(0,): 1, (1,): 1})
+
+
 def test_exact_divide_roundtrip(matrices):
     rng = random.Random(9)
     real = build_realization(matrices["affine_a1"])

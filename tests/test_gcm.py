@@ -296,3 +296,53 @@ def test_bond_orders_match_root_action(matrices):
     dihedral = weyl_group(matrices["affine_a1"])
     for power in range(1, 21):  # powers of r0 r1 up to word length 40
         assert dihedral.element((0, 1) * power).length == 2 * power
+
+
+def test_derived_data_is_released_with_its_matrix():
+    """Classification, poset, realization, group and parabolics are cached
+    on the matrix object and go when it goes."""
+    import gc
+    import weakref
+
+    from dominantk.coxeter import weyl_group
+    from dominantk.weights import build_realization
+
+    A = gcm_from_rows([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]])
+    classify_type(A)
+    spherical_poset(A)
+    real = weakref.ref(build_realization(A))
+    group = weakref.ref(weyl_group(A))
+    assert len(group().ball(4)) > 1
+    assert len(group().subgroup_elements((0, 2))) == 6
+    assert build_realization(A) is real() and weyl_group(A) is group()
+    del A
+    gc.collect()
+    assert real() is None and group() is None
+
+
+def test_racing_threads_share_one_group():
+    """Four threads asking for the group of one fresh matrix get one object."""
+    import sys
+    import threading
+
+    from dominantk.coxeter import weyl_group
+
+    A = gcm_from_rows([[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]])
+    start = threading.Barrier(4)
+    groups = []
+
+    def worker():
+        start.wait()
+        groups.append(weyl_group(A))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(groups) == 4 and all(g is groups[0] for g in groups)
