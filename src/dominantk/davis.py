@@ -10,6 +10,7 @@ agree once truncations stabilize, and the test suite enforces that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import intlinalg
 from .coxeter import CoxeterElement, WeylGroup, subset_mask, weyl_group
@@ -27,11 +28,11 @@ CHAIN_CAP = 500_000
 
 @dataclass(frozen=True)
 class SimplicialComplexDesc:
-    """Finite simplicial complex; ``simplices[d]`` holds dimension-d cells as
-    sorted tuples of vertex indices (indices follow the ``vertices`` order)."""
+    """Finite simplicial complex; ``simplices[d]`` holds the dimension-d cells
+    as tuples of vertex labels, every cell listing its vertices in one shared
+    order (poset order, for chains of the spherical poset)."""
 
-    vertices: tuple
-    simplices: tuple[tuple[tuple[int, ...], ...], ...]
+    simplices: tuple[tuple[tuple, ...], ...]
 
     @property
     def dim(self) -> int:
@@ -39,13 +40,6 @@ class SimplicialComplexDesc:
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.simplices)
-
-    def simplex_labels(self, d: int) -> set:
-        if d >= len(self.simplices):
-            return set()
-        return {
-            tuple(self.vertices[i] for i in cell) for cell in self.simplices[d]
-        }
 
 
 @dataclass(frozen=True)
@@ -69,33 +63,20 @@ class IntegerCohomology:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def _complex_from_cells(cells) -> SimplicialComplexDesc:
-    """Build a complex from an iterable of cells given as tuples of labels."""
-    vertex_labels = sorted({v for cell in cells for v in cell}, key=_label_key)
-    index = {lab: i for i, lab in enumerate(vertex_labels)}
-    by_dim: dict[int, set] = {}
+def _levels(cells) -> tuple[tuple[tuple, ...], ...]:
+    """Cells grouped by dimension up to the top one; no cells is one empty level."""
+    by_dim: dict[int, list] = {}
     for cell in cells:
-        idx = tuple(sorted(index[v] for v in cell))
-        by_dim.setdefault(len(idx) - 1, set()).add(idx)
-    # close under faces, top dimension downward
-    max_dim = max(by_dim) if by_dim else 0
-    for d in range(max_dim, 0, -1):
-        for cell in list(by_dim.get(d, ())):
-            for k in range(len(cell)):
-                by_dim.setdefault(d - 1, set()).add(cell[:k] + cell[k + 1 :])
-    simplices = tuple(
-        tuple(sorted(by_dim.get(d, set()))) for d in range(max_dim + 1)
-    )
-    return SimplicialComplexDesc(tuple(vertex_labels), simplices)
+        by_dim.setdefault(len(cell) - 1, []).append(cell)
+    return tuple(tuple(by_dim.get(d, ())) for d in range(max(by_dim, default=0) + 1))
 
 
-def _label_key(label):
-    def atom_key(x):
-        if isinstance(x, tuple):
-            return (len(x), tuple(atom_key(y) for y in x))
-        return (0, x)
-
-    return atom_key(label)
+def _complex_from_cells(cells) -> SimplicialComplexDesc:
+    """Close cells given as tuples of comparable labels under faces, each
+    listing its vertices in sorted order."""
+    closed = {face for cell in cells for k in range(1, len(cell) + 1)
+              for face in combinations(sorted(cell), k)}
+    return SimplicialComplexDesc(_levels(sorted(closed)))
 
 
 def _chains(members, cap: int = CHAIN_CAP) -> list[tuple]:
@@ -133,7 +114,7 @@ def nerve_complex(poset) -> SimplicialComplexDesc:
         raise WrongTypeError(
             "nerve is a cone: the full index set is spherical (finite type)"
         )
-    return _complex_from_cells(_chains(members))
+    return SimplicialComplexDesc(_levels(_chains(members)))
 
 
 # -- Davis complex truncations ------------------------------------------------
@@ -166,36 +147,31 @@ def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):
     K = tuple(sorted(set(K)))
     kmask = subset_mask(K)
     chambers = group.min_coset_reps(K, j0, L)
-    chains = _chains(members)
 
     glued = {m: tuple(sorted(set(m) | set(j0))) for m in members}
-    cells = set()
-    frontier_cells = []
-    # a cell is in the frontier when its first vertex, the coset w W_{m + J0}
-    # of the smallest subset m in its chain, meets a long chamber
+    # per chamber w, the vertex w W_{m + J0} of each m, labelled (base word, m).
+    # A cell is in the frontier when its first vertex, that of the smallest m
+    # in its chain, meets a long chamber; dropping a vertex keeps that coset
+    # or moves to a larger one, so the frontier is closed under faces.
+    vertices = []
     meets_long = {}
     for w in chambers:
-        vertices = {}
+        chamber = {}
         for m in members:
             base = group.rstrip(w, glued[m])
-            vertex = vertices[m] = (base.word, m)
+            vertex = chamber[m] = (base.word, m)
             if vertex not in meets_long:
                 meets_long[vertex] = _cell_meets_long_chamber(
                     group, base, glued[m], j0, kmask, L)
-        for chain in chains:
-            label = tuple(vertices[m] for m in chain)
-            if label not in cells:
-                cells.add(label)
-                if meets_long[label[0]]:
-                    frontier_cells.append(label)
-
-    complex_ = _complex_from_cells(cells)
-    frontier = (
-        _complex_from_cells(frontier_cells)
-        if frontier_cells
-        else SimplicialComplexDesc((), ((),))
+        vertices.append(chamber)
+    # the cells of a chamber are its chains, a complex closed under faces
+    simplices = tuple(
+        tuple(dict.fromkeys(tuple(chamber[m] for m in chain)
+                            for chamber in vertices for chain in level))
+        for level in _levels(_chains(members))
     )
-    return complex_, frontier
+    frontier = _levels(cell for level in simplices for cell in level if meets_long[cell[0]])
+    return SimplicialComplexDesc(simplices), SimplicialComplexDesc(frontier)
 
 
 def _cell_meets_long_chamber(group: WeylGroup, base, glue_subset, j0, kmask, L) -> bool:
@@ -234,11 +210,11 @@ def cochain_cohomology(sizes, coboundaries) -> IntegerCohomology:
 
 def snf_cohomology(complex_: SimplicialComplexDesc,
                    relative_to: SimplicialComplexDesc | None = None) -> IntegerCohomology:
-    """Integral (relative) simplicial cohomology via Smith normal form."""
-    cells = []
-    for d, level in enumerate(complex_.simplices):
-        excluded = relative_to.simplex_labels(d) if relative_to is not None else set()
-        cells.append([c for c in level if tuple(complex_.vertices[i] for i in c) not in excluded])
+    """Integral (relative) simplicial cohomology via Smith normal form; the
+    cells of ``relative_to`` list their vertices in the complex's order."""
+    excluded = set() if relative_to is None else {
+        c for level in relative_to.simplices for c in level}
+    cells = [[c for c in level if c not in excluded] for level in complex_.simplices]
 
     def coboundary(p):
         # rows: (p+1)-cells, columns: p-cells; transpose of the boundary map

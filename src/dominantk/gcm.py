@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from . import intlinalg
 from .errors import MalformedFileError, NotAGCMError, WrongTypeError
 
 FINITE = "finite"
@@ -208,32 +207,44 @@ class SphericalPoset:
 
 
 def _leading_minors(entries) -> list[int]:
-    n = len(entries)
-    return [
-        intlinalg.det([row[: k + 1] for row in entries[: k + 1]])
-        for k in range(n)
-    ]
+    """Leading principal minors of an integer matrix, up to and including the
+    first that is not positive: the pivots of one fraction-free (Bareiss)
+    elimination without row exchanges."""
+    rows = [list(row) for row in entries]
+    n = len(rows)
+    minors, prev = [], 1
+    for k in range(n):
+        pivot = rows[k][k]
+        minors.append(pivot)
+        if pivot <= 0:
+            break
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * pivot - rows[i][k] * rows[k][j]) // prev
+        prev = pivot
+    return minors
 
 
 def _block_kind(entries) -> str:
     """Type of an indecomposable block via exact principal minors."""
     minors = _leading_minors(entries)
-    if all(m > 0 for m in minors):
-        return FINITE
-    if all(m > 0 for m in minors[:-1]) and minors[-1] == 0:
-        return AFFINE
+    if len(minors) == len(entries) and minors[-1] >= 0:
+        return FINITE if minors[-1] else AFFINE
     return INDEFINITE
 
 
 @per_matrix
 def _subset_finite(A: GeneralizedCartanMatrix, subset: tuple[int, ...]) -> bool:
-    sub = A.submatrix(subset)
-    return all(_block_kind(sub.submatrix(b).entries) == FINITE for b in sub.blocks())
+    # the leading minors of A_J are products of its blocks' leading minors,
+    # and one block advances per step: all are positive iff every block's are
+    return all(m > 0 for m in _leading_minors([[A.entries[i][j] for j in subset] for i in subset]))
 
 
 def is_finite_type(A: GeneralizedCartanMatrix, subset=None) -> bool:
     """Finite-type test for the matrix or one of its principal submatrices."""
-    idx = A.index_set if subset is None else tuple(sorted(subset))
+    idx = A.index_set if subset is None else tuple(sorted(set(subset)))
+    if idx and not 0 <= idx[0] <= idx[-1] < A.size:
+        raise IndexError(f"node subset {idx} has an index outside 0..{A.size - 1}")
     return _subset_finite(A, idx)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coxeter import CoxeterElement, weyl_group
-from .davis import IntegerCohomology, _chains, cochain_cohomology
+from .davis import IntegerCohomology, _chains, _levels, cochain_cohomology
 from .characters import FormalCharacter, dirac_induction, levi_irreducible_character
 from .errors import (
     ConeReductionFailedError,
@@ -242,12 +242,9 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
         raise FunctorialityError(f"{direction} needs a {expected} functor")
     functor.check_functoriality()
 
-    chains = _chains(functor.members)
-    top = max(map(len, chains), default=1) - 1
     dims = [
-        [(chain, k) for chain in sorted(c for c in chains if len(c) == p + 1)
-         for k in range(len(functor.basis[chain[0]]))]
-        for p in range(top + 1)
+        [(chain, k) for chain in level for k in range(len(functor.basis[chain[0]]))]
+        for level in _levels(_chains(functor.members))
     ]
     basis_index = {label: i for labels in dims for i, label in enumerate(labels)}
 
@@ -267,7 +264,7 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
         return rows
 
     coh = cochain_cohomology([len(labels) for labels in dims],
-                             (faces(p) for p in range(1, top + 1)))
+                             (faces(p) for p in range(1, len(dims))))
     if direction == "limit":
         return coh
     # universal coefficients: H_p has the free rank of H^p of the dual
@@ -346,16 +343,10 @@ def strata_colimit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> F
 
     def dominantize(lam, J):
         sign = 1
-        steps = 0
-        while True:
-            neg = next((j for j in J if lam[j] < 0), None)
-            if neg is None:
-                break
+        # W_J is finite, each reflection clears one negative root: ends in |Phi+(J)| steps
+        while (neg := next((j for j in J if lam[j] < 0), None)) is not None:
             lam = real.reflect(neg, lam)
             sign = -sign
-            steps += 1
-            if steps > 10000:
-                raise ConeReductionFailedError("parabolic dominantization ran away")
         if any(lam[j] == 0 for j in J):
             return None, 0
         return lam, sign

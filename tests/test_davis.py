@@ -118,6 +118,31 @@ def test_truncation_chamber_census(matrices):
     assert len(chambers) == 6 * len(group.ball(2))
 
 
+def closed_under_faces(cells) -> bool:
+    return all(cell[:k] + cell[k + 1:] in cells
+               for cell in cells if len(cell) > 1 for k in range(len(cell)))
+
+
+@pytest.mark.parametrize("name", ["affine_a1", "hyper_rank3", "ext4"])
+def test_chain_cells_are_closed_under_faces(matrices, name):
+    """Nerves and truncations take their chains as cells without re-closing:
+    every face of a cell is a cell, and every face of a frontier cell is a
+    frontier cell."""
+    A = matrices[name]
+    assert closed_under_faces({c for level in nerve_complex(spherical_poset(A)).simplices
+                               for c in level})
+    for size in range(A.size):
+        for K in combinations(range(A.size), size):
+            for L in (2, 4):
+                complex_, frontier = davis_truncation(A, K, L)
+                cells = {c for level in complex_.simplices for c in level}
+                frontier_cells = {c for level in frontier.simplices for c in level}
+                assert sum(complex_.f_vector()) == len(cells)
+                assert closed_under_faces(cells)
+                assert frontier_cells <= cells
+                assert closed_under_faces(frontier_cells)
+
+
 def test_truncation_stabilizes_to_sector_answer(matrices):
     for name in ("affine_a1", "hyper_rank2"):
         A = matrices[name]

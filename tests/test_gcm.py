@@ -4,12 +4,15 @@ from itertools import combinations
 import pytest
 
 from dominantk import intlinalg
+from dominantk.characters import ambient_dominance_test, levi_positive_roots
+from dominantk.coxeter import weyl_group
 from dominantk.errors import MalformedFileError, NotAGCMError, WrongTypeError
 from dominantk.gcm import (
     AFFINE,
     FINITE,
     INDEFINITE,
     INFINITE_ORDER,
+    _leading_minors,
     classify_type,
     coxeter_matrix,
     gcm_from_rows,
@@ -17,6 +20,7 @@ from dominantk.gcm import (
     parse_gcm,
     spherical_poset,
 )
+from dominantk.weights import build_realization
 
 
 def all_principal_minors_positive(entries, proper=False):
@@ -186,6 +190,50 @@ def test_classification_permutation_invariant():
                 base.compact_type,
                 base.symmetrizable,
             )
+
+
+def random_gcm(rng, n):
+    """A random n x n GCM; zero and single bonds are common, so that finite
+    blocks of several nodes occur."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        rows[i][j] = rng.choice((0, 0, -1, -1, -1, -2, -3))
+        rows[j][i] = rng.choice((-1, -1, -2)) if rows[i][j] else 0
+    return gcm_from_rows(rows)
+
+
+def test_leading_minors_are_elimination_pivots():
+    """The pivots of the fraction-free elimination are the determinant-
+    computed leading minors, up to and including the first not positive."""
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        A = random_gcm(rng, n)
+        subset = sorted(rng.sample(range(n), rng.randint(1, n)))
+        entries = [[A.entries[i][j] for j in subset] for i in subset]
+        expected = []
+        for k in range(1, len(subset) + 1):
+            expected.append(intlinalg.det([row[:k] for row in entries[:k]]))
+            if expected[-1] <= 0:
+                break
+        assert _leading_minors(entries) == expected
+
+
+def test_node_indices_are_checked_once(matrices):
+    """Every subset reaches the finite-type test, which refuses indices
+    outside the node set and reads a repeated index as one node."""
+    A = matrices["a2"]
+    with pytest.raises(IndexError, match=r"\(-1,\)"):
+        is_finite_type(A, (-1,))
+    with pytest.raises(IndexError):
+        is_finite_type(A, (0, 2))
+    with pytest.raises(IndexError):
+        levi_positive_roots(A, (-1,))
+    with pytest.raises(IndexError):
+        weyl_group(A).subgroup_elements((-1,))
+    with pytest.raises(IndexError):
+        ambient_dominance_test(build_realization(A), (-1,), (0, 0))
+    assert is_finite_type(A, (0, 0))
 
 
 # -- spherical poset -------------------------------------------------------------

@@ -1,11 +1,18 @@
-"""Golden test: the ``sh`` examples of README.md print what they printed
-when ``tests/data/readme_commands.txt`` was recorded.
+"""Golden tests: command lines print what they printed when their
+transcript was recorded.
 
-Each ``dominantk ...`` line of the command-line block runs in-process through
-``cli.main`` from the repository root; its stdout and exit status are
-compared with the recorded transcript.  Regenerate the transcript with
-``PYTHONPATH=src python tests/test_readme.py > tests/data/readme_commands.txt``
-after a deliberate change of output.
+Two transcripts are replayed.  ``tests/data/readme_commands.txt`` holds the
+``dominantk ...`` lines of the README's ``sh`` blocks.
+``tests/data/oracle_commands.txt`` holds the Smith-normal-form routes: SNF
+truncations, nerves and derived-limit oracles on the rank-2 to rank-4
+matrices, in both directions and both output formats.
+
+Each command runs in-process through ``cli.main`` from the repository root;
+its stdout and exit status are compared with the transcript.  Regenerate a
+transcript after a deliberate change of output with
+``PYTHONPATH=src python tests/test_readme.py readme > tests/data/readme_commands.txt``
+(or ``oracle > tests/data/oracle_commands.txt``); the oracle commands are
+read from the ``$`` lines of the recorded transcript itself.
 """
 
 import contextlib
@@ -18,7 +25,9 @@ from pathlib import Path
 from dominantk import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = Path(__file__).resolve().parent / "data" / "readme_commands.txt"
+DATA = Path(__file__).resolve().parent / "data"
+README_GOLDEN = DATA / "readme_commands.txt"
+ORACLE_GOLDEN = DATA / "oracle_commands.txt"
 
 
 def readme_commands() -> list[str]:
@@ -32,13 +41,19 @@ def readme_commands() -> list[str]:
     return commands
 
 
-def transcript() -> str:
+def recorded_commands(golden: Path) -> list[str]:
+    """The commands of a recorded transcript, in order."""
+    return [line[2:] for line in golden.read_text(encoding="utf-8").splitlines()
+            if line.startswith("$ dominantk ")]
+
+
+def transcript(commands) -> str:
     """Each command as ``$ <command>``, its stdout, then ``[exit <status>]``."""
     chunks = []
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
-        for command in readme_commands():
+        for command in commands:
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 try:
@@ -53,8 +68,16 @@ def transcript() -> str:
 
 def test_readme_commands_match_golden():
     assert len(readme_commands()) == 13
-    assert transcript() == GOLDEN.read_text(encoding="utf-8")
+    assert transcript(readme_commands()) == README_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_oracle_commands_match_golden():
+    commands = recorded_commands(ORACLE_GOLDEN)
+    assert len(commands) == 14
+    assert transcript(commands) == ORACLE_GOLDEN.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
-    sys.stdout.write(transcript())
+    which = sys.argv[1] if len(sys.argv) > 1 else "readme"
+    sys.stdout.write(transcript(
+        readme_commands() if which == "readme" else recorded_commands(ORACLE_GOLDEN)))
