@@ -92,11 +92,6 @@ def _negative_mask(vector) -> int:
     return sum(1 << k for k, x in enumerate(vector) if x < 0)
 
 
-def subset_mask(subset) -> int:
-    """Bitmask of a set of node indices, to test against descent masks."""
-    return sum(1 << i for i in set(subset))
-
-
 def _support(vector) -> int:
     return sum(1 << i for i, x in enumerate(vector) if x)
 
@@ -140,7 +135,6 @@ class WeylGroup:
         self._spheres = [[self.identity]]
         self._parabolics = {}  # J -> the elements of W_J, within element_cap
         self._by_orbit = {self._rho: self.identity}
-        self._by_inverse = {self._rho: self.identity}
         self._total = 1
         self._lock = threading.RLock()  # enumeration caches are shared state
 
@@ -182,12 +176,9 @@ class WeylGroup:
         return CoxeterElement(self, word, orbit, self._fold(word, self._rho))
 
     def _from_inverse(self, inv_orbit) -> CoxeterElement:
-        """The element w with w^{-1}(rho) = ``inv_orbit``."""
-        cached = self._by_inverse.get(inv_orbit)
-        if cached is not None:
-            return cached
-        # the stripped word is that of w^{-1}, so it applies to rho as w
-        return self._normalize(self._fold(self._strip(inv_orbit), self._rho))
+        """The element w with w^{-1}(rho) = ``inv_orbit``: the inverse of the
+        element w^{-1} that ``inv_orbit`` names, whose own inverse orbit is w(rho)."""
+        return self._normalize(self._normalize(inv_orbit).inv_orbit)
 
     def _root_images(self, w: CoxeterElement) -> tuple[tuple[int, ...], ...]:
         """w(alpha_j) over the simple roots for every j, filled in on first
@@ -201,6 +192,16 @@ class WeylGroup:
             i, row = el.word[0], self._rows[el.word[0]]
             roots = el.roots = tuple(_reflect_root(i, row, r) for r in roots)
         return roots
+
+    def subset_mask(self, subset) -> int:
+        """Bitmask of a set of node indices, to test against descent masks."""
+        mask = 0
+        for i in subset:
+            if not 0 <= i < self.n:
+                raise IndexError(
+                    f"node subset {tuple(subset)} has an index outside 0..{self.n - 1}")
+            mask |= 1 << i
+        return mask
 
     # -- public construction -------------------------------------------------
 
@@ -258,7 +259,6 @@ class WeylGroup:
                     f"ball enumeration exceeded the cap of {self.element_cap} elements"
                 )
             self._by_orbit.update(frontier)
-            self._by_inverse.update((w.inv_orbit, w) for w in sphere)
             self._spheres.append(sphere)
 
     def sphere(self, length: int) -> tuple[CoxeterElement, ...]:
@@ -313,16 +313,16 @@ class WeylGroup:
 
     def min_coset_reps(self, J, K=None, L: int = 0) -> tuple[CoxeterElement, ...]:
         """Elements of length <= L minimal in W_J w (and in W_J w W_K if K given)."""
-        jmask, kmask = subset_mask(J), subset_mask(K or ())
+        jmask, kmask = self.subset_mask(J), self.subset_mask(K or ())
         return tuple(
             w for w in self.ball(L) if not (w.left & jmask or w.right & kmask)
         )
 
     def is_min_double_rep(self, w: CoxeterElement, J, K) -> bool:
         """For w minimal in W_J w: is w the minimal W_J-W_K double coset rep."""
-        if w.left & subset_mask(J):
+        if w.left & self.subset_mask(J):
             raise NotMinimalError("w is not a minimal left W_J-coset representative")
-        return not w.right & subset_mask(K)
+        return not w.right & self.subset_mask(K)
 
     def double_coset_intersection(self, w: CoxeterElement, J, K) -> tuple[int, ...]:
         """Subset L of J with W_K meet w W_J w^{-1} equal to w W_L w^{-1}.
@@ -330,8 +330,8 @@ class WeylGroup:
         Requires w minimal for (K-left, J-right).  j belongs to L exactly
         when w(alpha_j) is a positive root supported on K.
         """
-        kmask = subset_mask(K)
-        if w.left & kmask or w.right & subset_mask(J):
+        kmask = self.subset_mask(K)
+        if w.left & kmask or w.right & self.subset_mask(J):
             raise NotMinimalError("w is not a minimal (K, J) double coset representative")
         # j in J is a right ascent, so w(alpha_j) is positive
         roots = self._root_images(w)
@@ -360,7 +360,7 @@ class WeylGroup:
         """
         if self.double_coset_intersection(w, J, K):
             return False
-        outside, kmask = ~(subset_mask(J) | w.right), subset_mask(K)
+        outside, kmask = ~(self.subset_mask(J) | w.right), self.subset_mask(K)
         roots = self._root_images(w)
         return any(
             outside >> j & 1 and _support(roots[j]) & ~kmask for j in range(self.n)
@@ -384,14 +384,14 @@ class WeylGroup:
 
     def rstrip(self, w: CoxeterElement, S) -> CoxeterElement:
         """Minimal length element of w W_S."""
-        smask = subset_mask(S)
+        smask = self.subset_mask(S)
         while w.right & smask:
             w = self.rmul_gen(w, _lowest(w.right & smask))
         return w
 
     def lstrip(self, w: CoxeterElement, S) -> CoxeterElement:
         """Minimal length element of W_S w."""
-        smask = subset_mask(S)
+        smask = self.subset_mask(S)
         while w.left & smask:
             w = self.lmul_gen(_lowest(w.left & smask), w)
         return w

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import intlinalg
-from .coxeter import CoxeterElement, WeylGroup, subset_mask, weyl_group
+from .coxeter import CoxeterElement, WeylGroup, weyl_group
 from .errors import DominantKError, ResourceExceededError, WrongTypeError
 from .gcm import FINITE, GeneralizedCartanMatrix, classify_type, spherical_poset
 
@@ -79,7 +79,7 @@ def _complex_from_cells(cells) -> SimplicialComplexDesc:
     return SimplicialComplexDesc(_levels(sorted(closed)))
 
 
-def _chains(members, cap: int = CHAIN_CAP) -> list[tuple]:
+def _chains(members) -> list[tuple]:
     """Nonempty strict inclusion chains within a poset of index subsets."""
     member_sets = [(m, set(m)) for m in members]
     out = [(m,) for m in members]
@@ -92,10 +92,8 @@ def _chains(members, cap: int = CHAIN_CAP) -> list[tuple]:
                 if top < ms:
                     nxt.append(chain + (m,))
         out.extend(nxt)
-        if len(out) > cap:
-            raise ResourceExceededError(
-                f"poset has more than {cap} inclusion chains"
-            )
+        if len(out) > CHAIN_CAP:
+            raise ResourceExceededError(f"poset has more than {CHAIN_CAP} inclusion chains")
         frontier = nxt
     return out
 
@@ -145,7 +143,7 @@ def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):
     members, i0, j0 = _building_data(A)
     group = weyl_group(A)
     K = tuple(sorted(set(K)))
-    kmask = subset_mask(K)
+    kmask = group.subset_mask(K)
     chambers = group.min_coset_reps(K, j0, L)
 
     glued = {m: tuple(sorted(set(m) | set(j0))) for m in members}
@@ -306,7 +304,7 @@ def sector_filtration_cohomology(A: GeneralizedCartanMatrix, K, L: int) -> Secto
         raise WrongTypeError("sector scan requires compact or extended compact type")
     group = weyl_group(A)
     K = tuple(sorted(set(K)))
-    kmask = subset_mask(K)
+    kmask = group.subset_mask(K)
     reps = group.min_coset_reps(K, i0, L)
     n = len(i0) - 1
 

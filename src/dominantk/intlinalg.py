@@ -1,13 +1,13 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here works with Python ints / Fractions; no floating point is used
-anywhere, so determinants, ranks and Smith normal forms are exact at any size.
+Everything here works with Python ints; no floating point or rational is
+used anywhere, so determinants, ranks, kernel vectors and Smith normal forms
+are exact at any size.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd
 
 
@@ -35,63 +35,31 @@ def det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _rref(rows):
-    """Reduced row echelon form over the rationals: (rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    return m, pivots
-
-
 def rank(rows) -> int:
-    """Rank of an integer (or Fraction) matrix via exact Gaussian elimination."""
-    return len(_rref(rows)[1])
+    """Rank of an integer matrix: the number of its invariant factors."""
+    return len(smith_invariants(rows))
 
 
 def primitive_null_vector(rows) -> tuple[int, ...]:
     """Primitive integer kernel vector of a square matrix with corank one.
 
     Raises ValueError if the kernel is not one dimensional.  The sign is
-    normalized so that the first nonzero entry is positive.
+    normalized so that the first nonzero entry is positive.  The adjugate of
+    a corank-one matrix has rank one and each of its columns, a row of
+    cofactors, lies in the kernel; the first nonzero one is returned
+    divided by its gcd.
     """
     n = len(rows)
-    m, pivots = _rref(rows)
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
+    if rank(rows) != n - 1:
         raise ValueError("matrix does not have corank one")
-    c0 = free[0]
-    vec = [Fraction(0)] * n
-    vec[c0] = Fraction(1)
-    for r, c in enumerate(pivots):
-        vec[c] = -m[r][c0]
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    cofactor_rows = (
+        [(-1) ** (i + j) * det([r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i])
+         for j in range(n)]
+        for i in range(n)
+    )
+    row = next(r for r in cofactor_rows if any(r))
+    g = gcd(*row) if next(x for x in row if x) > 0 else -gcd(*row)
+    return tuple(x // g for x in row)
 
 
 def smith_invariants(dense_rows, ncols=None) -> list[int]:

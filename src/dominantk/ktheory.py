@@ -21,7 +21,8 @@ from .errors import (
     HypothesisViolatedError,
     WrongTypeError,
 )
-from .gcm import FINITE, GeneralizedCartanMatrix, classify_type, is_finite_type, spherical_poset
+from .gcm import (FINITE, GeneralizedCartanMatrix, classify_type, is_finite_type, per_matrix,
+                  spherical_poset)
 from .weights import IN_CONE, Box, Weight, build_realization
 
 COMPACT_COHOMOLOGY = "compact-cohomology"
@@ -99,6 +100,12 @@ def compact_type_report(A: GeneralizedCartanMatrix, box: Box) -> KTheoryReport:
     return KTheoryReport(COMPACT_COHOMOLOGY, n, real.rank, None, box, summands)
 
 
+@per_matrix
+def _nonfinite_nodes(A: GeneralizedCartanMatrix) -> frozenset[int]:
+    """The nodes of the non-finite indecomposable blocks of A."""
+    return frozenset(i for block in A.blocks() if not is_finite_type(A, block) for i in block)
+
+
 def _finite_index(A: GeneralizedCartanMatrix, K) -> bool:
     """Does W_K have finite index in the full group?
 
@@ -106,11 +113,7 @@ def _finite_index(A: GeneralizedCartanMatrix, K) -> bool:
     proper standard parabolics of infinite irreducible reflection groups
     have infinite index.
     """
-    kset = set(K)
-    for block in A.blocks():
-        if not is_finite_type(A, block) and not set(block) <= kset:
-            return False
-    return True
+    return _nonfinite_nodes(A) <= set(K)
 
 
 def _subsets(indices):

@@ -7,7 +7,6 @@ rank is 2m - rank(A), so these coordinates determine the weight.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import product
 
@@ -91,10 +90,13 @@ class Realization:
 
     def partial_rho(self, K) -> Weight:
         """Sum of h_i^* over i in K."""
-        K = set(K)
-        return tuple(
-            1 if k in K else 0 for k in range(self.coroot_count)
-        ) + (0,) * (self.rank - self.coroot_count)
+        out = [0] * self.rank
+        for k in K:
+            if not 0 <= k < self.coroot_count:
+                raise IndexError(
+                    f"node subset {tuple(K)} has an index outside 0..{self.coroot_count - 1}")
+            out[k] = 1
+        return tuple(out)
 
     def barycenter_weight(self, J) -> Weight:
         """Weight attached to the barycenter of a proper subset J: its
@@ -152,14 +154,12 @@ class Realization:
     def default_max_steps(self, lam: Weight) -> int:
         return 10 * (1 + sum(abs(x) for x in lam))
 
-    def chamber_reduce(self, lam: Weight, max_steps: int | None = None,
-                       rng: random.Random | None = None) -> ChamberReduction:
-        """Reflect at negative coroot values until dominant.
+    def chamber_reduce(self, lam: Weight, max_steps: int | None = None) -> ChamberReduction:
+        """Reflect at the least negative coroot value until dominant.
 
-        Picks the least negative index (or a random one when ``rng`` is
-        given; the dominant representative does not depend on the choice).
-        For an indecomposable affine matrix a negative level certifies that
-        the weight lies outside the Tits cone.
+        The dominant representative does not depend on that choice.  For an
+        indecomposable affine matrix a negative level certifies that the
+        weight lies outside the Tits cone.
         """
         if max_steps is None:
             max_steps = self.default_max_steps(lam)
@@ -170,13 +170,10 @@ class Realization:
         letters: list[int] = []
         current = lam
         for step in range(max_steps + 1):
-            negatives = [
-                i for i in range(self.coroot_count) if current[i] < 0
-            ]
-            if not negatives:
+            i = next((i for i in range(self.coroot_count) if current[i] < 0), None)
+            if i is None:
                 word = tuple(reversed(letters))
                 return ChamberReduction(IN_CONE, current, group.element(word), step)
-            i = rng.choice(negatives) if rng is not None else negatives[0]
             current = self.reflect(i, current)
             letters.append(i)
         return ChamberReduction(UNDECIDED, None, None, max_steps)
@@ -199,13 +196,10 @@ class Realization:
 
     def dominant_box_weights(self, K, box: Box):
         """Dominant weights in the box whose stratum is exactly K."""
-        K = set(K)
+        in_k = self.partial_rho(K)
         m = self.coroot_count
-        ranges = []
-        for i in range(m):
-            ranges.append((0,) if i in K else tuple(range(1, box.coroot_bound + 1)))
-        for _ in range(self.rank - m):
-            ranges.append(tuple(range(-box.complement_bound, box.complement_bound + 1)))
+        ranges = [(0,) if in_k[i] else tuple(range(1, box.coroot_bound + 1)) for i in range(m)]
+        ranges += [tuple(range(-box.complement_bound, box.complement_bound + 1))] * (self.rank - m)
         return tuple(product(*ranges))
 
 

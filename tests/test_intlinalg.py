@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -160,6 +161,69 @@ def smith_invariants_reference(dense_rows, ncols=None) -> list[int]:
     return diag
 
 
+def _rref(rows):
+    """Reduced row echelon form over the rationals: (rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def rank_reference(rows) -> int:
+    """Rank of an integer (or Fraction) matrix via exact Gaussian elimination.
+
+    The rational Gauss-Jordan route that ``intlinalg.rank`` replaced, kept
+    verbatim (with ``_rref`` and ``primitive_null_vector_reference``) as its
+    oracle."""
+    return len(_rref(rows)[1])
+
+
+def primitive_null_vector_reference(rows) -> tuple[int, ...]:
+    """Primitive integer kernel vector of a square matrix with corank one.
+
+    Raises ValueError if the kernel is not one dimensional.  The sign is
+    normalized so that the first nonzero entry is positive.
+    """
+    n = len(rows)
+    m, pivots = _rref(rows)
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise ValueError("matrix does not have corank one")
+    c0 = free[0]
+    vec = [Fraction(0)] * n
+    vec[c0] = Fraction(1)
+    for r, c in enumerate(pivots):
+        vec[c] = -m[r][c0]
+    denom = 1
+    for x in vec:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    ints = [x // g for x in ints]
+    lead = next(x for x in ints if x)
+    if lead < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
 def test_det_against_cofactors():
     rng = random.Random(7)
     for _ in range(50):
@@ -183,6 +247,53 @@ def test_primitive_null_vector_twisted():
     assert intlinalg.primitive_null_vector([[2, -4], [-1, 2]]) == (2, 1)
     with pytest.raises(ValueError):
         intlinalg.primitive_null_vector([[2, -1], [-1, 2]])
+
+
+# -- rank and kernel vector against the rational Gauss-Jordan references -------------
+
+DENSE_ENTRIES = st.sampled_from((0, 1, -1, 2, -2, 3, -3, 4, -6))
+
+
+@st.composite
+def dependent_matrices(draw):
+    """Integer matrices up to 6 x 6, square half of the time, in which some
+    rows are integer combinations of the rows above them."""
+    nrows = draw(st.integers(0, 6))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(1, 6))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(DENSE_ENTRIES, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+def _null_vector_or_error(route, rows):
+    try:
+        return route(rows)
+    except ValueError:
+        return ValueError
+
+
+def _assert_rank_and_null_vector_match(rows):
+    assert intlinalg.rank(rows) == rank_reference(rows)
+    if all(len(r) == len(rows) for r in rows):
+        assert _null_vector_or_error(intlinalg.primitive_null_vector, rows) == (
+            _null_vector_or_error(primitive_null_vector_reference, rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dependent_matrices())
+def test_rank_and_null_vector_match_reference(rows):
+    _assert_rank_and_null_vector_match(rows)
+
+
+def test_rank_and_null_vector_match_reference_on_bundled_matrices(matrices):
+    for A in matrices.values():
+        _assert_rank_and_null_vector_match([list(r) for r in A.entries])
+        _assert_rank_and_null_vector_match([list(r) for r in zip(*A.entries)])
 
 
 def test_smith_known_cases():

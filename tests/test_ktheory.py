@@ -10,7 +10,7 @@ from dominantk.errors import (
 )
 from dominantk.characters import levi_irreducible_character
 from dominantk.coxeter import weyl_group
-from dominantk.davis import sector_filtration_cohomology
+from dominantk.davis import davis_truncation, hat_sector_cohomology, sector_filtration_cohomology
 from dominantk.gcm import gcm_from_rows, spherical_poset
 from dominantk.ktheory import (
     Box,
@@ -167,6 +167,24 @@ def test_extended_report_rejects(matrices):
     small = gcm_from_rows([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
     with pytest.raises(HypothesisViolatedError):
         extended_type_report(small, 4, Box(1, 1))
+
+
+def test_node_subsets_are_checked_where_they_become_masks_or_weights(matrices):
+    """An index outside the node set is refused, naming the subset, where
+    the subset becomes a descent mask or a weight, not read as absent."""
+    a2, affine_a1 = matrices["a2"], matrices["affine_a1"]
+    with pytest.raises(IndexError, match=r"\(-1,\)"):
+        weyl_group(a2).min_coset_reps((-1,), (), 2)
+    with pytest.raises(IndexError, match=r"\(5,\)"):
+        davis_truncation(affine_a1, (5,), 2)
+    with pytest.raises(IndexError, match=r"\(7,\)"):
+        sector_filtration_cohomology(matrices["hyper_rank3"], (7,), 4)
+    with pytest.raises(IndexError, match=r"\(9,\)"):
+        hat_sector_cohomology(matrices["ext4"], (9,), 3)
+    with pytest.raises(IndexError, match=r"\(5,\)"):
+        build_realization(affine_a1).partial_rho((5,))
+    with pytest.raises(IndexError, match=r"\(5,\)"):
+        stratum_basis(affine_a1, (5,), Box(1, 0))
 
 
 def test_finite_index_rule(matrices):

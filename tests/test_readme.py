@@ -5,7 +5,9 @@ Two transcripts are replayed.  ``tests/data/readme_commands.txt`` holds the
 ``dominantk ...`` lines of the README's ``sh`` blocks.
 ``tests/data/oracle_commands.txt`` holds the Smith-normal-form routes: SNF
 truncations, nerves and derived-limit oracles on the rank-2 to rank-4
-matrices, in both directions and both output formats.
+matrices, in both directions and both output formats.  It ends with the
+weight level, chamber reduction and compact report on affine_a2 and e9,
+whose output rests on the dual Kac labels and the complementary indices.
 
 Each command runs in-process through ``cli.main`` from the repository root;
 its stdout and exit status are compared with the transcript.  Regenerate a
@@ -73,7 +75,7 @@ def test_readme_commands_match_golden():
 
 def test_oracle_commands_match_golden():
     commands = recorded_commands(ORACLE_GOLDEN)
-    assert len(commands) == 14
+    assert len(commands) == 19
     assert transcript(commands) == ORACLE_GOLDEN.read_text(encoding="utf-8")
 
 
