@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 
 from . import __version__
@@ -417,7 +418,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, sys.stdout)
+        status = args.run(args, sys.stdout)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: silence the flush at exit, end as SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except DominantKError as exc:
         sys.stderr.write(f"error {exc.code}: {exc}\n")
         return 1

@@ -92,10 +92,6 @@ def _negative_mask(vector) -> int:
     return sum(1 << k for k, x in enumerate(vector) if x < 0)
 
 
-def _support(vector) -> int:
-    return sum(1 << i for i, x in enumerate(vector) if x)
-
-
 def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
@@ -324,47 +320,56 @@ class WeylGroup:
             raise NotMinimalError("w is not a minimal left W_J-coset representative")
         return not w.right & self.subset_mask(K)
 
+    def continuation_mask(self, w: CoxeterElement, kmask: int) -> int:
+        """Right ascents j of a K-left-minimal w with w r_j still K-left minimal.
+
+        Deodhar's lemma: for such j, either w r_j is minimal in W_K w r_j or
+        w r_j = r_k w with k in K, that is w(alpha_j) = alpha_k.  So j is
+        dropped exactly when w(alpha_j) is a simple root in K, and a positive
+        root w(alpha_j) supported on K is always such a simple root.
+        """
+        n, mask = self.n, 0
+        for j, root in enumerate(self._root_images(w)):
+            if not (w.right >> j & 1 or root.count(0) == n - 1 and kmask >> root.index(1) & 1):
+                mask |= 1 << j
+        return mask
+
+    def _pure_masks(self, w: CoxeterElement, K, J) -> tuple[int, int]:
+        """(mask of J, continuation mask P) of a minimal (K, J) double coset
+        rep w.  w is pure for J' iff J' lies in P, since the right ascents
+        outside P are those with w(alpha_j) positive and supported on K."""
+        kmask, jmask = self.subset_mask(K), self.subset_mask(J)
+        if w.left & kmask or w.right & jmask:
+            raise NotMinimalError("w is not a minimal (K, J) double coset representative")
+        return jmask, self.continuation_mask(w, kmask)
+
     def double_coset_intersection(self, w: CoxeterElement, J, K) -> tuple[int, ...]:
         """Subset L of J with W_K meet w W_J w^{-1} equal to w W_L w^{-1}.
 
         Requires w minimal for (K-left, J-right).  j belongs to L exactly
-        when w(alpha_j) is a positive root supported on K.
+        when w(alpha_j) is a positive root supported on K: J minus P.
         """
-        kmask = self.subset_mask(K)
-        if w.left & kmask or w.right & self.subset_mask(J):
-            raise NotMinimalError("w is not a minimal (K, J) double coset representative")
-        # j in J is a right ascent, so w(alpha_j) is positive
-        roots = self._root_images(w)
-        return tuple(j for j in sorted(set(J)) if not _support(roots[j]) & ~kmask)
+        jmask, pmask = self._pure_masks(w, K, J)
+        meet = jmask & ~pmask
+        return tuple(j for j in range(self.n) if meet >> j & 1)
 
     def pure_reps(self, K, J, L: int, maximal: bool = False) -> tuple[CoxeterElement, ...]:
         """Minimal (K, J) double coset reps w of length <= L whose conjugate
-        of W_J meets W_K trivially; with ``maximal``, additionally pure for
-        no proper superset of J."""
+        of W_J meets W_K trivially (J within P); with ``maximal``,
+        additionally pure for no proper superset of J (J equal to P)."""
+        kmask, jmask = self.subset_mask(K), self.subset_mask(J)
         out = []
         for w in self.min_coset_reps(K, J, L):
-            if self.double_coset_intersection(w, J, K):
-                continue
-            if maximal and self.pure_for_proper_superset(w, K, J):
-                continue
-            out.append(w)
+            pmask = self.continuation_mask(w, kmask)
+            if not jmask & ~pmask and (pmask == jmask or not maximal):
+                out.append(w)
         return tuple(out)
 
     def pure_for_proper_superset(self, w, K, J) -> bool:
-        """Is w, minimal for (K-left, J-right), pure for some proper superset of J?
-
-        Purity for J' asks that no j in J' have w(alpha_j) positive and
-        supported on K, one node at a time.  So for w pure for J the answer
-        is yes exactly when some right ascent j outside J has w(alpha_j)
-        not supported on K; for w not pure for J it is no.
-        """
-        if self.double_coset_intersection(w, J, K):
-            return False
-        outside, kmask = ~(self.subset_mask(J) | w.right), self.subset_mask(K)
-        roots = self._root_images(w)
-        return any(
-            outside >> j & 1 and _support(roots[j]) & ~kmask for j in range(self.n)
-        )
+        """Is w, minimal for (K-left, J-right), pure for some proper superset
+        of J?  Purity for J' is J' within P, so: is J a proper subset of P?"""
+        jmask, pmask = self._pure_masks(w, K, J)
+        return jmask != pmask and not jmask & ~pmask
 
     def bruhat_leq(self, v: CoxeterElement, w: CoxeterElement) -> bool:
         """Bruhat order: v is a subword of any reduced expression of w.
@@ -397,12 +402,9 @@ class WeylGroup:
         return w
 
     def double_strip(self, w: CoxeterElement, J, K) -> CoxeterElement:
-        """Minimal length element of W_J w W_K."""
-        while True:
-            w2 = self.rstrip(self.lstrip(w, J), K)
-            if w2.length == w.length:
-                return w2
-            w = w2
+        """Minimal length element of W_J w W_K: a prefix of an element with
+        no left descent in J has none either, so one strip of each side does."""
+        return self.rstrip(self.lstrip(w, J), K)
 
 
 @per_matrix

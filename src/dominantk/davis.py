@@ -281,12 +281,13 @@ def sector_filtration_cohomology(A: GeneralizedCartanMatrix, K, L: int) -> Secto
     Representatives are the minimal (K-left, I0-right) double coset
     representatives in scan order (length, then ShortLex).  Each step
     records its ascent-continuation set P (nodes j with l(w r_j) > l(w) and
-    w r_j still K-left minimal) and a verdict:
+    w r_j still K-left minimal, ``WeylGroup.continuation_mask``) and a
+    verdict read from P:
 
       empty  - P is empty: the scan is exhausted, the sector is compact,
                and the step contributes Z in degree 0;
-      full   - w is maximally pure for (K, I0): the step contributes Z in
-               the top degree n;
+      full   - P is I0, that is w is maximally pure for (K, I0): the step
+               contributes Z in the top degree n;
       silent - anything else contributes nothing.
 
     The compact case runs with I0 the whole node set, where the single
@@ -304,24 +305,15 @@ def sector_filtration_cohomology(A: GeneralizedCartanMatrix, K, L: int) -> Secto
         raise WrongTypeError("sector scan requires compact or extended compact type")
     group = weyl_group(A)
     K = tuple(sorted(set(K)))
-    kmask = group.subset_mask(K)
+    kmask, i0mask = group.subset_mask(K), group.subset_mask(i0)
     reps = group.min_coset_reps(K, i0, L)
     n = len(i0) - 1
 
     steps = []
     for idx, w in enumerate(reps):
-        continuation = tuple(
-            j for j in range(A.size)
-            if not w.right >> j & 1 and not group.rmul_gen(w, j).left & kmask
-        )
-        if not continuation:
-            verdict = EMPTY
-        elif not group.double_coset_intersection(w, i0, K) and not (
-            group.pure_for_proper_superset(w, K, i0)
-        ):
-            verdict = FULL
-        else:
-            verdict = SILENT
+        pmask = group.continuation_mask(w, kmask)
+        verdict = EMPTY if not pmask else FULL if pmask == i0mask else SILENT
+        continuation = tuple(j for j in range(A.size) if pmask >> j & 1)
         steps.append(SectorStep(w, continuation, verdict))
         if verdict == EMPTY:
             if idx != len(reps) - 1:

@@ -277,43 +277,6 @@ def _symmetrizer(A: GeneralizedCartanMatrix):
     return tuple(x // g for x in ints)
 
 
-def _minimal_nonfinite_subset(A: GeneralizedCartanMatrix):
-    """Greedily shrink the full index set to a minimal non-finite subset."""
-    if is_finite_type(A):
-        return None
-    current = list(A.index_set)
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for i in list(current):
-            smaller = tuple(x for x in current if x != i)
-            if smaller and not is_finite_type(A, smaller):
-                current = list(smaller)
-                shrunk = True
-                break
-    return tuple(current)
-
-
-def _extended_compact(A: GeneralizedCartanMatrix):
-    """The unique partition (I0, J0) with non-finite subsets exactly the
-    supersets of I0, when it exists with J0 nonempty.
-
-    Since non-finite subsets are closed upward, the partition exists iff the
-    matrix has a unique minimal non-finite subset, which is then I0; it is
-    unique exactly when dropping any single node of I0 from the full index
-    set leaves a finite-type submatrix.
-    """
-    i0 = _minimal_nonfinite_subset(A)
-    if i0 is None or len(i0) == A.size:
-        return None
-    for i in i0:
-        rest = tuple(x for x in A.index_set if x != i)
-        if not is_finite_type(A, rest):
-            return None
-    j0 = tuple(x for x in A.index_set if x not in i0)
-    return (i0, j0)
-
-
 @per_matrix
 def classify_type(A: GeneralizedCartanMatrix) -> TypeClassification:
     """Classify a generalized Cartan matrix.
@@ -323,6 +286,11 @@ def classify_type(A: GeneralizedCartanMatrix) -> TypeClassification:
     proper positive with zero determinant: affine).  A decomposable matrix
     reports the worst verdict among its blocks.  The compact and extended
     predicates are evaluated on the whole matrix.
+
+    Finite type passes to subsets (Kac, ch. 4), so every non-finite subset
+    contains I0, the nodes whose removal leaves finite type: A is compact
+    when I0 = I, and otherwise extended compact with (I0, I - I0) exactly
+    when I0 is itself not of finite type.
     """
     blocks = A.blocks()
     kinds = [_block_kind(A.submatrix(b).entries) for b in blocks]
@@ -333,11 +301,12 @@ def classify_type(A: GeneralizedCartanMatrix) -> TypeClassification:
     else:
         kind = INDEFINITE
     sym = _symmetrizer(A)
-    compact = all(
-        is_finite_type(A, sub)
-        for sub in combinations(A.index_set, A.size - 1)
-    )
-    extended = None if compact else _extended_compact(A)
+    nodes = A.index_set
+    i0 = tuple(i for i in nodes if _subset_finite(A, nodes[:i] + nodes[i + 1:]))
+    compact = i0 == nodes
+    extended = None
+    if not compact and not _subset_finite(A, i0):
+        extended = (i0, tuple(i for i in nodes if i not in i0))
     return TypeClassification(
         kind=kind,
         symmetrizable=sym is not None,

@@ -308,12 +308,34 @@ def test_help_documents_tsv_schema(capsys):
     assert "tsv rows:" in capsys.readouterr().out
 
 
-def test_python_m_dominantk_runs_the_cli():
+def _cli_env():
     src = str(Path(dominantk.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
+def test_python_m_dominantk_runs_the_cli():
     argv = ["coxeter", "ball", "--gcm", data_path("a2"), "--max-length", "1"]
     proc = subprocess.run([sys.executable, "-m", "dominantk", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run(argv)[1]
+
+
+def test_closed_stdout_exits_as_sigpipe():
+    """A reader that takes one byte of a 90 KB listing and closes the pipe
+    ends the run with status 141 and an empty stderr; a missing matrix file
+    is still bad input."""
+    argv = ["coxeter", "ball", "--gcm", data_path("e10"), "--max-length", "6"]
+    proc = subprocess.Popen([sys.executable, "-m", "dominantk", *argv], env=_cli_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"#"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+    argv[3] = "missing.gcm"
+    proc = subprocess.run([sys.executable, "-m", "dominantk", *argv],
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error invalid-input: ")

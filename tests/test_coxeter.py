@@ -650,3 +650,124 @@ def test_thread_pool_shares_one_group(matrices):
     finally:
         sys.setswitchinterval(interval)
     assert results == expected
+
+
+# -- the root-support route, kept as the reference for the continuation mask --------
+
+
+def _support(vector) -> int:
+    return sum(1 << i for i, x in enumerate(vector) if x)
+
+
+def reference_double_coset_intersection(group, w, J, K):
+    """Subset L of J with W_K meet w W_J w^{-1} equal to w W_L w^{-1}.
+
+    Requires w minimal for (K-left, J-right).  j belongs to L exactly
+    when w(alpha_j) is a positive root supported on K.
+    """
+    kmask = group.subset_mask(K)
+    if w.left & kmask or w.right & group.subset_mask(J):
+        raise NotMinimalError("w is not a minimal (K, J) double coset representative")
+    # j in J is a right ascent, so w(alpha_j) is positive
+    roots = group._root_images(w)
+    return tuple(j for j in sorted(set(J)) if not _support(roots[j]) & ~kmask)
+
+
+def reference_pure_for_proper_superset(group, w, K, J) -> bool:
+    """Is w, minimal for (K-left, J-right), pure for some proper superset of J?
+
+    Purity for J' asks that no j in J' have w(alpha_j) positive and
+    supported on K, one node at a time.  So for w pure for J the answer
+    is yes exactly when some right ascent j outside J has w(alpha_j)
+    not supported on K; for w not pure for J it is no.
+    """
+    if reference_double_coset_intersection(group, w, J, K):
+        return False
+    outside, kmask = ~(group.subset_mask(J) | w.right), group.subset_mask(K)
+    roots = group._root_images(w)
+    return any(
+        outside >> j & 1 and _support(roots[j]) & ~kmask for j in range(group.n)
+    )
+
+
+def reference_pure_reps(group, K, J, L: int, maximal: bool = False):
+    out = []
+    for w in group.min_coset_reps(K, J, L):
+        if reference_double_coset_intersection(group, w, J, K):
+            continue
+        if maximal and reference_pure_for_proper_superset(group, w, K, J):
+            continue
+        out.append(w)
+    return tuple(out)
+
+
+def reference_double_strip(group, w, J, K):
+    """Minimal length element of W_J w W_K."""
+    while True:
+        w2 = group.rstrip(group.lstrip(w, J), K)
+        if w2.length == w.length:
+            return w2
+        w = w2
+
+
+def _all_subsets(n):
+    return [s for size in range(n + 1) for s in combinations(range(n), size)]
+
+
+def assert_purity_matches_reference(group, K, J, L):
+    for maximal in (False, True):
+        assert group.pure_reps(K, J, L, maximal) == reference_pure_reps(group, K, J, L, maximal)
+    for w in group.min_coset_reps(K, J, L):
+        assert (group.double_coset_intersection(w, J, K)
+                == reference_double_coset_intersection(group, w, J, K))
+        assert (group.pure_for_proper_superset(w, K, J)
+                == reference_pure_for_proper_superset(group, w, K, J))
+
+
+@pytest.mark.parametrize("name", ["affine_a2", "hyper_rank3", "ext4"])
+def test_continuation_mask_matches_support_reference(matrices, name):
+    """Intersections, superset answers and pure reps in both modes read from
+    the continuation mask equal the root-support loops, every K and J."""
+    group = weyl_group(matrices[name])
+    subsets = _all_subsets(group.n)
+    for K in subsets:
+        for J in subsets:
+            assert_purity_matches_reference(group, K, J, 6)
+
+
+def test_continuation_mask_matches_support_reference_e10(matrices):
+    A = matrices["e10"]
+    group = weyl_group(A)
+    i0 = tuple(range(9))
+    for K in _all_subsets(A.size):
+        assert_purity_matches_reference(group, K, i0, 3)
+
+
+def test_continuation_mask_is_deodhar_continuation(matrices):
+    """The mask is the set of right ascents j with w r_j still K-left minimal."""
+    group = weyl_group(matrices["ext4"])
+    for K in _all_subsets(4):
+        kmask = group.subset_mask(K)
+        for w in group.min_coset_reps(K, (), 6):
+            expected = sum(1 << j for j in range(4)
+                           if not w.right >> j & 1 and not group.rmul_gen(w, j).left & kmask)
+            assert group.continuation_mask(w, kmask) == expected
+
+
+def test_pure_masks_require_minimal_reps(matrices):
+    group = weyl_group(matrices["ext4"])
+    w = group.element((0,))
+    for call in (lambda: group.double_coset_intersection(w, (), (0,)),
+                 lambda: group.pure_for_proper_superset(w, (), (0,)),
+                 lambda: group.double_coset_intersection(group.element((1, 0)), (0,), ())):
+        with pytest.raises(NotMinimalError):
+            call()
+
+
+def test_double_strip_matches_loop_reference(matrices):
+    group = weyl_group(matrices["ext4"])
+    subsets = _all_subsets(4)
+    for w in group.ball(5):
+        for J in subsets:
+            for K in subsets:
+                assert group.double_strip(w, J, K) == reference_double_strip(group, w, J, K)

@@ -5,7 +5,9 @@ import pytest
 from dominantk.errors import WrongTypeError
 from dominantk.coxeter import weyl_group
 from dominantk.davis import (
+    EMPTY,
     FULL,
+    SILENT,
     cochain_cohomology,
     davis_truncation,
     hat_sector_cohomology,
@@ -16,7 +18,8 @@ from dominantk.davis import (
     _complex_from_cells,
     _two_degree_cohomology,
 )
-from dominantk.gcm import spherical_poset
+from dominantk.gcm import classify_type, spherical_poset
+from test_coxeter import reference_double_coset_intersection, reference_pure_for_proper_superset
 
 
 # -- nerves ---------------------------------------------------------------------
@@ -210,6 +213,47 @@ def test_sector_full_steps_are_maximally_pure(matrices):
             report = sector_filtration_cohomology(A, K, 6)
             expected = group.pure_reps(K, (0, 1, 2), 6, maximal=True)
             assert set(report.degree_n_generators) == set(expected)
+
+
+def reference_scan_steps(A, K, L):
+    """(word, continuation, verdict) of each scan step by the route the
+    continuation mask replaced: a normal form of w r_j for every ascent j,
+    and the root-support purity tests."""
+    cls = classify_type(A)
+    i0 = cls.extended_compact[0] if cls.extended_compact else A.index_set
+    group = weyl_group(A)
+    kmask = group.subset_mask(K)
+    steps = []
+    for w in group.min_coset_reps(K, i0, L):
+        continuation = tuple(
+            j for j in range(A.size)
+            if not w.right >> j & 1 and not group.rmul_gen(w, j).left & kmask
+        )
+        if not continuation:
+            verdict = EMPTY
+        elif not reference_double_coset_intersection(group, w, i0, K) and not (
+            reference_pure_for_proper_superset(group, w, K, i0)
+        ):
+            verdict = FULL
+        else:
+            verdict = SILENT
+        steps.append((w.word, continuation, verdict))
+        if verdict == EMPTY:
+            break
+    return steps
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("affine_a1", 6), ("affine_a2", 6), ("hyper_rank3", 6), ("ext4", 6), ("e10", 3)])
+def test_sector_steps_match_reference_scan(matrices, name, bound):
+    """Continuations and verdicts read from the mask equal the per-ascent
+    normal forms and support tests, for every K."""
+    A = matrices[name]
+    for size in range(A.size + 1):
+        for K in combinations(range(A.size), size):
+            report = sector_filtration_cohomology(A, K, bound)
+            steps = [(s.element.word, s.continuation, s.verdict) for s in report.steps]
+            assert steps == reference_scan_steps(A, K, bound)
 
 
 # -- descent subcomplexes ----------------------------------------------------------------

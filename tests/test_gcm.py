@@ -2,6 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dominantk import intlinalg
 from dominantk.characters import ambient_dominance_test, levi_positive_roots
@@ -12,6 +14,7 @@ from dominantk.gcm import (
     FINITE,
     INDEFINITE,
     INFINITE_ORDER,
+    GeneralizedCartanMatrix,
     _leading_minors,
     classify_type,
     coxeter_matrix,
@@ -200,6 +203,71 @@ def random_gcm(rng, n):
         rows[i][j] = rng.choice((0, 0, -1, -1, -1, -2, -3))
         rows[j][i] = rng.choice((-1, -1, -2)) if rows[i][j] else 0
     return gcm_from_rows(rows)
+
+
+# -- the subset searches, kept as the reference for the node-removal test ------------
+
+
+def _minimal_nonfinite_subset(A: GeneralizedCartanMatrix):
+    """Greedily shrink the full index set to a minimal non-finite subset."""
+    if is_finite_type(A):
+        return None
+    current = list(A.index_set)
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for i in list(current):
+            smaller = tuple(x for x in current if x != i)
+            if smaller and not is_finite_type(A, smaller):
+                current = list(smaller)
+                shrunk = True
+                break
+    return tuple(current)
+
+
+def _extended_compact(A: GeneralizedCartanMatrix):
+    """The unique partition (I0, J0) with non-finite subsets exactly the
+    supersets of I0, when it exists with J0 nonempty.
+
+    Since non-finite subsets are closed upward, the partition exists iff the
+    matrix has a unique minimal non-finite subset, which is then I0; it is
+    unique exactly when dropping any single node of I0 from the full index
+    set leaves a finite-type submatrix.
+    """
+    i0 = _minimal_nonfinite_subset(A)
+    if i0 is None or len(i0) == A.size:
+        return None
+    for i in i0:
+        rest = tuple(x for x in A.index_set if x != i)
+        if not is_finite_type(A, rest):
+            return None
+    j0 = tuple(x for x in A.index_set if x not in i0)
+    return (i0, j0)
+
+
+def reference_compact_and_extended(A: GeneralizedCartanMatrix):
+    compact = all(
+        is_finite_type(A, sub)
+        for sub in combinations(A.index_set, A.size - 1)
+    )
+    extended = None if compact else _extended_compact(A)
+    return compact, extended
+
+
+def test_node_removal_matches_subset_search_on_bundled(matrices):
+    for A in matrices.values():
+        cls = classify_type(A)
+        assert (cls.compact_type, cls.extended_compact) == reference_compact_and_extended(A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 7), seed=st.integers(0, 10**9))
+def test_node_removal_matches_subset_search(n, seed):
+    """compact_type and extended_compact from the n + 1 finite-type tests
+    equal the greedy shrink and the (n - 1)-subset loop."""
+    A = random_gcm(random.Random(seed), n)
+    cls = classify_type(A)
+    assert (cls.compact_type, cls.extended_compact) == reference_compact_and_extended(A)
 
 
 def test_leading_minors_are_elimination_pivots():

@@ -7,7 +7,10 @@ Two transcripts are replayed.  ``tests/data/readme_commands.txt`` holds the
 truncations, nerves and derived-limit oracles on the rank-2 to rank-4
 matrices, in both directions and both output formats.  It ends with the
 weight level, chamber reduction and compact report on affine_a2 and e9,
-whose output rests on the dual Kac labels and the complementary indices.
+whose output rests on the dual Kac labels and the complementary indices,
+and then with the type classification, the sector scan's per-step verdicts,
+the hat decomposition and maximal purity on E10, which rest on the
+node-removal test and the continuation mask.
 
 Each command runs in-process through ``cli.main`` from the repository root;
 its stdout and exit status are compared with the transcript.  Regenerate a
@@ -75,7 +78,7 @@ def test_readme_commands_match_golden():
 
 def test_oracle_commands_match_golden():
     commands = recorded_commands(ORACLE_GOLDEN)
-    assert len(commands) == 19
+    assert len(commands) == 27
     assert transcript(commands) == ORACLE_GOLDEN.read_text(encoding="utf-8")
 
 

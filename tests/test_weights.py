@@ -70,15 +70,18 @@ def test_chamber_reduce_level_zero_undecided(matrices):
     assert real.chamber_reduce((1, -1, 0)).status == UNDECIDED
 
 
+@pytest.mark.parametrize("name", ["affine_a1", "affine_a2"])
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6))
-def test_chamber_reduce_confluence(matrices, seed):
+def test_chamber_reduce_confluence(matrices, name, seed):
     """The dominant representative does not depend on the reflection rule:
     reflecting at a random negative coordinate ends where chamber_reduce,
-    which takes the least one, does."""
+    which takes the least one, does.  On affine_a1 a step never has two
+    negative coordinates (that would make the level negative), so the
+    choices happen on affine_a2."""
     rng = random.Random(seed)
-    real = build_realization(matrices["affine_a1"])
-    lam = tuple(rng.randint(-4, 4) for _ in range(3))
+    real = build_realization(matrices[name])
+    lam = tuple(rng.randint(-4, 4) for _ in range(real.rank))
     default = real.chamber_reduce(lam)
     choices = random.Random(seed + 1)
     status, current, letters = UNDECIDED, lam, []
@@ -96,7 +99,7 @@ def test_chamber_reduce_confluence(matrices, seed):
     assert default.status == status
     if status == IN_CONE:
         assert default.weight == current
-        group = weyl_group(matrices["affine_a1"])
+        group = weyl_group(matrices[name])
         assert real.act(default.element, lam) == current
         assert real.act(group.element(reversed(letters)), lam) == current
 
