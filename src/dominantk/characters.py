@@ -195,28 +195,17 @@ def levi_positive_roots(A: GeneralizedCartanMatrix, J) -> tuple[tuple[int, ...],
     """Positive roots of the finite-type root subsystem spanned by J.
 
     Root vectors are integer coefficient tuples over the full simple-root
-    basis, closed under the reflections r_j for j in J.
+    basis: the inversions p(alpha_s) of w_J, for each letter s of its word
+    and its prefix p, as p r_s(alpha_j) = p(alpha_j) - a[s][j] p(alpha_s).
     """
-    J = tuple(sorted(set(J)))
-    if not is_finite_type(A, J):
-        raise NotFiniteTypeError(f"subset {J} is not of finite type")
-    n = A.size
-    simple = [tuple(1 if k == j else 0 for k in range(n)) for j in J]
-    positives = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for root in frontier:
-            for i in J:
-                pairing = sum(A.entries[i][k] * root[k] for k in range(n))
-                image = list(root)
-                image[i] -= pairing
-                image = tuple(image)
-                if all(x >= 0 for x in image) and image not in positives:
-                    positives.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return tuple(sorted(positives))
+    a, word = A.entries, weyl_group(A).longest(J).word
+    images = {j: tuple(int(k == j) for k in range(A.size)) for j in set(word)}
+    roots = []
+    for s in word:
+        root = images[s]
+        roots.append(root)
+        images = {j: tuple(x - a[s][j] * y for x, y in zip(v, root)) for j, v in images.items()}
+    return tuple(sorted(roots))
 
 
 def _weyl_denominator_factors(real: Realization, J) -> list[FormalCharacter]:

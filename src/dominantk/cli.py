@@ -55,9 +55,11 @@ def _nonnegative(text: str) -> int:
 
 
 def _load_gcm(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_gcm(text)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_gcm(fh.read())
+    except OSError as exc:  # unreadable input; main reads any other OSError as output
+        raise ValueError(str(exc)) from None
 
 
 def _subset(A, names: str):
@@ -417,18 +419,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:
+        sys.stderr.write("error output: stdout is closed\n")
+        return 1
     try:
         status = args.run(args, sys.stdout)
         sys.stdout.flush()
         return status
-    except BrokenPipeError:
-        # the reader closed stdout: silence the flush at exit, end as SIGPIPE
+    except OSError as exc:
+        # a closed reader (end as SIGPIPE would) or a failed write: silence the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        sys.stderr.write(f"error output: {exc}\n")
+        return 1
     except DominantKError as exc:
         sys.stderr.write(f"error {exc.code}: {exc}\n")
         return 1
-    except (OSError, ValueError, IndexError, KeyError) as exc:
+    except (ValueError, IndexError, KeyError) as exc:
         # str() of a KeyError quotes its message as a repr
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         sys.stderr.write(f"error invalid-input: {message}\n")

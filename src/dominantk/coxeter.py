@@ -150,17 +150,18 @@ class WeylGroup:
             vector = self._reflect(s, vector)
         return vector
 
-    def _strip(self, orbit) -> tuple[int, ...]:
-        """ShortLex word of the element with orbit vector ``orbit``: strip
-        the least negative coordinate until the vector is dominant."""
-        word = []
-        left = _negative_mask(orbit)
+    def _strip(self, vector, mask: int = -1):
+        """(letters, vector): reflect at the least negative coordinate in
+        ``mask`` until none is left; w(rho) stripped entirely spells the
+        ShortLex word of w, stripped within S it is that of min W_S w."""
+        letters = []
+        left = _negative_mask(vector) & mask
         while left:
             i = _lowest(left)
-            word.append(i)
-            orbit = self._reflect(i, orbit)
-            left = _negative_mask(orbit)
-        return tuple(word)
+            letters.append(i)
+            vector = self._reflect(i, vector)
+            left = _negative_mask(vector) & mask
+        return tuple(letters), vector
 
     def _normalize(self, orbit) -> CoxeterElement:
         """The element w with w(rho) = ``orbit``: cached, or built from its
@@ -168,7 +169,7 @@ class WeylGroup:
         cached = self._by_orbit.get(orbit)
         if cached is not None:
             return cached
-        word = self._strip(orbit)
+        word, _ = self._strip(orbit)
         return CoxeterElement(self, word, orbit, self._fold(word, self._rho))
 
     def _from_inverse(self, inv_orbit) -> CoxeterElement:
@@ -278,11 +279,21 @@ class WeylGroup:
                 return True
         return False
 
-    def subgroup_elements(self, J) -> tuple[CoxeterElement, ...]:
-        """All elements of the standard parabolic subgroup on J (finite type)."""
+    def _finite_subset(self, J) -> tuple[int, ...]:
         J = tuple(sorted(set(J)))
         if not is_finite_type(self.gcm, J):
             raise NotFiniteTypeError(f"subset {J} does not span a finite subgroup")
+        return J
+
+    def longest(self, J) -> CoxeterElement:
+        """Longest element of the finite parabolic on J: w_J(rho) is the image of
+        rho negative on J (Kac, Lemma 3.11): the negation of -rho stripped within J."""
+        _, vector = self._strip((-1,) * self.n, self.subset_mask(self._finite_subset(J)))
+        return self._normalize(tuple(-x for x in vector))
+
+    def subgroup_elements(self, J) -> tuple[CoxeterElement, ...]:
+        """All elements of the standard parabolic subgroup on J (finite type)."""
+        J = self._finite_subset(J)
         # never empty: W_J holds the identity
         return self._parabolics.get(J) or self._parabolics.setdefault(J, self._parabolic(J))
 
@@ -388,18 +399,14 @@ class WeylGroup:
     # -- canonical coset minimization -----------------------------------------
 
     def rstrip(self, w: CoxeterElement, S) -> CoxeterElement:
-        """Minimal length element of w W_S."""
-        smask = self.subset_mask(S)
-        while w.right & smask:
-            w = self.rmul_gen(w, _lowest(w.right & smask))
-        return w
+        """Minimal length element of w W_S: w^{-1}(rho) stripped within S."""
+        letters, inv_orbit = self._strip(w.inv_orbit, self.subset_mask(S))
+        return self._from_inverse(inv_orbit) if letters else w
 
     def lstrip(self, w: CoxeterElement, S) -> CoxeterElement:
-        """Minimal length element of W_S w."""
-        smask = self.subset_mask(S)
-        while w.left & smask:
-            w = self.lmul_gen(_lowest(w.left & smask), w)
-        return w
+        """Minimal length element of W_S w: w(rho) stripped within S."""
+        letters, orbit = self._strip(w.orbit, self.subset_mask(S))
+        return self._normalize(orbit) if letters else w
 
     def double_strip(self, w: CoxeterElement, J, K) -> CoxeterElement:
         """Minimal length element of W_J w W_K: a prefix of an element with

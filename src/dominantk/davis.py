@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import intlinalg
-from .coxeter import CoxeterElement, WeylGroup, weyl_group
+from .coxeter import CoxeterElement, weyl_group
 from .errors import DominantKError, ResourceExceededError, WrongTypeError
 from .gcm import FINITE, GeneralizedCartanMatrix, classify_type, spherical_poset
 
@@ -143,11 +143,14 @@ def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):
     members, i0, j0 = _building_data(A)
     group = weyl_group(A)
     K = tuple(sorted(set(K)))
-    kmask = group.subset_mask(K)
     chambers = group.min_coset_reps(K, j0, L)
 
     glued = {m: tuple(sorted(set(m) | set(j0))) for m in members}
-    # per chamber w, the vertex w W_{m + J0} of each m, labelled (base word, m).
+    longest = {m: group.longest(glued[m]) for m in members}
+    # per chamber w, the vertex w W_T of each m, T = m + J0, labelled (base
+    # word, m).  base = rstrip(w, T), a prefix of w, is minimal in W_K base W_T,
+    # so by Deodhar's lemma the vertex's sector chambers are base x with x
+    # minimal for (M-left, J0-right); the longest such x projects w_T.
     # A cell is in the frontier when its first vertex, that of the smallest m
     # in its chain, meets a long chamber; dropping a vertex keeps that coset
     # or moves to a larger one, so the frontier is closed under faces.
@@ -159,8 +162,9 @@ def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):
             base = group.rstrip(w, glued[m])
             vertex = chamber[m] = (base.word, m)
             if vertex not in meets_long:
-                meets_long[vertex] = _cell_meets_long_chamber(
-                    group, base, glued[m], j0, kmask, L)
+                meet = group.double_coset_intersection(base, glued[m], K)
+                far = group.double_strip(longest[m], meet, j0)
+                meets_long[vertex] = base.length + far.length > L
         vertices.append(chamber)
     # the cells of a chamber are its chains, a complex closed under faces
     simplices = tuple(
@@ -170,14 +174,6 @@ def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):
     )
     frontier = _levels(cell for level in simplices for cell in level if meets_long[cell[0]])
     return SimplicialComplexDesc(simplices), SimplicialComplexDesc(frontier)
-
-
-def _cell_meets_long_chamber(group: WeylGroup, base, glue_subset, j0, kmask, L) -> bool:
-    for x in group.subgroup_elements(glue_subset):
-        v = group.rstrip(group.multiply(base, x), j0)
-        if v.length > L and not v.left & kmask:
-            return True
-    return False
 
 
 # -- Smith normal form oracle ---------------------------------------------------

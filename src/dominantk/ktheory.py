@@ -298,29 +298,28 @@ def strata_limit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> Fun
     taus = real.dominant_box_weights(K, box)
     members = spherical_poset(A).members
 
-    # reps[J]: each kept representative w with its W_J-orbit u*w
+    # reps[J]: the w whose W_J-orbit K-strips to length <= L.  By Deodhar's
+    # lemma rstrip(u w, K) has length l(w) + l(rstrip(u, M)), where W_J meet
+    # w W_K w^{-1} = W_M; the longest is that of the projection of w_J.
     reps = {}
     for J in members:
-        subgroup = group.subgroup_elements(J)
-        reps[J] = []
-        for w in group.min_coset_reps(J, K, L):
-            orbit = [group.multiply(u, w) for u in subgroup]
-            if all(group.rstrip(uw, K).length <= L for uw in orbit):
-                reps[J].append((w, orbit))
-    basis = {J: tuple((w.word, tau) for tau in taus for w, _ in reps[J]) for J in members}
+        longest = group.longest(J)
+        reps[J] = [
+            w for w in group.min_coset_reps(J, K, L)
+            if w.length + group.rstrip(
+                longest, group.double_coset_intersection(group.inverse(w), J, K)).length <= L
+        ]
+    basis = {J: tuple((w.word, tau) for tau in taus for w in reps[J]) for J in members}
 
     transitions = {}
     for J, Jp in _inclusions(members):
-        # restricted to J, the orbit sum of wp over Jp is the sum of the
-        # J-representatives in its W_Jp-orbit: the same block for every tau
-        index = {w.word: i for i, (w, _) in enumerate(reps[J])}
-        hits = [[] for _ in reps[J]]
-        for c, (_, orbit) in enumerate(reps[Jp]):
-            for i in {index[group.double_strip(uw, J, K).word] for uw in orbit}:
-                hits[i].append(c)
+        # restricted to J, the orbit sum of wp over Jp sums the J-reps in W_Jp wp W_K:
+        # w's row holds the wp of its own double coset, if kept, for every tau
+        index = {wp.word: c for c, wp in enumerate(reps[Jp])}
+        cols = [index.get(group.double_strip(w, Jp, K).word) for w in reps[J]]
         width = len(reps[Jp])
         transitions[(J, Jp)] = tuple(
-            {t * width + c: 1 for c in hit} for t in range(len(taus)) for hit in hits
+            {} if c is None else {t * width + c: 1} for t in range(len(taus)) for c in cols
         )
     return FunctorOnPoset(members, "contravariant", basis, transitions)
 

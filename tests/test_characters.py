@@ -21,7 +21,7 @@ from dominantk.characters import (
     weyl_numerator,
 )
 from dominantk.coxeter import weyl_group
-from dominantk.gcm import gcm_from_rows
+from dominantk.gcm import gcm_from_rows, is_finite_type, spherical_poset
 from dominantk.weights import build_realization
 
 A3_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -42,6 +42,39 @@ def test_levi_positive_roots(matrices):
     assert len(levi_positive_roots(B, (0, 1))) == 4
     with pytest.raises(NotFiniteTypeError):
         levi_positive_roots(matrices["affine_a1"], (0, 1))
+
+
+def reference_levi_positive_roots(A, J):
+    """Positive roots of the subsystem on J as the closure of its simple
+    roots under the reflections r_j, j in J (a breadth-first search)."""
+    J = tuple(sorted(set(J)))
+    if not is_finite_type(A, J):
+        raise NotFiniteTypeError(f"subset {J} is not of finite type")
+    n = A.size
+    simple = [tuple(1 if k == j else 0 for k in range(n)) for j in J]
+    positives = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for root in frontier:
+            for i in J:
+                pairing = sum(A.entries[i][k] * root[k] for k in range(n))
+                image = list(root)
+                image[i] -= pairing
+                image = tuple(image)
+                if all(x >= 0 for x in image) and image not in positives:
+                    positives.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return tuple(sorted(positives))
+
+
+def test_levi_positive_roots_match_closure_reference(matrices):
+    """The inversions of w_J are the closure's roots on every spherical
+    subset of every bundled matrix, E8 in E9 and E10 included."""
+    for A in matrices.values():
+        for J in spherical_poset(A).members:
+            assert levi_positive_roots(A, J) == reference_levi_positive_roots(A, J)
 
 
 def test_levi_positive_roots_closure_oracle(matrices):

@@ -339,3 +339,26 @@ def test_closed_stdout_exits_as_sigpipe():
                           capture_output=True, text=True, env=_cli_env(), timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error invalid-input: ")
+
+
+def _close_stdout():
+    os.close(1)
+
+
+@pytest.mark.parametrize("case", ["closed", "full", "missing"])
+def test_output_failures_are_not_bad_input(case, tmp_path):
+    """A closed stdout (``>&-``) or a full device (``> /dev/full``) ends the
+    run with one ``error output`` line and status 1; an unreadable matrix
+    file stays ``error invalid-input``.  ``| head`` is status 141, above."""
+    gcm = data_path("a2") if case != "missing" else str(tmp_path / "missing.gcm")
+    argv = [sys.executable, "-m", "dominantk", "classify", gcm]
+    if case == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full" if case == "full" else os.devnull, "wb") as sink:
+        proc = subprocess.run(argv, stdout=sink, stderr=subprocess.PIPE, text=True,
+                              env=_cli_env(), timeout=60,
+                              preexec_fn=_close_stdout if case == "closed" else None)
+    assert proc.returncode == 1
+    code = "invalid-input" if case == "missing" else "output"
+    assert proc.stderr.startswith(f"error {code}: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr

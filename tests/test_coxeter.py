@@ -1,12 +1,14 @@
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dominantk.errors import NotMinimalError, ResourceExceededError
+from dominantk.errors import NotFiniteTypeError, NotMinimalError, ResourceExceededError
 from dominantk.coxeter import WeylGroup, weyl_group
-from dominantk.gcm import gcm_from_rows
+from dominantk.gcm import gcm_from_rows, spherical_poset
+from test_characters import reference_levi_positive_roots
 
 
 # -- independent oracle: W(A2) as permutations of three letters --------------------
@@ -701,10 +703,26 @@ def reference_pure_reps(group, K, J, L: int, maximal: bool = False):
     return tuple(out)
 
 
+def reference_rstrip(group, w, S):
+    """Minimal length element of w W_S, one right multiplication at a time."""
+    smask = group.subset_mask(S)
+    while w.right & smask:
+        w = group.rmul_gen(w, _lowest(w.right & smask))
+    return w
+
+
+def reference_lstrip(group, w, S):
+    """Minimal length element of W_S w, one left multiplication at a time."""
+    smask = group.subset_mask(S)
+    while w.left & smask:
+        w = group.lmul_gen(_lowest(w.left & smask), w)
+    return w
+
+
 def reference_double_strip(group, w, J, K):
     """Minimal length element of W_J w W_K."""
     while True:
-        w2 = group.rstrip(group.lstrip(w, J), K)
+        w2 = reference_rstrip(group, reference_lstrip(group, w, J), K)
         if w2.length == w.length:
             return w2
         w = w2
@@ -771,3 +789,63 @@ def test_double_strip_matches_loop_reference(matrices):
         for J in subsets:
             for K in subsets:
                 assert group.double_strip(w, J, K) == reference_double_strip(group, w, J, K)
+
+
+@pytest.mark.parametrize("name", ALL_MATRICES)
+def test_strips_match_loop_reference(matrices, name):
+    """One strip of an orbit vector within S reaches the coset extreme the
+    one-letter loops reach, for every S."""
+    A = matrices[name]
+    group = weyl_group(A)
+    ball = group.ball(2 if A.size > 4 else 6)
+    for S in _all_subsets(A.size):
+        for w in ball:
+            assert group.rstrip(w, S) == reference_rstrip(group, w, S)
+            assert group.lstrip(w, S) == reference_lstrip(group, w, S)
+
+
+# -- the longest element of a finite parabolic subgroup ------------------------------
+
+
+def _parabolic_order(roots) -> int:
+    """|W_J| from the heights of its positive roots: the product over the
+    roots of (ht + 1) / ht (Kostant's exponents are the dual partition of
+    the height counts, and |W_J| is the product of the exponents plus one)."""
+    order = Fraction(1)
+    for root in roots:
+        order *= Fraction(sum(root) + 1, sum(root))
+    assert order.denominator == 1
+    return int(order)
+
+
+@pytest.mark.parametrize("name", ALL_MATRICES)
+def test_longest_is_the_top_of_the_parabolic(matrices, name):
+    """w_J is a word in J with every node of J a left and a right descent
+    and length |Phi+(J)|, on every spherical J; it is the last element of
+    the enumerated W_J when |W_J| <= 10^4 (<= 24 on E9 and E10, whose
+    parabolics of that size take seconds to enumerate)."""
+    A = matrices[name]
+    group = WeylGroup(A)  # a fresh group, so the enumerated parabolics go with it
+    cap = 10**4 if A.size <= 4 else 24
+    for J in spherical_poset(A).members:
+        w, jmask = group.longest(J), group.subset_mask(J)
+        roots = reference_levi_positive_roots(A, J)
+        assert set(w.word) <= set(J)
+        assert w.left & jmask == jmask == w.right & jmask
+        assert w.length == len(roots)
+        if _parabolic_order(roots) <= cap:
+            assert w == group.subgroup_elements(J)[-1]
+
+
+def test_longest_e8_in_e9_without_enumeration(matrices):
+    group = WeylGroup(matrices["e9"])
+    e8 = tuple(range(1, 9))
+    assert group.longest(e8).length == 120
+    assert not group._parabolics and len(group._spheres) == 1
+
+
+def test_longest_needs_finite_type(matrices):
+    group = weyl_group(matrices["affine_a1"])
+    for call in (group.longest, group.subgroup_elements):
+        with pytest.raises(NotFiniteTypeError):
+            call((0, 1))

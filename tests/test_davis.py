@@ -19,7 +19,11 @@ from dominantk.davis import (
     _two_degree_cohomology,
 )
 from dominantk.gcm import classify_type, spherical_poset
-from test_coxeter import reference_double_coset_intersection, reference_pure_for_proper_superset
+from test_coxeter import (
+    _all_subsets,
+    reference_double_coset_intersection,
+    reference_pure_for_proper_superset,
+)
 
 
 # -- nerves ---------------------------------------------------------------------
@@ -119,6 +123,42 @@ def test_truncation_chamber_census(matrices):
     }
     # every group element of length <= 2 contributes its own 6 triangles
     assert len(chambers) == 6 * len(group.ball(2))
+
+
+def reference_cell_meets_long_chamber(group, base, glue_subset, j0, kmask, L) -> bool:
+    """The loop the frontier test replaced: some base x, x in W_T, strips to
+    a K-left-minimal chamber longer than L."""
+    for x in group.subgroup_elements(glue_subset):
+        v = group.rstrip(group.multiply(base, x), j0)
+        if v.length > L and not v.left & kmask:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("affine_a1", 8), ("affine_a2", 5), ("hyper_rank3", 6), ("ext4", 6),
+])
+def test_frontier_matches_parabolic_loop_reference(matrices, name, bound):
+    """The frontier read from the projection of w_T is the one the loop over
+    W_T finds, for every K and L <= bound (J0 nonempty on ext4)."""
+    A = matrices[name]
+    group = weyl_group(A)
+    cls = classify_type(A)
+    j0 = cls.extended_compact[1] if cls.extended_compact else ()
+    for K in _all_subsets(A.size):
+        kmask = group.subset_mask(K)
+        for L in range(bound + 1):
+            complex_, frontier = davis_truncation(A, K, L)
+            meets = {}
+            for level in complex_.simplices:
+                for word, m in (cell[0] for cell in level):
+                    if (word, m) not in meets:
+                        meets[(word, m)] = reference_cell_meets_long_chamber(
+                            group, group.element(word), tuple(sorted(set(m) | set(j0))),
+                            j0, kmask, L)
+            expected = {cell for level in complex_.simplices for cell in level
+                        if meets[cell[0]]}
+            assert {cell for level in frontier.simplices for cell in level} == expected
 
 
 def closed_under_faces(cells) -> bool:

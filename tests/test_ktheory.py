@@ -271,6 +271,51 @@ def test_direction_variance_mismatch(matrices):
         derived_limit_oracle(A, functor, "colimit")
 
 
+def reference_strata_limit_functor(A, K, L, box):
+    """The limit functor built from full W_J-orbits: a representative is kept
+    when every element of its orbit strips to length <= L, and its row
+    along J < Jp collects the Jp-representatives whose orbit meets it."""
+    real = build_realization(A)
+    group = weyl_group(A)
+    K = tuple(sorted(set(K)))
+    taus = real.dominant_box_weights(K, box)
+    members = spherical_poset(A).members
+    reps = {}
+    for J in members:
+        subgroup = group.subgroup_elements(J)
+        reps[J] = []
+        for w in group.min_coset_reps(J, K, L):
+            orbit = [group.multiply(u, w) for u in subgroup]
+            if all(group.rstrip(uw, K).length <= L for uw in orbit):
+                reps[J].append((w, orbit))
+    basis = {J: tuple((w.word, tau) for tau in taus for w, _ in reps[J]) for J in members}
+    transitions = {}
+    for J, Jp in [(J, Jp) for J in members for Jp in members if set(J) < set(Jp)]:
+        index = {w.word: i for i, (w, _) in enumerate(reps[J])}
+        hits = [[] for _ in reps[J]]
+        for c, (_, orbit) in enumerate(reps[Jp]):
+            for i in {index[group.double_strip(uw, J, K).word] for uw in orbit}:
+                hits[i].append(c)
+        width = len(reps[Jp])
+        transitions[(J, Jp)] = tuple(
+            {t * width + c: 1 for c in hit} for t in range(len(taus)) for hit in hits
+        )
+    return FunctorOnPoset(members, "contravariant", basis, transitions)
+
+
+@pytest.mark.parametrize("name", ["affine_a1", "affine_a2", "hyper_rank3", "ext4"])
+def test_limit_functor_matches_orbit_reference(matrices, name):
+    """The window filter read from the projection of w_J and the one-column
+    rows give the orbit-built functor's bases and transitions, every K."""
+    A = matrices[name]
+    for K in all_subsets(A.size):
+        for L in (2, 4, 6):
+            functor = strata_limit_functor(A, K, L, Box(1))
+            reference = reference_strata_limit_functor(A, K, L, Box(1))
+            assert functor.basis == reference.basis
+            assert functor.transitions == reference.transitions
+
+
 @pytest.mark.parametrize("name,L,box", [
     ("affine_a1", 6, Box(2, 1)),
     ("hyper_rank2", 6, Box(2, 0)),

@@ -10,7 +10,10 @@ weight level, chamber reduction and compact report on affine_a2 and e9,
 whose output rests on the dual Kac labels and the complementary indices,
 and then with the type classification, the sector scan's per-step verdicts,
 the hat decomposition and maximal purity on E10, which rest on the
-node-removal test and the continuation mask.
+node-removal test and the continuation mask.  Last come SNF truncations and
+limit oracles on ext4 and hyper_rank3 at larger L, whose frontier and window
+rest on the projection of the longest element w_T, and an E10 spinor
+character, whose Levi roots are the inversions of w_J.
 
 Each command runs in-process through ``cli.main`` from the repository root;
 its stdout and exit status are compared with the transcript.  Regenerate a
@@ -78,7 +81,7 @@ def test_readme_commands_match_golden():
 
 def test_oracle_commands_match_golden():
     commands = recorded_commands(ORACLE_GOLDEN)
-    assert len(commands) == 27
+    assert len(commands) == 32
     assert transcript(commands) == ORACLE_GOLDEN.read_text(encoding="utf-8")
 
 
