@@ -288,13 +288,15 @@ def levi_irreducible_character(real: Realization, J, mu: Weight) -> FormalCharac
 
 def dirac_induction(real: Realization, J, mu: Weight) -> FormalCharacter:
     """Pushforward-then-restrict of e^{mu}: the alternating W_J-sum at mu
-    divided by A_J.  Zero when mu is J-singular, otherwise a signed
+    divided by A_J.  Zero when mu is J-singular, that is when the
+    W_J-dominant weight of its orbit vanishes on J; otherwise a signed
     irreducible character."""
     J = tuple(sorted(set(J)))
-    numerator = weyl_numerator(real, mu, J)
-    if not numerator:
+    if not is_finite_type(real.gcm, J):
+        raise NotFiniteTypeError(f"subset {J} does not span a finite subgroup")
+    if not real.is_regular_for(real.dominantize(mu, J)[0], J):
         return FormalCharacter.zero()
-    return _divide_by_weyl_denominator(real, J, numerator)
+    return _divide_by_weyl_denominator(real, J, weyl_numerator(real, mu, J))
 
 
 # -- ambient dominance -------------------------------------------------------------

@@ -42,13 +42,13 @@ class CoxeterElement:
 
     __slots__ = ("group", "word", "orbit", "inv_orbit", "right", "left", "roots")
 
-    def __init__(self, group, word, orbit, inv_orbit):
+    def __init__(self, group, word, orbit, inv_orbit, left, right):
         self.group = group
         self.word = word
         self.orbit = orbit
         self.inv_orbit = inv_orbit
-        self.left = _negative_mask(orbit)
-        self.right = _negative_mask(inv_orbit)
+        self.left = left
+        self.right = right
         self.roots = None
 
     @property
@@ -123,8 +123,10 @@ class WeylGroup:
         self._rows = tuple(
             tuple((k, a[i][k]) for k in range(n) if a[i][k]) for i in range(n)
         )
+        # rows k whose coordinate r_i moves: a[k][i] != 0
+        self._moved = tuple(sum(1 << k for k, _ in column) for column in self._columns)
         self._rho = (1,) * n
-        self.identity = CoxeterElement(self, (), self._rho, self._rho)
+        self.identity = CoxeterElement(self, (), self._rho, self._rho, 0, 0)
         self.identity.roots = tuple(
             tuple(1 if k == j else 0 for k in range(n)) for j in range(n)
         )
@@ -170,7 +172,9 @@ class WeylGroup:
         if cached is not None:
             return cached
         word, _ = self._strip(orbit)
-        return CoxeterElement(self, word, orbit, self._fold(word, self._rho))
+        inv_orbit = self._fold(word, self._rho)
+        return CoxeterElement(self, word, orbit, inv_orbit,
+                              _negative_mask(orbit), _negative_mask(inv_orbit))
 
     def _from_inverse(self, inv_orbit) -> CoxeterElement:
         """The element w with w^{-1}(rho) = ``inv_orbit``: the inverse of the
@@ -230,33 +234,52 @@ class WeylGroup:
 
     def _extend(self, L: int) -> None:
         with self._lock:
-            self._extend_locked(L)
+            while len(self._spheres) <= L:
+                sphere = self._step(self._spheres[-1], range(self.n))
+                total = self._total + len(sphere)
+                if total > self.element_cap:
+                    raise ResourceExceededError(
+                        f"ball enumeration exceeded the cap of {self.element_cap} elements"
+                        f" ({total} enumerated through length {len(self._spheres)})"
+                    )
+                self._total = total
+                self._by_orbit.update((w.orbit, w) for w in sphere)
+                self._spheres.append(sphere)
 
-    def _extend_locked(self, L: int) -> None:
-        while len(self._spheres) <= L:
-            shorter = self._spheres[-1]
-            frontier = {}
-            for el in shorter:
-                for i in range(self.n):
-                    if not el.left >> i & 1:  # r_i el is longer
-                        frontier.setdefault(self._reflect(i, el.orbit))
-            # ShortLex word: least left descent, then the cached normal form
-            # of the shorter element it strips to; w^{-1}(rho) is that of
-            # the word's prefix w r_s reflected by the last letter s.
-            prefixes = {el.word: el.inv_orbit for el in shorter}
-            for orbit in frontier:
-                i = _lowest(_negative_mask(orbit))
-                word = (i,) + self._by_orbit[self._reflect(i, orbit)].word
-                inv_orbit = self._reflect(word[-1], prefixes[word[:-1]])
-                frontier[orbit] = CoxeterElement(self, word, orbit, inv_orbit)
-            sphere = sorted(frontier.values(), key=lambda e: e.word)
-            self._total += len(sphere)
-            if self._total > self.element_cap:
-                raise ResourceExceededError(
-                    f"ball enumeration exceeded the cap of {self.element_cap} elements"
-                )
-            self._by_orbit.update(frontier)
-            self._spheres.append(sphere)
+    def _ascend(self, i: int, vector, mask: int):
+        """r_i on ``vector`` with <vector, h_i> > 0 and its negative ``mask``
+        updated: only the rows of column i move, i falls and the others rise."""
+        v, out = vector[i], list(vector)
+        mask &= ~self._moved[i]
+        for k, a in self._columns[i]:
+            out[k] -= v * a
+            if out[k] < 0:
+                mask |= 1 << k
+        return tuple(out), mask
+
+    def _step(self, shorter, letters) -> list[CoxeterElement]:
+        """The next sphere, in ShortLex order, of the group generated by
+        ``letters`` after its sphere ``shorter``: w = r_i u for i ascending
+        and u in order, kept when i is the least left descent of w, so each
+        w is built once, from its suffix.  left(w) lies in left(u) + {i}: a
+        descent of u below i that r_i does not move rules w out unreflected.
+        w^{-1}(rho) comes from the prefix p in ``shorter``, w = p r_s."""
+        prefixes = {p.word: p for p in shorter}
+        out = []
+        for i in letters:
+            below = (1 << i) - 1
+            blocked = below & ~self._moved[i] | 1 << i
+            for u in shorter:
+                if u.left & blocked:
+                    continue
+                orbit, left = self._ascend(i, u.orbit, u.left)
+                if left & below:
+                    continue
+                word = (i,) + u.word
+                p = prefixes[word[:-1]]
+                inv_orbit, right = self._ascend(word[-1], p.inv_orbit, p.right)
+                out.append(CoxeterElement(self, word, orbit, inv_orbit, left, right))
+        return out
 
     def sphere(self, length: int) -> tuple[CoxeterElement, ...]:
         self._extend(length)
@@ -292,29 +315,22 @@ class WeylGroup:
         return self._normalize(tuple(-x for x in vector))
 
     def subgroup_elements(self, J) -> tuple[CoxeterElement, ...]:
-        """All elements of the standard parabolic subgroup on J (finite type)."""
+        """All elements of the standard parabolic subgroup on J (finite type),
+        sorted by (length, ShortLex): sphere steps over the letters of J."""
         J = self._finite_subset(J)
-        # never empty: W_J holds the identity
-        return self._parabolics.get(J) or self._parabolics.setdefault(J, self._parabolic(J))
-
-    def _parabolic(self, J) -> tuple[CoxeterElement, ...]:
-        out = [self.identity]
-        layer = [self.identity]
-        while layer:
-            nxt = {}
-            for el in layer:
-                for s in J:
-                    if not el.right >> s & 1:
-                        w = self.rmul_gen(el, s)
-                        nxt[w.word] = w
-            layer = list(nxt.values())
-            out.extend(layer)
-            if len(out) > self.element_cap:
-                raise ResourceExceededError(
-                    f"parabolic subgroup on {J} exceeded the cap of {self.element_cap}"
-                    f" elements ({len(out)} enumerated)"
-                )
-        return tuple(sorted(out, key=lambda e: e.sort_key()))
+        if J not in self._parabolics:
+            out, layer = [self.identity], [self.identity]
+            while layer:
+                # elements within the enumerated ball are the ball's own
+                layer = [self._by_orbit.get(w.orbit, w) for w in self._step(layer, J)]
+                out.extend(layer)
+                if len(out) > self.element_cap:
+                    raise ResourceExceededError(
+                        f"parabolic subgroup on {J} exceeded the cap of {self.element_cap}"
+                        f" elements ({len(out)} enumerated)"
+                    )
+            self._parabolics.setdefault(J, tuple(out))
+        return self._parabolics[J]
 
     # -- cosets, purity, Bruhat order -----------------------------------------
 

@@ -343,23 +343,13 @@ def strata_colimit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> F
         for J in members
     }
 
-    def dominantize(lam, J):
-        sign = 1
-        # W_J is finite, each reflection clears one negative root: ends in |Phi+(J)| steps
-        while (neg := next((j for j in J if lam[j] < 0), None)) is not None:
-            lam = real.reflect(neg, lam)
-            sign = -sign
-        if any(lam[j] == 0 for j in J):
-            return None, 0
-        return lam, sign
-
     transitions = {}
     for J, Jp in _inclusions(members):
         index = {lam: i for i, lam in enumerate(basis[Jp])}
         rows = []
         for lam in basis[J]:
-            target, sign = dominantize(lam, Jp)
-            rows.append({} if target is None else {index[target]: sign})
+            target, sign = real.dominantize(lam, Jp)
+            rows.append({index[target]: sign} if real.is_regular_for(target, Jp) else {})
         transitions[(J, Jp)] = tuple(rows)
     return FunctorOnPoset(members, "covariant", basis, transitions)
 

@@ -78,6 +78,9 @@ class Realization:
             + tuple(1 if j == k else 0 for k in removed)
             for j in range(m)
         )
+        # nonzero (k, a) of each root_coords[i], for sparse reflections
+        self._root_entries = tuple(
+            tuple((k, a) for k, a in enumerate(alpha) if a) for alpha in self.root_coords)
 
     # -- basic weights ---------------------------------------------------------
 
@@ -122,8 +125,10 @@ class Realization:
         v = lam[i]
         if v == 0:
             return lam
-        alpha = self.root_coords[i]
-        return tuple(x - v * a for x, a in zip(lam, alpha))
+        out = list(lam)
+        for k, a in self._root_entries[i]:
+            out[k] -= v * a
+        return tuple(out)
 
     def act(self, w, lam: Weight) -> Weight:
         """Apply a group element (or raw word) to a weight."""
@@ -142,6 +147,17 @@ class Realization:
 
     def is_regular_for(self, lam: Weight, J) -> bool:
         return all(lam[j] > 0 for j in J)
+
+    def dominantize(self, lam: Weight, J) -> tuple[Weight, int]:
+        """The J-dominant weight of the W_J-orbit of lam, J of finite type,
+        and the sign of the element reaching it: lam is J-singular iff that
+        weight vanishes somewhere on J."""
+        sign = 1
+        # W_J is finite, each reflection clears one negative root: ends in |Phi+(J)| steps
+        while (neg := next((j for j in J if lam[j] < 0), None)) is not None:
+            lam = self.reflect(neg, lam)
+            sign = -sign
+        return lam, sign
 
     def stratum(self, lam: Weight) -> tuple[int, ...]:
         """Coroot indices where a dominant weight vanishes."""

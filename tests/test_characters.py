@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -20,7 +21,7 @@ from dominantk.characters import (
     weyl_denominator,
     weyl_numerator,
 )
-from dominantk.coxeter import weyl_group
+from dominantk.coxeter import WeylGroup, weyl_group
 from dominantk.gcm import gcm_from_rows, is_finite_type, spherical_poset
 from dominantk.weights import build_realization
 
@@ -238,6 +239,54 @@ def test_dirac_induction_basics(matrices):
     assert dirac_induction(real, J, real.partial_rho(J)) == one
     singular = (0, 2, 0, 0)
     assert not dirac_induction(real, J, singular)
+
+
+def reference_dirac_induction(real, J, mu):
+    """The enumerated route: the alternating W_J-sum at mu, divided by the
+    expanded A_J unless it is zero."""
+    numerator = weyl_numerator(real, mu, J)
+    return exact_divide(numerator, weyl_denominator(real, J)) if numerator else numerator
+
+
+def test_dirac_matches_enumerated_route(matrices):
+    """Dominantizing first gives the enumerated route's character on random
+    weights, singular ones included, for every spherical J with |J| <= 3 of
+    the rank <= 4 matrices."""
+    rng = random.Random(7)
+    for A in matrices.values():
+        if A.size > 4:
+            continue
+        real = build_realization(A)
+        for J in spherical_poset(A).members:
+            if len(J) > 3:
+                continue
+            for _ in range(8):
+                mu = tuple(rng.randint(-2, 2) for _ in range(real.rank))
+                assert dirac_induction(real, J, mu) == reference_dirac_induction(real, J, mu)
+
+
+def test_dirac_singular_weight_needs_no_enumeration(matrices, monkeypatch):
+    """A J-singular weight of E10 on J = (0, ..., 6), type A7 with 40,320
+    elements, gives 0 from its W_J-dominant weight, with no W_J enumerated;
+    a non-finite or out-of-range J is refused first."""
+
+    def refuse(self, J):
+        raise AssertionError("W_J enumerated")
+
+    real = build_realization(matrices["e10"])
+    J = tuple(range(7))
+    monkeypatch.setattr(WeylGroup, "subgroup_elements", refuse)
+    for j in J:
+        dominant = tuple(0 if k == j else 1 + k % 3 for k in range(real.rank))
+        mu = real.act((3, 1, 4, 0, 6, 2, 5), dominant)
+        assert not real.is_dominant_for(mu, J)
+        start = time.perf_counter()
+        assert dirac_induction(real, J, mu) == FormalCharacter.zero()
+        assert time.perf_counter() - start < 1
+    with pytest.raises(NotFiniteTypeError):
+        dirac_induction(real, tuple(range(10)), real.zero())
+    with pytest.raises(IndexError):
+        dirac_induction(real, (0, 10), real.zero())
 
 
 @pytest.mark.parametrize(

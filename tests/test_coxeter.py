@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dominantk.errors import NotFiniteTypeError, NotMinimalError, ResourceExceededError
-from dominantk.coxeter import WeylGroup, weyl_group
+from dominantk import coxeter
+from dominantk.coxeter import CoxeterElement, WeylGroup, weyl_group
 from dominantk.gcm import gcm_from_rows, spherical_poset
 from test_characters import reference_levi_positive_roots
 
@@ -258,8 +259,11 @@ def test_ball_sorted_and_unique(matrices):
 def test_element_cap():
     A = gcm_from_rows([[2, -2], [-2, 2]])
     group = WeylGroup(A, element_cap=10)
-    with pytest.raises(ResourceExceededError):
+    # 1, 2, 2, ... elements a sphere: the sixth sphere passes the cap
+    with pytest.raises(ResourceExceededError,
+                       match=r"cap of 10 elements \(11 enumerated through length 5\)"):
         group.ball(20)
+    assert len(group.ball(4)) == 9
     # a finite parabolic past the cap is refused too, naming subset and cap
     B = gcm_from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     with pytest.raises(ResourceExceededError, match=r"\(0, 1, 2\).* 20 elements"):
@@ -822,18 +826,16 @@ def _parabolic_order(roots) -> int:
 def test_longest_is_the_top_of_the_parabolic(matrices, name):
     """w_J is a word in J with every node of J a left and a right descent
     and length |Phi+(J)|, on every spherical J; it is the last element of
-    the enumerated W_J when |W_J| <= 10^4 (<= 24 on E9 and E10, whose
-    parabolics of that size take seconds to enumerate)."""
+    the enumerated W_J when |W_J| <= 10^4."""
     A = matrices[name]
     group = WeylGroup(A)  # a fresh group, so the enumerated parabolics go with it
-    cap = 10**4 if A.size <= 4 else 24
     for J in spherical_poset(A).members:
         w, jmask = group.longest(J), group.subset_mask(J)
         roots = reference_levi_positive_roots(A, J)
         assert set(w.word) <= set(J)
         assert w.left & jmask == jmask == w.right & jmask
         assert w.length == len(roots)
-        if _parabolic_order(roots) <= cap:
+        if _parabolic_order(roots) <= 10**4:
             assert w == group.subgroup_elements(J)[-1]
 
 
@@ -849,3 +851,80 @@ def test_longest_needs_finite_type(matrices):
     for call in (group.longest, group.subgroup_elements):
         with pytest.raises(NotFiniteTypeError):
             call((0, 1))
+
+
+# -- the dedupe-then-sort ball and the rmul_gen parabolic, kept as references ------
+
+
+def reference_ball(group, L):
+    """Each sphere as the set of ascents r_i u of the last one, deduplicated
+    by orbit vector, each word read from its least left descent, then sorted."""
+    spheres, by_orbit = [[group.identity]], {group.identity.orbit: group.identity}
+    while len(spheres) <= L:
+        shorter = spheres[-1]
+        frontier = {}
+        for el in shorter:
+            for i in range(group.n):
+                if not el.left >> i & 1:  # r_i el is longer
+                    frontier.setdefault(group._reflect(i, el.orbit))
+        # ShortLex word: least left descent, then the cached normal form
+        # of the shorter element it strips to; w^{-1}(rho) is that of
+        # the word's prefix w r_s reflected by the last letter s.
+        prefixes = {el.word: el.inv_orbit for el in shorter}
+        for orbit in frontier:
+            i = coxeter._lowest(coxeter._negative_mask(orbit))
+            word = (i,) + by_orbit[group._reflect(i, orbit)].word
+            inv_orbit = group._reflect(word[-1], prefixes[word[:-1]])
+            frontier[orbit] = CoxeterElement(group, word, orbit, inv_orbit,
+                                             coxeter._negative_mask(orbit),
+                                             coxeter._negative_mask(inv_orbit))
+        sphere = sorted(frontier.values(), key=lambda e: e.word)
+        by_orbit.update(frontier)
+        spheres.append(sphere)
+    return [w for sphere in spheres for w in sphere]
+
+
+def reference_parabolic(group, J):
+    """W_J breadth first by right multiplication, sorted at the end."""
+    out = [group.identity]
+    layer = [group.identity]
+    while layer:
+        nxt = {}
+        for el in layer:
+            for s in J:
+                if not el.right >> s & 1:
+                    w = group.rmul_gen(el, s)
+                    nxt[w.word] = w
+        layer = list(nxt.values())
+        out.extend(layer)
+    return tuple(sorted(out, key=lambda e: e.sort_key()))
+
+
+def _fields(elements):
+    return [(w.word, w.orbit, w.inv_orbit, w.left, w.right) for w in elements]
+
+
+@pytest.mark.parametrize("name", ALL_MATRICES)
+def test_ball_matches_sort_reference(matrices, name):
+    """The sphere step gives the words, both orbit vectors, both descent
+    masks and the order of the dedupe-then-sort loop."""
+    A = matrices[name]
+    bound = 6 if A.size <= 4 else 5
+    group = WeylGroup(A)
+    assert _fields(group.ball(bound)) == _fields(reference_ball(group, bound))
+
+
+@pytest.mark.parametrize("name", ALL_MATRICES)
+def test_parabolics_match_bfs_reference(matrices, name):
+    """subgroup_elements equals the rmul_gen BFS, in order, on every spherical
+    J with |W_J| <= 10^4 (<= 200 on E9 and E10, where the BFS costs about
+    90 us an element); elements within the enumerated ball are the ball's."""
+    A = matrices[name]
+    cap = 10**4 if A.size <= 4 else 200
+    group = WeylGroup(A)
+    ball = {w.word: w for w in group.ball(3)}
+    for J in spherical_poset(A).members:
+        if _parabolic_order(reference_levi_positive_roots(A, J)) <= cap:
+            elements = group.subgroup_elements(J)
+            assert _fields(elements) == _fields(reference_parabolic(group, J))
+            assert all(w is ball[w.word] for w in elements if w.length <= 3)

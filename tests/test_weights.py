@@ -53,6 +53,24 @@ def test_reflect_pairing_identity(matrices):
                     assert img[j] == lam[j] - lam[i] * A.entries[j][i]
 
 
+def reference_reflect(real, i, lam):
+    """Dense reflection: lam - <lam, h_i> alpha_i over every coordinate."""
+    v = lam[i]
+    return tuple(x - v * a for x, a in zip(lam, real.root_coords[i]))
+
+
+def test_reflect_matches_dense_reference(matrices):
+    """On every bundled matrix, the affine and singular ones with their
+    complement coordinates included."""
+    rng = random.Random(11)
+    for A in matrices.values():
+        real = build_realization(A)
+        for _ in range(30):
+            lam = tuple(rng.randint(-4, 4) for _ in range(real.rank))
+            for i in range(A.size):
+                assert real.reflect(i, lam) == reference_reflect(real, i, lam)
+
+
 def test_chamber_reduce_examples(matrices):
     real = build_realization(matrices["affine_a1"])
     dominant = (2, 1, 0)
