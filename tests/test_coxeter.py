@@ -259,11 +259,12 @@ def test_ball_sorted_and_unique(matrices):
 def test_element_cap():
     A = gcm_from_rows([[2, -2], [-2, 2]])
     group = WeylGroup(A, element_cap=10)
-    # 1, 2, 2, ... elements a sphere: the sixth sphere passes the cap
-    with pytest.raises(ResourceExceededError,
-                       match=r"cap of 10 elements \(11 enumerated through length 5\)"):
-        group.ball(20)
-    assert len(group.ball(4)) == 9
+    # 1, 2, 2, ... elements a sphere: the sixth sphere passes the cap, and a
+    # refused sphere is not counted, so a second call reports the same
+    for _ in range(2):
+        with pytest.raises(ResourceExceededError,
+                           match=r"cap of 10 elements \(11 enumerated through length 5\)"):
+            group.ball(20)
     # a finite parabolic past the cap is refused too, naming subset and cap
     B = gcm_from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     with pytest.raises(ResourceExceededError, match=r"\(0, 1, 2\).* 20 elements"):
