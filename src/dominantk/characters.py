@@ -2,7 +2,10 @@
 
 Characters are finitely supported integer maps on weights.  The term order
 is lexicographic on the coordinate tuple; exact division is leading-term
-elimination, with a nonzero remainder treated as an internal bug.
+elimination.  Levi irreducible characters, and Dirac induction through
+them, come from Freudenthal's multiplicity formula on the dominant weights
+without dividing or enumerating W_J.  A nonzero remainder in either is
+treated as an internal bug.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from .errors import (
     DivisionRemainderError,
     NotDominantError,
     NotFiniteTypeError,
+    ResourceExceededError,
 )
-from .gcm import GeneralizedCartanMatrix, is_finite_type
+from .gcm import GeneralizedCartanMatrix, _symmetrizer, is_finite_type
 from .weights import IN_CONE, NOT_IN_CONE, Realization, Weight
 
 
@@ -208,21 +212,13 @@ def levi_positive_roots(A: GeneralizedCartanMatrix, J) -> tuple[tuple[int, ...],
     return tuple(sorted(roots))
 
 
-def _weyl_denominator_factors(real: Realization, J) -> list[FormalCharacter]:
-    """e^{rho_J}, then one (1 - e^{-alpha}) per positive Levi root."""
-    one = FormalCharacter.monomial(real.zero())
-    factors = [FormalCharacter.monomial(real.partial_rho(J))]
-    for root in levi_positive_roots(real.gcm, J):
-        factors.append(one - FormalCharacter.monomial(real.root_weight([-c for c in root])))
-    return factors
-
-
 def weyl_denominator(real: Realization, J) -> FormalCharacter:
     """A_J: e^{rho_J} times the product of (1 - e^{-alpha}) over the
     positive Levi roots."""
-    out, *rest = _weyl_denominator_factors(real, J)
-    for factor in rest:
-        out = out * factor
+    one = FormalCharacter.monomial(real.zero())
+    out = FormalCharacter.monomial(real.partial_rho(J))
+    for root in levi_positive_roots(real.gcm, J):
+        out = out * (one - FormalCharacter.monomial(real.root_weight([-c for c in root])))
     return out
 
 
@@ -267,36 +263,85 @@ def weyl_numerator(real: Realization, lam: Weight, J=None,
     return FormalCharacter(terms, length_bound=bound)
 
 
-def _divide_by_weyl_denominator(real: Realization, J, numerator) -> FormalCharacter:
-    """numerator / A_J, one factor of A_J at a time.  A two-term divisor
-    costs one update a step; the expanded A_J has |W_J| terms (denominator
-    formula), each updated at every step."""
-    for factor in _weyl_denominator_factors(real, J):
-        numerator = exact_divide(numerator, factor)
-    return numerator
-
-
 def levi_irreducible_character(real: Realization, J, mu: Weight) -> FormalCharacter:
-    """Character of the Levi irreducible with J-dominant highest weight mu,
-    by exact division of the shifted alternating sum by A_J."""
-    J = tuple(sorted(set(J)))
+    """Character of the Levi irreducible with J-dominant highest weight mu.
+
+    Freudenthal's formula (Humphreys, section 22.3) gives the multiplicity of
+    each J-dominant weight nu below mu from those of higher weights:
+    m(nu) (beta, mu + nu + 2 rho_J) = 2 sum_alpha sum_k m(nu + k alpha)
+    (nu + k alpha, alpha), beta = mu - nu.  With the symmetrizer d of the
+    submatrix on J, (alpha_j, x) = d_j x[j], so every pairing is an integer.
+    The J-dominant weights below mu are reached from mu by subtracting
+    positive roots (Stembridge).  They are taken by height, and each one's
+    W_J-orbit enters the character once its multiplicity is known: nu + k
+    alpha lies in the orbit of a higher dominant weight, so an alpha-string
+    ends at its first weight not yet in the character.  The weights
+    produced count against the group's element cap.
+    """
+    A, J, mu = real.gcm, tuple(sorted(set(J))), tuple(mu)
+    if not is_finite_type(A, J):
+        raise NotFiniteTypeError(f"subset {J} does not span a finite subgroup")
     if not real.is_dominant_for(mu, J):
         raise NotDominantError(f"{mu} is not dominant for the Levi on {J}")
-    shifted = tuple(a + b for a, b in zip(mu, real.partial_rho(J)))
-    return _divide_by_weyl_denominator(real, J, weyl_numerator(real, shifted, J))
+    d = _symmetrizer(A.submatrix(J))
+
+    def pairing(coeffs, lam):  # (sum_j c_j alpha_j, lam)
+        return sum(c * dj * lam[j] for c, dj, j in zip(coeffs, d, J))
+
+    roots = [(real.root_weight(c), tuple(c[j] for j in J)) for c in levi_positive_roots(A, J)]
+    # beta = mu - nu on the simple roots of J, for every J-dominant nu <= mu
+    depth, layer = {mu: (0,) * len(J)}, [mu]
+    while layer:
+        below = []
+        for nu in layer:
+            for weight, coeffs in roots:
+                lam = tuple(x - y for x, y in zip(nu, weight))
+                if lam not in depth and all(lam[j] >= 0 for j in J):
+                    depth[lam] = tuple(b + c for b, c in zip(depth[nu], coeffs))
+                    below.append(lam)
+        layer = below
+    cap = weyl_group(A).element_cap
+    terms: dict = {}
+    for nu in sorted(depth, key=lambda nu: sum(depth[nu])):
+        mult = 1
+        if nu != mu:
+            total = 0
+            for weight, coeffs in roots:
+                lam = tuple(x + y for x, y in zip(nu, weight))
+                while lam in terms:
+                    total += terms[lam] * pairing(coeffs, lam)
+                    lam = tuple(x + y for x, y in zip(lam, weight))
+            norm = pairing(depth[nu], [x + y + 2 for x, y in zip(mu, nu)])
+            mult, rest = divmod(2 * total, norm)
+            if rest:
+                raise DivisionRemainderError(
+                    f"Freudenthal's recursion at {nu}: {2 * total} is not a multiple of {norm}")
+        terms[nu], orbit = mult, [nu]
+        for lam in orbit:  # lowering reflections reach the whole W_J-orbit of nu
+            if len(terms) > cap:
+                raise ResourceExceededError(
+                    f"Levi character on {J} exceeded the cap of {cap} weights"
+                    f" ({len(terms)} produced)")
+            for j in J:
+                if lam[j] > 0 and (low := real.reflect(j, lam)) not in terms:
+                    terms[low] = mult
+                    orbit.append(low)
+    return FormalCharacter(terms)
 
 
 def dirac_induction(real: Realization, J, mu: Weight) -> FormalCharacter:
     """Pushforward-then-restrict of e^{mu}: the alternating W_J-sum at mu
-    divided by A_J.  Zero when mu is J-singular, that is when the
-    W_J-dominant weight of its orbit vanishes on J; otherwise a signed
-    irreducible character."""
+    divided by A_J.  With (nu, sign) the W_J-dominant weight of mu's orbit
+    and the sign reaching it, that is sign times the Levi irreducible at
+    nu - rho_J, and zero when mu is J-singular (nu vanishes somewhere on J)."""
     J = tuple(sorted(set(J)))
     if not is_finite_type(real.gcm, J):
         raise NotFiniteTypeError(f"subset {J} does not span a finite subgroup")
-    if not real.is_regular_for(real.dominantize(mu, J)[0], J):
+    nu, sign = real.dominantize(mu, J)
+    if not real.is_regular_for(nu, J):
         return FormalCharacter.zero()
-    return _divide_by_weyl_denominator(real, J, weyl_numerator(real, mu, J))
+    lowered = tuple(a - b for a, b in zip(nu, real.partial_rho(J)))
+    return levi_irreducible_character(real, J, lowered).scaled(sign)
 
 
 # -- ambient dominance -------------------------------------------------------------

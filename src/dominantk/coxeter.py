@@ -131,7 +131,6 @@ class WeylGroup:
             tuple(1 if k == j else 0 for k in range(n)) for j in range(n)
         )
         self._spheres = [[self.identity]]
-        self._parabolics = {}  # J -> the elements of W_J, within element_cap
         self._by_orbit = {self._rho: self.identity}
         self._total = 1
         self._lock = threading.RLock()  # enumeration caches are shared state
@@ -318,19 +317,17 @@ class WeylGroup:
         """All elements of the standard parabolic subgroup on J (finite type),
         sorted by (length, ShortLex): sphere steps over the letters of J."""
         J = self._finite_subset(J)
-        if J not in self._parabolics:
-            out, layer = [self.identity], [self.identity]
-            while layer:
-                # elements within the enumerated ball are the ball's own
-                layer = [self._by_orbit.get(w.orbit, w) for w in self._step(layer, J)]
-                out.extend(layer)
-                if len(out) > self.element_cap:
-                    raise ResourceExceededError(
-                        f"parabolic subgroup on {J} exceeded the cap of {self.element_cap}"
-                        f" elements ({len(out)} enumerated)"
-                    )
-            self._parabolics.setdefault(J, tuple(out))
-        return self._parabolics[J]
+        out, layer = [self.identity], [self.identity]
+        while layer:
+            # elements within the enumerated ball are the ball's own
+            layer = [self._by_orbit.get(w.orbit, w) for w in self._step(layer, J)]
+            out.extend(layer)
+            if len(out) > self.element_cap:
+                raise ResourceExceededError(
+                    f"parabolic subgroup on {J} exceeded the cap of {self.element_cap}"
+                    f" elements ({len(out)} enumerated)"
+                )
+        return tuple(out)
 
     # -- cosets, purity, Bruhat order -----------------------------------------
 
@@ -432,7 +429,7 @@ class WeylGroup:
 
 @per_matrix
 def weyl_group(A: GeneralizedCartanMatrix) -> WeylGroup:
-    """The group of A, shared by every holder of A (it caches balls and parabolics)."""
+    """The group of A, shared by every holder of A (it caches its balls)."""
     return WeylGroup(A)
 
 

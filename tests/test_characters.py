@@ -1,13 +1,16 @@
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from dominantk.cli import main
 from dominantk.errors import (
     DivisionRemainderError,
     NotDominantError,
     NotFiniteTypeError,
+    ResourceExceededError,
 )
 from dominantk.characters import (
     FormalCharacter,
@@ -26,6 +29,7 @@ from dominantk.gcm import gcm_from_rows, is_finite_type, spherical_poset
 from dominantk.weights import build_realization
 
 A3_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+F4_ROWS = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
 
 
 def shift(real, lam, J):
@@ -398,10 +402,23 @@ def test_heap_division_matches_max_scan():
                 divide(odd, g2)
 
 
+def divide_by_weyl_denominator(real, J, numerator):
+    """numerator / A_J by exact division, one factor of A_J at a time:
+    e^{rho_J}, then one (1 - e^{-alpha}) per positive Levi root.  The
+    division route of Levi characters and Dirac induction, kept as the
+    oracle of Freudenthal's recursion."""
+    one = FormalCharacter.monomial(real.zero())
+    numerator = exact_divide(numerator, FormalCharacter.monomial(real.partial_rho(J)))
+    for root in levi_positive_roots(real.gcm, J):
+        factor = one - FormalCharacter.monomial(real.root_weight([-c for c in root]))
+        numerator = exact_divide(numerator, factor)
+    return numerator
+
+
 def test_factorwise_division_matches_whole_denominator(matrices):
     """Dividing by e^{rho_J} and then one (1 - e^{-alpha}) at a time equals
-    one division by the expanded A_J, for Levi characters and Dirac
-    induction (regular, singular and non-dominant weights)."""
+    one division by the expanded A_J, and both equal the Levi characters and
+    Dirac induction (regular, singular and non-dominant weights)."""
     cases = [
         (matrices["affine_a2"], (0, 1)),
         (matrices["hyper_rank3"], (0, 2)),
@@ -417,12 +434,94 @@ def test_factorwise_division_matches_whole_denominator(matrices):
             for j in J:
                 mu[j] = rng.randint(0, 1)
             mu = tuple(mu)
-            whole = exact_divide(weyl_numerator(real, shift(real, mu, J), J), denominator)
+            numerator = weyl_numerator(real, shift(real, mu, J), J)
+            whole = exact_divide(numerator, denominator)
+            assert divide_by_weyl_denominator(real, J, numerator) == whole
             assert levi_irreducible_character(real, J, mu) == whole
             nu = tuple(x - 1 if i in J else x for i, x in enumerate(mu))
             numerator = weyl_numerator(real, nu, J)
             whole = exact_divide(numerator, denominator) if numerator else numerator
             assert dirac_induction(real, J, nu) == whole
+
+
+def test_freudenthal_matches_division_oracle(matrices):
+    """Levi characters and Dirac induction at regular, non-dominant and
+    singular weights equal the division route on every spherical J with
+    |J| <= 3 of the bundled matrices, on the A4 and D4 Levis of E10, and on
+    F4 at its 26-dimensional irreducible (zero weight of multiplicity 2).
+    Values on J are 0 or 1 and off J random, so the centre of the Levi moves
+    too."""
+    rng = random.Random(12)
+    e10 = matrices["e10"]
+    cases = [(A, J, None) for A in matrices.values() for J in spherical_poset(A).members
+             if len(J) <= 3]
+    cases += [(e10, (1, 2, 3, 4), None), (e10, (4, 5, 6, 8), None),
+              (gcm_from_rows(F4_ROWS), (0, 1, 2, 3), (1, 0, 0, 0))]
+    for A, J, fixed in cases:
+        real = build_realization(A)
+        mu = fixed or tuple(rng.randint(0, 1) if i in J else rng.randint(-2, 2)
+                            for i in range(real.rank))
+        shifted = shift(real, mu, J)
+        expected = divide_by_weyl_denominator(real, J, weyl_numerator(real, shifted, J))
+        assert levi_irreducible_character(real, J, mu) == expected
+        if not J:
+            continue
+        singular = tuple(0 if i == J[0] else x for i, x in enumerate(shifted))
+        for nu in (shifted, real.reflect(J[0], shifted), real.reflect(J[-1], singular)):
+            numerator = weyl_numerator(real, nu, J)
+            expected = divide_by_weyl_denominator(real, J, numerator) if numerator else numerator
+            assert dirac_induction(real, J, nu) == expected
+
+
+def test_a8_levi_of_e10_needs_no_enumeration(matrices, monkeypatch):
+    """E10 on J = (0, ..., 7), type A8 with 362,880 elements: the Levi
+    character at omega_7 and its Dirac induction take well under a second
+    with no W_J enumerated, and the dimension is Weyl's."""
+
+    def refuse(self, J):
+        raise AssertionError("W_J enumerated")
+
+    real = build_realization(matrices["e10"])
+    J = tuple(range(8))
+    omega = tuple(int(i == 7) for i in range(real.rank))
+    monkeypatch.setattr(WeylGroup, "subgroup_elements", refuse)
+    start = time.perf_counter()
+    char = levi_irreducible_character(real, J, omega)
+    induced = dirac_induction(real, J, real.reflect(3, shift(real, omega, J)))
+    assert time.perf_counter() - start < 1
+    assert induced == -char
+    assert sum(char.terms.values()) == weyl_dimension(real, J, omega)
+
+
+def test_levi_character_needs_finite_type(tmp_path, capsys):
+    """A non-finite J is refused before the symmetrizer is asked for: by the
+    functions, and by the CLI with exit 1 and ``error not-finite-type``."""
+    rows = [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]
+    real = build_realization(gcm_from_rows(rows))
+    for call in (levi_irreducible_character, dirac_induction):
+        with pytest.raises(NotFiniteTypeError):
+            call(real, (0, 1, 2), real.partial_rho((0, 1, 2)))
+    path = tmp_path / "hyperbolic.gcm"
+    path.write_text("n 3\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    for sub in ("levi", "dirac"):
+        argv = ["character", sub, "--gcm", str(path), "--j", "0,1,2", "--weight", "1,1,1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error not-finite-type:")
+
+
+def test_levi_character_respects_element_cap():
+    """The weights a Levi character produces count against the group's
+    element cap; hitting it names the cap, its value and the count."""
+    J = (0, 1, 2)
+    A = gcm_from_rows(A3_ROWS)  # a fresh matrix, so no other test shares its group
+    real, group = build_realization(A), weyl_group(A)
+    mu = real.partial_rho(J)
+    size = len(levi_irreducible_character(real, J, mu))
+    group.element_cap = size
+    assert len(levi_irreducible_character(real, J, mu)) == size
+    group.element_cap = size - 1
+    with pytest.raises(ResourceExceededError, match=rf"cap of {size - 1} weights \(\d+ produced\)"):
+        levi_irreducible_character(real, J, mu)
 
 
 # -- dominance of the ambient group ------------------------------------------------------
@@ -505,6 +604,17 @@ def _levi_root_coroot_pairs(A, J):
     return pairs
 
 
+def weyl_dimension(real, J, mu) -> Fraction:
+    """Weyl's product over the positive coroots of the Levi on J:
+    (mu + rho_J)(h) / rho_J(h)."""
+    rho_j, shifted = real.partial_rho(J), shift(real, mu, J)
+    dim = Fraction(1)
+    for _, coroot in _levi_root_coroot_pairs(real.gcm, J):
+        dim *= Fraction(sum(c * shifted[k] for k, c in enumerate(coroot)),
+                        sum(c * rho_j[k] for k, c in enumerate(coroot)))
+    return dim
+
+
 @pytest.mark.parametrize(
     "name,J",
     [
@@ -517,23 +627,13 @@ def _levi_root_coroot_pairs(A, J):
 def test_weyl_dimension_formula(matrices, name, J):
     """Independent oracle: the total coefficient mass of each Levi
     irreducible equals the product formula over positive coroots."""
-    from fractions import Fraction
-
-    A = matrices[name]
-    real = build_realization(A)
-    pairs = _levi_root_coroot_pairs(A, J)
-    rho_j = real.partial_rho(J)
+    real = build_realization(matrices[name])
     for values in product(range(4), repeat=len(J)):
         mu = [0] * real.rank
         for j, v in zip(J, values):
             mu[j] = v
         mu = tuple(mu)
-        shifted = tuple(a + b for a, b in zip(mu, rho_j))
-        dim = Fraction(1)
-        for _, coroot in pairs:
-            num = sum(c * shifted[k] for k, c in enumerate(coroot))
-            den = sum(c * rho_j[k] for k, c in enumerate(coroot))
-            dim *= Fraction(num, den)
+        dim = weyl_dimension(real, J, mu)
         char = levi_irreducible_character(real, J, mu)
         assert sum(char.terms.values()) == dim
         assert dim.denominator == 1

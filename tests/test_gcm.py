@@ -415,8 +415,8 @@ def test_bond_orders_match_root_action(matrices):
 
 
 def test_derived_data_is_released_with_its_matrix():
-    """Classification, poset, realization, group and parabolics are cached
-    on the matrix object and go when it goes."""
+    """Classification, poset, realization and group are cached on the
+    matrix object and go when it goes."""
     import gc
     import weakref
 

@@ -13,7 +13,12 @@ the hat decomposition and maximal purity on E10, which rest on the
 node-removal test and the continuation mask.  Last come SNF truncations and
 limit oracles on ext4 and hyper_rank3 at larger L, whose frontier and window
 rest on the projection of the longest element w_T, and an E10 spinor
-character, whose Levi roots are the inversions of w_J.
+character, whose Levi roots are the inversions of w_J.  The transcript
+closes with Levi characters and Dirac induction, recorded by dividing the
+alternating W_J-sum by the Weyl denominator and now computed by
+Freudenthal's recursion: G2 at (1,1), B2 at (2,1) in tsv, G2 Dirac at the
+non-dominant (-2,3), and E10 Dirac on the D4 Levi (4,5,6,8) at a weight
+that is negative on J.
 
 Each command runs in-process through ``cli.main`` from the repository root;
 its stdout and exit status are compared with the transcript.  Regenerate a
@@ -81,7 +86,7 @@ def test_readme_commands_match_golden():
 
 def test_oracle_commands_match_golden():
     commands = recorded_commands(ORACLE_GOLDEN)
-    assert len(commands) == 32
+    assert len(commands) == 36
     assert transcript(commands) == ORACLE_GOLDEN.read_text(encoding="utf-8")
 
 
