@@ -413,13 +413,13 @@ class WeylGroup:
 
     def rstrip(self, w: CoxeterElement, S) -> CoxeterElement:
         """Minimal length element of w W_S: w^{-1}(rho) stripped within S."""
-        letters, inv_orbit = self._strip(w.inv_orbit, self.subset_mask(S))
-        return self._from_inverse(inv_orbit) if letters else w
+        mask = self.subset_mask(S)
+        return self._from_inverse(self._strip(w.inv_orbit, mask)[1]) if w.right & mask else w
 
     def lstrip(self, w: CoxeterElement, S) -> CoxeterElement:
         """Minimal length element of W_S w: w(rho) stripped within S."""
-        letters, orbit = self._strip(w.orbit, self.subset_mask(S))
-        return self._normalize(orbit) if letters else w
+        mask = self.subset_mask(S)
+        return self._normalize(self._strip(w.orbit, mask)[1]) if w.left & mask else w
 
     def double_strip(self, w: CoxeterElement, J, K) -> CoxeterElement:
         """Minimal length element of W_J w W_K: a prefix of an element with

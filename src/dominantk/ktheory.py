@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .coxeter import CoxeterElement, weyl_group
 from .davis import IntegerCohomology, _chains, _levels, cochain_cohomology
-from .characters import FormalCharacter, dirac_induction, levi_irreducible_character
+from .characters import FormalCharacter, dirac_induction
 from .errors import (
     ConeReductionFailedError,
     FunctorialityError,
@@ -284,74 +284,75 @@ def _inclusions(members):
     return [(J, Jp) for J in members for Jp in members if set(J) < set(Jp)]
 
 
+def _strata_functor(A, K, box, variance, reps, column, label) -> FunctorOnPoset:
+    """Functor of the K-stratum built from representatives: the basis over J
+    is ``label(w, tau)`` for each stratum weight tau (outer) and each w of
+    ``reps(J)`` (inner).  Along J < Jp the row of w holds the coefficient v
+    at the column of wp, where ``(wp, v) = column(w, Jp)``, for every tau;
+    it is empty when wp is not among ``reps(Jp)``."""
+    taus = build_realization(A).dominant_box_weights(K, box)
+    members = spherical_poset(A).members
+    reps = {J: reps(J) for J in members}
+    basis = {J: tuple(label(w, tau) for tau in taus for w in reps[J]) for J in members}
+    transitions = {}
+    for J, Jp in _inclusions(members):
+        index = {wp.word: c for c, wp in enumerate(reps[Jp])}
+        cols = [(index.get(wp.word), v) for wp, v in (column(w, Jp) for w in reps[J])]
+        width = len(reps[Jp])
+        transitions[(J, Jp)] = tuple(
+            {} if c is None else {t * width + c: v} for t in range(len(taus)) for c, v in cols
+        )
+    return FunctorOnPoset(members, variance, basis, transitions)
+
+
 def strata_limit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> FunctorOnPoset:
     """Contravariant functor of parabolic invariants of the K-stratum.
 
     The basis over J consists of full W_J-orbit sums of stratum weights
     whose coset window stays inside length L; keeping only complete orbits
     is what makes the truncation compute compact-supports answers instead
-    of picking up window-edge classes.
+    of picking up window-edge classes.  Restricted to J, the orbit sum of
+    wp over Jp sums the J-representatives in W_Jp wp W_K, so the row of w
+    holds the wp of its own double coset, if kept.
     """
-    real = build_realization(A)
     group = weyl_group(A)
     K = tuple(sorted(set(K)))
-    taus = real.dominant_box_weights(K, box)
-    members = spherical_poset(A).members
 
-    # reps[J]: the w whose W_J-orbit K-strips to length <= L.  By Deodhar's
-    # lemma rstrip(u w, K) has length l(w) + l(rstrip(u, M)), where W_J meet
-    # w W_K w^{-1} = W_M; the longest is that of the projection of w_J.
-    reps = {}
-    for J in members:
+    def window(J):
+        # the w whose W_J-orbit K-strips to length <= L.  By Deodhar's lemma
+        # rstrip(u w, K) has length l(w) + l(rstrip(u, M)), where W_J meet
+        # w W_K w^{-1} = W_M; the longest is that of the projection of w_J.
         longest = group.longest(J)
-        reps[J] = [
+        return [
             w for w in group.min_coset_reps(J, K, L)
             if w.length + group.rstrip(
                 longest, group.double_coset_intersection(group.inverse(w), J, K)).length <= L
         ]
-    basis = {J: tuple((w.word, tau) for tau in taus for w in reps[J]) for J in members}
 
-    transitions = {}
-    for J, Jp in _inclusions(members):
-        # restricted to J, the orbit sum of wp over Jp sums the J-reps in W_Jp wp W_K:
-        # w's row holds the wp of its own double coset, if kept, for every tau
-        index = {wp.word: c for c, wp in enumerate(reps[Jp])}
-        cols = [index.get(group.double_strip(w, Jp, K).word) for w in reps[J]]
-        width = len(reps[Jp])
-        transitions[(J, Jp)] = tuple(
-            {} if c is None else {t * width + c: 1} for t in range(len(taus)) for c in cols
-        )
-    return FunctorOnPoset(members, "contravariant", basis, transitions)
+    return _strata_functor(A, K, box, "contravariant", window,
+                           lambda w, Jp: (group.double_strip(w, Jp, K), 1),
+                           lambda w, tau: (w.word, tau))
 
 
 def strata_colimit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> FunctorOnPoset:
-    """Covariant functor of induced classes of the K-stratum: the basis over
-    J consists of J-regular-dominant translates of stratum weights, and
-    transitions dominantize with the sign of the moving element (zero on
-    singular orbits)."""
+    """Covariant functor of induced classes of the K-stratum.
+
+    A stratum weight tau has stabilizer W_K, so for w minimal in w W_K the
+    weight w tau is J-regular-dominant iff w has no left descent in J and
+    W_J meets w W_K w^{-1} trivially: the basis over J is w tau for the pure
+    (J, K) representatives.  Transitions dominantize: w tau goes to wp tau,
+    wp = lstrip(w, Jp), with sign (-1)^(l(w) - l(wp)), zero unless wp is pure.
+    """
     real = build_realization(A)
     group = weyl_group(A)
     K = tuple(sorted(set(K)))
-    taus = real.dominant_box_weights(K, box)
-    members = spherical_poset(A).members
-    cosets = group.min_coset_reps((), K, L)
 
-    all_weights = dict.fromkeys(real.act(w, tau) for tau in taus for w in cosets)
-    basis = {
-        J: tuple(lam for lam in all_weights
-                 if real.is_dominant_for(lam, J) and real.is_regular_for(lam, J))
-        for J in members
-    }
+    def column(w, Jp):
+        wp = group.lstrip(w, Jp)
+        return wp, (-1) ** (w.length - wp.length)
 
-    transitions = {}
-    for J, Jp in _inclusions(members):
-        index = {lam: i for i, lam in enumerate(basis[Jp])}
-        rows = []
-        for lam in basis[J]:
-            target, sign = real.dominantize(lam, Jp)
-            rows.append({index[target]: sign} if real.is_regular_for(target, Jp) else {})
-        transitions[(J, Jp)] = tuple(rows)
-    return FunctorOnPoset(members, "covariant", basis, transitions)
+    return _strata_functor(A, K, box, "covariant", lambda J: group.pure_reps(J, K, L),
+                           column, real.act)
 
 
 # -- splitting of the homology functor ---------------------------------------------------
@@ -364,7 +365,6 @@ class SplitRecord:
     element: CoxeterElement
     stratum: tuple[int, ...]
     roundtrip: FormalCharacter
-    identity_ok: bool
 
 
 def splitting_maps(A: GeneralizedCartanMatrix, J, mu: Weight,
@@ -392,15 +392,11 @@ def splitting_maps(A: GeneralizedCartanMatrix, J, mu: Weight,
     tau = real.act(w, shifted)
     if not real.is_dominant(tau):
         raise ConeReductionFailedError("provided element does not reduce mu + rho_J")
-    sign = w.sign()
     back = real.act(group.inverse(w), tau)
-    roundtrip = dirac_induction(real, J, back)
-    expected = levi_irreducible_character(real, J, mu)
     return SplitRecord(
-        sign=sign,
+        sign=w.sign(),
         cone_weight=tau,
         element=w,
         stratum=real.stratum(tau),
-        roundtrip=roundtrip,
-        identity_ok=roundtrip == expected,
+        roundtrip=dirac_induction(real, J, back),
     )

@@ -12,6 +12,7 @@ from dominantk.characters import (
     ambient_dominance_oracle,
     ambient_dominance_test,
     dirac_induction,
+    exact_divide,
     levi_irreducible_character,
     weyl_denominator,
     weyl_numerator,
@@ -404,10 +405,12 @@ def test_acceptance_10_splitting_roundtrips(matrices):
     for name, J, mu in samples:
         A = matrices[name]
         real = build_realization(A)
-        level = real.affine_level(tuple(a + b for a, b in zip(mu, real.partial_rho(J))))
-        assert level > 0  # reductions certified to finish
+        shifted = tuple(a + b for a, b in zip(mu, real.partial_rho(J)))
+        assert real.affine_level(shifted) > 0  # reductions certified to finish
         record = splitting_maps(A, J, mu)
-        assert record.identity_ok
+        # Weyl's formula by exact division, independent of Freudenthal's recursion
+        assert record.roundtrip == exact_divide(weyl_numerator(real, shifted, J),
+                                                weyl_denominator(real, J))
     print(PASS.format(10, "25 split/retract roundtrips reproduce their classes"))
 
 
