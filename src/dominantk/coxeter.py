@@ -130,7 +130,10 @@ class WeylGroup:
         self.identity.roots = tuple(
             tuple(1 if k == j else 0 for k in range(n)) for j in range(n)
         )
-        self._spheres = [[self.identity]]
+        self._simple = {root: 1 << j for j, root in enumerate(self.identity.roots)}
+        # the spheres of each right quotient W^K kept so far, by the mask of K;
+        # mask 0 is the ball.  _by_orbit indexes every element they hold.
+        self._quotients = {0: [[self.identity]]}
         self._by_orbit = {self._rho: self.identity}
         self._total = 1
         self._lock = threading.RLock()  # enumeration caches are shared state
@@ -229,21 +232,29 @@ class WeylGroup:
     def lmul_gen(self, s: int, w: CoxeterElement) -> CoxeterElement:
         return self._normalize(self._reflect(s, w.orbit))
 
-    # -- ball enumeration -----------------------------------------------------
+    # -- ball and quotient enumeration ------------------------------------------
 
-    def _extend(self, L: int) -> None:
+    def _quotient(self, L: int, K=()) -> list[list[CoxeterElement]]:
+        """Spheres 0..L of the right quotient W^K (w minimal in w W_K), walked
+        once per K and kept under the element cap; K empty gives the ball."""
+        if L < 0:
+            raise ValueError("length bound must be >= 0")
+        kmask = self.subset_mask(K)
         with self._lock:
-            while len(self._spheres) <= L:
-                sphere = self._step(self._spheres[-1], range(self.n))
+            spheres = self._quotients.setdefault(kmask, [[self.identity]])
+            while len(spheres) <= L:
+                sphere = self._step(spheres[-1], range(self.n), kmask)
                 total = self._total + len(sphere)
                 if total > self.element_cap:
+                    what = f"quotient W^K of K = {tuple(sorted(set(K)))}" if kmask else "ball"
                     raise ResourceExceededError(
-                        f"ball enumeration exceeded the cap of {self.element_cap} elements"
-                        f" ({total} enumerated through length {len(self._spheres)})"
+                        f"{what} enumeration exceeded the cap of {self.element_cap} elements"
+                        f" ({total} enumerated through length {len(spheres)})"
                     )
                 self._total = total
                 self._by_orbit.update((w.orbit, w) for w in sphere)
-                self._spheres.append(sphere)
+                spheres.append(sphere)
+        return spheres[: L + 1]
 
     def _ascend(self, i: int, vector, mask: int):
         """r_i on ``vector`` with <vector, h_i> > 0 and its negative ``mask``
@@ -256,41 +267,58 @@ class WeylGroup:
                 mask |= 1 << k
         return tuple(out), mask
 
-    def _step(self, shorter, letters) -> list[CoxeterElement]:
+    def _step(self, shorter, letters, kmask: int = 0) -> list[CoxeterElement]:
         """The next sphere, in ShortLex order, of the group generated by
         ``letters`` after its sphere ``shorter``: w = r_i u for i ascending
         and u in order, kept when i is the least left descent of w, so each
         w is built once, from its suffix.  left(w) lies in left(u) + {i}: a
         descent of u below i that r_i does not move rules w out unreflected.
-        w^{-1}(rho) comes from the prefix p in ``shorter``, w = p r_s."""
+        w^{-1}(rho) comes from the prefix p in ``shorter``, w = p r_s.
+
+        With ``kmask`` it steps the right quotient W^K instead, which is
+        closed under suffixes (Bjorner-Brenti, Combinatorics of Coxeter
+        Groups, 2.4): r_i u leaves W^K iff u(alpha_k) = alpha_i for some k
+        in K (Deodhar's lemma).  The prefix may leave W^K, so a kept element
+        is reused, or w^{-1}(rho) is folded from the word."""
         prefixes = {p.word: p for p in shorter}
+        if kmask:  # bit i of exits[t]: r_i shorter[t] leaves W^K
+            simple = self._simple
+            exits = [sum(simple.get(root, 0) for k, root in enumerate(self._root_images(u))
+                         if kmask >> k & 1) for u in shorter]
         out = []
         for i in letters:
             below = (1 << i) - 1
             blocked = below & ~self._moved[i] | 1 << i
-            for u in shorter:
+            stay = shorter if not kmask else [u for u, x in zip(shorter, exits) if not x >> i & 1]
+            for u in stay:
                 if u.left & blocked:
                     continue
                 orbit, left = self._ascend(i, u.orbit, u.left)
                 if left & below:
                     continue
+                if kmask:
+                    known = self._by_orbit.get(orbit)
+                    if known is not None:
+                        out.append(known)
+                        continue
                 word = (i,) + u.word
-                p = prefixes[word[:-1]]
-                inv_orbit, right = self._ascend(word[-1], p.inv_orbit, p.right)
+                try:
+                    p = prefixes[word[:-1]]
+                except KeyError:  # a prefix outside W^K
+                    inv_orbit = self._fold(word, self._rho)
+                    right = _negative_mask(inv_orbit)
+                else:
+                    inv_orbit, right = self._ascend(word[-1], p.inv_orbit, p.right)
                 out.append(CoxeterElement(self, word, orbit, inv_orbit, left, right))
         return out
 
     def sphere(self, length: int) -> tuple[CoxeterElement, ...]:
-        self._extend(length)
-        return tuple(self._spheres[length])
+        return tuple(self._quotient(length)[length])
 
     def ball(self, L: int) -> tuple[CoxeterElement, ...]:
         """All elements of length <= L, sorted by (length, ShortLex)."""
-        if L < 0:
-            raise ValueError("length bound must be >= 0")
-        self._extend(L)
         out = []
-        for sphere in self._spheres[: L + 1]:
+        for sphere in self._quotient(L):
             out.extend(sphere)
         return tuple(out)
 
@@ -332,10 +360,11 @@ class WeylGroup:
     # -- cosets, purity, Bruhat order -----------------------------------------
 
     def min_coset_reps(self, J, K=None, L: int = 0) -> tuple[CoxeterElement, ...]:
-        """Elements of length <= L minimal in W_J w (and in W_J w W_K if K given)."""
-        jmask, kmask = self.subset_mask(J), self.subset_mask(K or ())
+        """Elements of length <= L minimal in W_J w (and in W_J w W_K if K
+        given): the kept right quotient W^K with no left descent in J."""
+        jmask = self.subset_mask(J)
         return tuple(
-            w for w in self.ball(L) if not (w.left & jmask or w.right & kmask)
+            w for sphere in self._quotient(L, K or ()) for w in sphere if not w.left & jmask
         )
 
     def is_min_double_rep(self, w: CoxeterElement, J, K) -> bool:
@@ -352,9 +381,9 @@ class WeylGroup:
         dropped exactly when w(alpha_j) is a simple root in K, and a positive
         root w(alpha_j) supported on K is always such a simple root.
         """
-        n, mask = self.n, 0
+        simple, mask = self._simple, 0
         for j, root in enumerate(self._root_images(w)):
-            if not (w.right >> j & 1 or root.count(0) == n - 1 and kmask >> root.index(1) & 1):
+            if not (w.right >> j & 1 or simple.get(root, 0) & kmask):
                 mask |= 1 << j
         return mask
 
@@ -429,7 +458,8 @@ class WeylGroup:
 
 @per_matrix
 def weyl_group(A: GeneralizedCartanMatrix) -> WeylGroup:
-    """The group of A, shared by every holder of A (it caches its balls)."""
+    """The group of A, shared by every holder of A (it caches its balls and
+    right quotients)."""
     return WeylGroup(A)
 
 

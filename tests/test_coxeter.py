@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dominantk.errors import NotFiniteTypeError, NotMinimalError, ResourceExceededError
 from dominantk import coxeter
 from dominantk.coxeter import CoxeterElement, WeylGroup, weyl_group
-from dominantk.gcm import gcm_from_rows, spherical_poset
+from dominantk.gcm import classify_type, gcm_from_rows, spherical_poset
 from test_characters import reference_levi_positive_roots
 
 
@@ -270,6 +270,17 @@ def test_element_cap():
     with pytest.raises(ResourceExceededError, match=r"\(0, 1, 2\).* 20 elements"):
         WeylGroup(B, element_cap=20).subgroup_elements((0, 1, 2))
     assert len(WeylGroup(B, element_cap=24).subgroup_elements((0, 1, 2))) == 24
+    # a right quotient shares the cap: W^K of K = (0,) has one element a
+    # length, so with the identity counted once its sphere 10 passes the cap;
+    # the refused sphere is not counted, so a second call reports the same
+    group = WeylGroup(A, element_cap=10)
+    for call in (lambda: group.min_coset_reps((), (0,), 20),
+                 lambda: group.pure_reps((1,), (0,), 20)):
+        with pytest.raises(ResourceExceededError,
+                           match=r"K = \(0,\) enumeration exceeded the cap of 10 elements"
+                                 r" \(11 enumerated through length 10\)"):
+            call()
+    assert len(group.min_coset_reps((), (0,), 9)) == 10
 
 
 # -- cosets ------------------------------------------------------------------------
@@ -307,6 +318,58 @@ def test_min_coset_reps_dihedral(matrices):
     group = weyl_group(matrices["affine_a1"])
     reps = group.min_coset_reps((0,), None, 3)
     assert [w.word for w in reps] == [(), (1,), (1, 0), (1, 0, 1)]
+
+
+# -- the ball filter, kept as the reference for the quotient walk --------------------
+
+
+def reference_min_coset_reps(group, J, K=None, L: int = 0):
+    """Elements of length <= L minimal in W_J w (and in W_J w W_K if K given)."""
+    jmask, kmask = group.subset_mask(J), group.subset_mask(K or ())
+    return tuple(
+        w for w in group.ball(L) if not (w.left & jmask or w.right & kmask)
+    )
+
+
+@pytest.mark.parametrize("name", ["a2", "b2", "g2", "a1xa1", "affine_a1", "affine_a2",
+                                  "hyper_rank2", "hyper_rank3", "ext4"])
+def test_quotient_walk_matches_ball_filter(matrices, name):
+    """Every (J, K) at every L <= 9: the walked quotient W^K filtered by left
+    descents in J gives the ball filter's elements (word, both orbit vectors,
+    both masks) in its order, on a group that walks W^K before any ball
+    (prefixes outside W^K are folded) and on one whose ball is enumerated
+    (its elements are reused)."""
+    A = matrices[name]
+    ref = WeylGroup(A)
+    ref.ball(9)
+    subsets = _all_subsets(A.size)
+    for K in subsets:
+        walked = WeylGroup(A)
+        for L in range(10):
+            for J in subsets:
+                expected = _fields(reference_min_coset_reps(ref, J, K, L))
+                assert _fields(walked.min_coset_reps(J, K, L)) == expected
+                assert _fields(ref.min_coset_reps(J, K, L)) == expected
+
+
+@pytest.mark.parametrize("name,L,smallest", [("ext4", 7, 0), ("e10", 5, 0), ("e10", 7, 7)])
+def test_quotient_walk_matches_ball_filter_extended(matrices, name, L, smallest):
+    """Every K with at least ``smallest`` nodes, J in {(), I0, J0, one node}:
+    the walk equals the ball filter at L (and so at every shorter length,
+    both being in (length, ShortLex) order).  One group walks every W^K,
+    the largest K first, so early quotients fold their elements and later
+    ones reuse them; E10 at L = 7 for every K (2.4 million walked entries)
+    is too slow for this suite and takes K with at least 7 nodes."""
+    A = matrices[name]
+    i0, j0 = classify_type(A).extended_compact
+    ref, walked = WeylGroup(A), WeylGroup(A)
+    ref.ball(L)
+    for K in reversed(_all_subsets(A.size)):
+        if len(K) < smallest:
+            continue
+        for J in ((), i0, j0, (0,)):
+            expected = _fields(reference_min_coset_reps(ref, J, K, L))
+            assert _fields(walked.min_coset_reps(J, K, L)) == expected
 
 
 def test_is_min_double_rep(matrices):
@@ -659,6 +722,37 @@ def test_thread_pool_shares_one_group(matrices):
     assert results == expected
 
 
+def test_thread_pool_shares_one_quotient(matrices):
+    """Four threads walk the same right quotients of one fresh E10 group
+    through min_coset_reps and pure_reps; the words equal those of a serial
+    run on another group."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    A = matrices["e10"]
+    K, i0 = (0, 2, 4, 6, 8), tuple(range(9))
+
+    def work(group, seed):
+        reps = group.min_coset_reps((seed,), K, 6)
+        pure = group.pure_reps((seed, seed + 1), K, 6)
+        maximal = [group.pure_reps(J, i0, 9, maximal=True) for J in ((), (seed,), (6, 8))]
+        return [[w.word for w in out] for out in (reps, pure, *maximal)]
+
+    serial = WeylGroup(A)
+    expected = [work(serial, seed) for seed in range(4)]
+    shared = WeylGroup(A)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, shared, seed) for seed in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+    assert all(len(words) for words in expected[0])
+
+
 # -- the root-support route, kept as the reference for the continuation mask --------
 
 
@@ -848,7 +942,7 @@ def test_longest_e8_in_e9_without_enumeration(matrices, monkeypatch):
     group = WeylGroup(matrices["e9"])
     e8 = tuple(range(1, 9))
     assert group.longest(e8).length == 120
-    assert len(group._spheres) == 1
+    assert len(group._quotients[0]) == 1
 
 
 def test_longest_needs_finite_type(matrices):

@@ -1,7 +1,9 @@
+import time
 from itertools import combinations
 
 import pytest
 
+from dominantk.data import load
 from dominantk.errors import (
     ConeReductionFailedError,
     FunctorialityError,
@@ -14,7 +16,7 @@ from dominantk.characters import (
     weyl_denominator,
     weyl_numerator,
 )
-from dominantk.coxeter import weyl_group
+from dominantk.coxeter import WeylGroup, weyl_group
 from dominantk.davis import davis_truncation, hat_sector_cohomology, sector_filtration_cohomology
 from dominantk.gcm import gcm_from_rows, spherical_poset
 from dominantk.ktheory import (
@@ -32,6 +34,7 @@ from dominantk.ktheory import (
     stratum_basis,
 )
 from dominantk.weights import Realization, build_realization
+from test_coxeter import reference_min_coset_reps
 
 
 def all_subsets(n):
@@ -163,6 +166,53 @@ def test_extended_report_degree_zero(matrices):
     report = extended_type_report(matrices["ext4"], 4, Box(1, 1))
     zero_subsets = {s.subset for s in report.summands if s.degree == 0}
     assert zero_subsets == {(0, 1, 2, 3)}
+
+
+def _up_to(report, L):
+    """(degree, subset, index words) of a report's summands, keeping the
+    index words of length <= L and dropping top-degree summands left empty."""
+    out = []
+    for s in report.summands:
+        words = s.index_words and tuple(w for w in s.index_words if len(w) <= L)
+        if words != ():
+            out.append((s.degree, s.subset, words))
+    return out
+
+
+def test_e10_at_length_20_walks_only_the_quotient(monkeypatch):
+    """With WeylGroup.ball refused past length 0, the E10 extended report
+    and the K = () sector scan at L = 20 walk the quotient W^{I0} (68
+    elements) and finish in under 5 s each.  Maximal purity is a property of
+    the element, so both restrict to what the ball-filter route gives at a
+    shorter length: checked here at L = 7, and at L = 8 and 9 when the
+    counts were pinned."""
+    ball = WeylGroup.ball
+
+    def refuse(self, L):
+        if L > 0:
+            raise AssertionError(f"ball({L}) enumerated")
+        return ball(self, L)
+
+    monkeypatch.setattr(WeylGroup, "ball", refuse)
+    A, box = load("e10"), Box(1, 0)
+    start = time.perf_counter()
+    report = extended_type_report(A, 20, box)
+    assert time.perf_counter() - start < 5
+    start = time.perf_counter()
+    scan = sector_filtration_cohomology(A, (), 20)
+    assert time.perf_counter() - start < 5
+    assert (len(report.summands), report.rank_in_degree(8), report.rank_in_degree(0)) == (64, 305, 1)
+    assert len(scan.steps) == 68
+    assert scan.cohomology().groups[8] == (67, ())
+    assert len(weyl_group(A)._quotients[0]) == 1
+
+    monkeypatch.setattr(WeylGroup, "ball", ball)
+    monkeypatch.setattr(WeylGroup, "min_coset_reps", reference_min_coset_reps)
+    B = load("e10")
+    assert _up_to(report, 7) == _up_to(extended_type_report(B, 7, box), 7)
+    assert ([(step.element.word, step.verdict) for step in scan.steps if step.element.length <= 7]
+            == [(step.element.word, step.verdict)
+                for step in sector_filtration_cohomology(B, (), 7).steps])
 
 
 def test_extended_report_rejects(matrices):
