@@ -21,7 +21,7 @@ from .errors import (
     NotFiniteTypeError,
     ResourceExceededError,
 )
-from .gcm import GeneralizedCartanMatrix, _symmetrizer, is_finite_type
+from .gcm import GeneralizedCartanMatrix, _symmetrizer, finite_subset
 from .weights import IN_CONE, NOT_IN_CONE, Realization, Weight
 
 
@@ -242,12 +242,12 @@ def weyl_numerator(real: Realization, lam: Weight, J=None,
     """
     group = weyl_group(real.gcm)
     if J is not None:
-        elements = group.subgroup_elements(tuple(sorted(set(J))))
+        elements = group.subgroup_elements(J)
         bound = None
     else:
         if length_bound is None:
             raise NotFiniteTypeError(
-                "the full group is infinite: a length bound is required"
+                "a length bound is required when no subset J is given"
             )
         elements = group.ball(length_bound)
         bound = length_bound
@@ -278,9 +278,8 @@ def levi_irreducible_character(real: Realization, J, mu: Weight) -> FormalCharac
     ends at its first weight not yet in the character.  The weights
     produced count against the group's element cap.
     """
-    A, J, mu = real.gcm, tuple(sorted(set(J))), tuple(mu)
-    if not is_finite_type(A, J):
-        raise NotFiniteTypeError(f"subset {J} does not span a finite subgroup")
+    A, mu = real.gcm, tuple(mu)
+    J = finite_subset(A, J)
     if not real.is_dominant_for(mu, J):
         raise NotDominantError(f"{mu} is not dominant for the Levi on {J}")
     d = _symmetrizer(A.submatrix(J))
@@ -334,9 +333,7 @@ def dirac_induction(real: Realization, J, mu: Weight) -> FormalCharacter:
     divided by A_J.  With (nu, sign) the W_J-dominant weight of mu's orbit
     and the sign reaching it, that is sign times the Levi irreducible at
     nu - rho_J, and zero when mu is J-singular (nu vanishes somewhere on J)."""
-    J = tuple(sorted(set(J)))
-    if not is_finite_type(real.gcm, J):
-        raise NotFiniteTypeError(f"subset {J} does not span a finite subgroup")
+    J = finite_subset(real.gcm, J)
     nu, sign = real.dominantize(mu, J)
     if not real.is_regular_for(nu, J):
         return FormalCharacter.zero()
@@ -356,9 +353,7 @@ def ambient_dominance_test(real: Realization, J, mu: Weight,
     maximal dominant representation is exactly the cone, it is closed under
     the group action and under addition, and mu is itself a weight of L_mu.
     """
-    J = tuple(sorted(set(J)))
-    if not is_finite_type(real.gcm, J):
-        raise NotFiniteTypeError(f"subset {J} is not of finite type")
+    J = finite_subset(real.gcm, J)
     if not real.is_dominant_for(mu, J):
         raise NotDominantError(f"{mu} is not dominant for the Levi on {J}")
     result = real.chamber_reduce(mu, max_steps=max_steps)

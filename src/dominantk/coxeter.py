@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import threading
 
-from .errors import NotFiniteTypeError, NotMinimalError, ResourceExceededError
-from .gcm import GeneralizedCartanMatrix, is_finite_type, per_matrix
+from .errors import NotMinimalError, ResourceExceededError
+from .gcm import GeneralizedCartanMatrix, finite_subset, per_matrix
 
 DEFAULT_ELEMENT_CAP = 10**6
 
@@ -106,7 +106,48 @@ def _reflect_root(i: int, row, root):
     return tuple(out)
 
 
-class WeylGroup:
+class Reflections:
+    """Simple reflections on integer vectors whose coordinate i is the
+    pairing with h_i: r_i moves coordinate k by -v_i c_k for each nonzero
+    (k, c_k) of ``_table[i]``.  One strip at the least negative coordinate
+    serves normal forms, dominantization and chamber reduction (Kac, Prop.
+    3.12)."""
+
+    _table: tuple
+
+    def _reflect(self, i: int, vector):
+        """r_i: vector - <vector, h_i> times the sparse column ``_table[i]``."""
+        v = vector[i]
+        if not v:
+            return vector
+        out = list(vector)
+        for k, c in self._table[i]:
+            out[k] -= v * c
+        return tuple(out)
+
+    def _fold(self, letters, vector):
+        """Apply r_s for each s of ``letters`` in turn, the first one first."""
+        for s in letters:
+            vector = self._reflect(s, vector)
+        return vector
+
+    def _strip(self, vector, mask: int = -1, limit: int = -1):
+        """(letters, vector): reflect at the least negative coordinate in
+        ``mask`` until none is left or ``limit`` letters are spent (a negative
+        limit never is); w(rho) stripped entirely spells the ShortLex word of
+        w, stripped within S it is that of min W_S w."""
+        letters = []
+        left = _negative_mask(vector) & mask
+        while left and limit:
+            limit -= 1
+            i = _lowest(left)
+            letters.append(i)
+            vector = self._reflect(i, vector)
+            left = _negative_mask(vector) & mask
+        return tuple(letters), vector
+
+
+class WeylGroup(Reflections):
     """Reflection group of a generalized Cartan matrix with ball enumeration,
     coset machinery and the Bruhat order."""
 
@@ -117,7 +158,7 @@ class WeylGroup:
         self.element_cap = element_cap
         n, a = self.n, A.entries
         # nonzero a[k][i] by column i (coroot coordinates) and by row i (roots)
-        self._columns = tuple(
+        self._table = self._columns = tuple(
             tuple((k, a[k][i]) for k in range(n) if a[k][i]) for i in range(n)
         )
         self._rows = tuple(
@@ -135,37 +176,7 @@ class WeylGroup:
         # mask 0 is the ball.  _by_orbit indexes every element they hold.
         self._quotients = {0: [[self.identity]]}
         self._by_orbit = {self._rho: self.identity}
-        self._total = 1
         self._lock = threading.RLock()  # enumeration caches are shared state
-
-    # -- reflections in coroot coordinates (sparse in the bond degree) ---------
-
-    def _reflect(self, i: int, vector):
-        """r_i on coroot coordinates: lam_k <- lam_k - lam_i a[k][i]."""
-        v = vector[i]
-        out = list(vector)
-        for k, a in self._columns[i]:
-            out[k] -= v * a
-        return tuple(out)
-
-    def _fold(self, letters, vector):
-        """Apply r_s for each s of ``letters`` in turn, the first one first."""
-        for s in letters:
-            vector = self._reflect(s, vector)
-        return vector
-
-    def _strip(self, vector, mask: int = -1):
-        """(letters, vector): reflect at the least negative coordinate in
-        ``mask`` until none is left; w(rho) stripped entirely spells the
-        ShortLex word of w, stripped within S it is that of min W_S w."""
-        letters = []
-        left = _negative_mask(vector) & mask
-        while left:
-            i = _lowest(left)
-            letters.append(i)
-            vector = self._reflect(i, vector)
-            left = _negative_mask(vector) & mask
-        return tuple(letters), vector
 
     def _normalize(self, orbit) -> CoxeterElement:
         """The element w with w(rho) = ``orbit``: cached, or built from its
@@ -242,17 +253,21 @@ class WeylGroup:
         kmask = self.subset_mask(K)
         with self._lock:
             spheres = self._quotients.setdefault(kmask, [[self.identity]])
+            by_orbit = self._by_orbit
             while len(spheres) <= L:
                 sphere = self._step(spheres[-1], range(self.n), kmask)
-                total = self._total + len(sphere)
+                # distinct elements: those held and the sphere's new ones, at
+                # most all of it, so the orbits are looked up only near the cap
+                total = len(by_orbit) + len(sphere)
+                if total > self.element_cap:
+                    total -= sum(w.orbit in by_orbit for w in sphere)
                 if total > self.element_cap:
                     what = f"quotient W^K of K = {tuple(sorted(set(K)))}" if kmask else "ball"
                     raise ResourceExceededError(
                         f"{what} enumeration exceeded the cap of {self.element_cap} elements"
                         f" ({total} enumerated through length {len(spheres)})"
                     )
-                self._total = total
-                self._by_orbit.update((w.orbit, w) for w in sphere)
+                by_orbit.update((w.orbit, w) for w in sphere)
                 spheres.append(sphere)
         return spheres[: L + 1]
 
@@ -329,22 +344,16 @@ class WeylGroup:
                 return True
         return False
 
-    def _finite_subset(self, J) -> tuple[int, ...]:
-        J = tuple(sorted(set(J)))
-        if not is_finite_type(self.gcm, J):
-            raise NotFiniteTypeError(f"subset {J} does not span a finite subgroup")
-        return J
-
     def longest(self, J) -> CoxeterElement:
         """Longest element of the finite parabolic on J: w_J(rho) is the image of
         rho negative on J (Kac, Lemma 3.11): the negation of -rho stripped within J."""
-        _, vector = self._strip((-1,) * self.n, self.subset_mask(self._finite_subset(J)))
+        _, vector = self._strip((-1,) * self.n, self.subset_mask(finite_subset(self.gcm, J)))
         return self._normalize(tuple(-x for x in vector))
 
     def subgroup_elements(self, J) -> tuple[CoxeterElement, ...]:
         """All elements of the standard parabolic subgroup on J (finite type),
         sorted by (length, ShortLex): sphere steps over the letters of J."""
-        J = self._finite_subset(J)
+        J = finite_subset(self.gcm, J)
         out, layer = [self.identity], [self.identity]
         while layer:
             # elements within the enumerated ball are the ball's own

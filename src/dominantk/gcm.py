@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import MalformedFileError, NotAGCMError, WrongTypeError
+from .errors import MalformedFileError, NotAGCMError, NotFiniteTypeError, WrongTypeError
 
 FINITE = "finite"
 AFFINE = "affine"
@@ -246,6 +246,14 @@ def is_finite_type(A: GeneralizedCartanMatrix, subset=None) -> bool:
     if idx and not 0 <= idx[0] <= idx[-1] < A.size:
         raise IndexError(f"node subset {idx} has an index outside 0..{A.size - 1}")
     return _subset_finite(A, idx)
+
+
+def finite_subset(A: GeneralizedCartanMatrix, subset) -> tuple[int, ...]:
+    """The sorted subset, refused unless its reflection subgroup is finite."""
+    J = tuple(sorted(set(subset)))
+    if not is_finite_type(A, J):
+        raise NotFiniteTypeError(f"subset {J} does not span a finite subgroup")
+    return J
 
 
 def _symmetrizer(A: GeneralizedCartanMatrix):

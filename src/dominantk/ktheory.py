@@ -372,8 +372,8 @@ def splitting_maps(A: GeneralizedCartanMatrix, J, mu: Weight,
                    element: CoxeterElement | None = None) -> SplitRecord:
     """Split/retract pair for a Levi class: reduce mu + rho_J into the
     dominant chamber to get (tau, w), record the sign of w, then reconstruct
-    the class by induction of w^{-1}(tau); the roundtrip must reproduce the
-    character of L_mu.
+    the class by induction of w^{-1}(tau) = mu + rho_J; the roundtrip must
+    reproduce the character of L_mu.
 
     ``element`` may replace w by another solution of w^{-1}(tau) = mu + rho_J
     (for example w composed with a stabilizer reflection of tau); the
@@ -381,7 +381,6 @@ def splitting_maps(A: GeneralizedCartanMatrix, J, mu: Weight,
     """
     J = tuple(sorted(set(J)))
     real = build_realization(A)
-    group = weyl_group(A)
     shifted = tuple(a + b for a, b in zip(mu, real.partial_rho(J)))
     reduction = real.chamber_reduce(shifted, max_steps=max_steps)
     if reduction.status != IN_CONE:
@@ -392,11 +391,10 @@ def splitting_maps(A: GeneralizedCartanMatrix, J, mu: Weight,
     tau = real.act(w, shifted)
     if not real.is_dominant(tau):
         raise ConeReductionFailedError("provided element does not reduce mu + rho_J")
-    back = real.act(group.inverse(w), tau)
     return SplitRecord(
         sign=w.sign(),
         cone_weight=tau,
         element=w,
         stratum=real.stratum(tau),
-        roundtrip=dirac_induction(real, J, back),
+        roundtrip=dirac_induction(real, J, shifted),
     )

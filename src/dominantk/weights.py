@@ -7,17 +7,14 @@ rank is 2m - rank(A), so these coordinates determine the weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 from . import intlinalg
-from .coxeter import CoxeterElement, weyl_group
-from .errors import (
-    NotAffineError,
-    NotDominantError,
-    NotProperError,
-)
-from .gcm import AFFINE, GeneralizedCartanMatrix, classify_type, per_matrix
+from .coxeter import CoxeterElement, Reflections, weyl_group
+from .errors import NotAffineError, NotDominantError, NotProperError, ResourceExceededError
+from .gcm import AFFINE, GeneralizedCartanMatrix, classify_type, finite_subset, per_matrix
 
 Weight = tuple
 
@@ -49,7 +46,7 @@ class ChamberReduction:
     steps: int
 
 
-class Realization:
+class Realization(Reflections):
     """Coordinates of the simple roots on the chosen torus basis.
 
     The complementary indices C are the first c column indices whose removal
@@ -79,7 +76,7 @@ class Realization:
             for j in range(m)
         )
         # nonzero (k, a) of each root_coords[i], for sparse reflections
-        self._root_entries = tuple(
+        self._table = tuple(
             tuple((k, a) for k, a in enumerate(alpha) if a) for alpha in self.root_coords)
 
     # -- basic weights ---------------------------------------------------------
@@ -120,22 +117,13 @@ class Realization:
 
     # -- action ----------------------------------------------------------------
 
-    def reflect(self, i: int, lam: Weight) -> Weight:
-        """Simple reflection: lam - <lam, h_i> alpha_i."""
-        v = lam[i]
-        if v == 0:
-            return lam
-        out = list(lam)
-        for k, a in self._root_entries[i]:
-            out[k] -= v * a
-        return tuple(out)
+    # simple reflection lam - <lam, h_i> alpha_i, on the sparse alpha_i
+    reflect = Reflections._reflect
 
     def act(self, w, lam: Weight) -> Weight:
         """Apply a group element (or raw word) to a weight."""
         word = w.word if isinstance(w, CoxeterElement) else tuple(w)
-        for s in reversed(word):
-            lam = self.reflect(s, lam)
-        return lam
+        return self._fold(reversed(word), lam)
 
     # -- dominance and strata ----------------------------------------------------
 
@@ -151,13 +139,11 @@ class Realization:
     def dominantize(self, lam: Weight, J) -> tuple[Weight, int]:
         """The J-dominant weight of the W_J-orbit of lam, J of finite type,
         and the sign of the element reaching it: lam is J-singular iff that
-        weight vanishes somewhere on J."""
-        sign = 1
-        # W_J is finite, each reflection clears one negative root: ends in |Phi+(J)| steps
-        while (neg := next((j for j in J if lam[j] < 0), None)) is not None:
-            lam = self.reflect(neg, lam)
-            sign = -sign
-        return lam, sign
+        weight vanishes somewhere on J.  Each reflection of the strip clears
+        one negative root of W_J, so it ends within |Phi+(J)| steps."""
+        J = finite_subset(self.gcm, J)
+        letters, lam = self._strip(lam, sum(1 << j for j in J))
+        return lam, -1 if len(letters) % 2 else 1
 
     def stratum(self, lam: Weight) -> tuple[int, ...]:
         """Coroot indices where a dominant weight vanishes."""
@@ -182,17 +168,12 @@ class Realization:
         cls = classify_type(self.gcm)
         if cls.kind == AFFINE and cls.indecomposable and self.affine_level(lam) < 0:
             return ChamberReduction(NOT_IN_CONE, None, None, 0)
-        group = weyl_group(self.gcm)
-        letters: list[int] = []
-        current = lam
-        for step in range(max_steps + 1):
-            i = next((i for i in range(self.coroot_count) if current[i] < 0), None)
-            if i is None:
-                word = tuple(reversed(letters))
-                return ChamberReduction(IN_CONE, current, group.element(word), step)
-            current = self.reflect(i, current)
-            letters.append(i)
-        return ChamberReduction(UNDECIDED, None, None, max_steps)
+        letters, dominant = self._strip(lam, (1 << self.coroot_count) - 1,
+                                        max(max_steps + 1, 0))
+        if len(letters) > max_steps:
+            return ChamberReduction(UNDECIDED, None, None, max_steps)
+        element = weyl_group(self.gcm).element(reversed(letters))
+        return ChamberReduction(IN_CONE, dominant, element, len(letters))
 
     # -- affine level ------------------------------------------------------------
 
@@ -211,11 +192,17 @@ class Realization:
     # -- enumeration ----------------------------------------------------------------
 
     def dominant_box_weights(self, K, box: Box):
-        """Dominant weights in the box whose stratum is exactly K."""
+        """Dominant weights in the box whose stratum is exactly K, refused
+        past the group's element cap before any is built."""
         in_k = self.partial_rho(K)
         m = self.coroot_count
-        ranges = [(0,) if in_k[i] else tuple(range(1, box.coroot_bound + 1)) for i in range(m)]
-        ranges += [tuple(range(-box.complement_bound, box.complement_bound + 1))] * (self.rank - m)
+        ranges = [range(1) if in_k[i] else range(1, box.coroot_bound + 1) for i in range(m)]
+        ranges += [range(-box.complement_bound, box.complement_bound + 1)] * (self.rank - m)
+        count, cap = math.prod(map(len, ranges)), weyl_group(self.gcm).element_cap
+        if count > cap:
+            raise ResourceExceededError(
+                f"stratum K = {tuple(sorted(set(K)))} of {box} has {count} dominant weights,"
+                f" past the cap of {cap}")
         return tuple(product(*ranges))
 
 

@@ -301,6 +301,32 @@ def test_bad_input_error_line(flags, message, capsys):
     assert capsys.readouterr().err == f"error invalid-input: {message}\n"
 
 
+def test_numerator_without_bound_or_subset(capsys):
+    """The whole group needs a length bound on a finite matrix too."""
+    code, _ = run(["character", "numerator", "--gcm", data_path("a2"), "--weight", "1,1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error not-finite-type: a length bound is required when no subset J is given\n")
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+
+
+def test_oversized_box_is_refused_before_enumeration():
+    """8 * 10^9 regular weights of hyper_rank3 at --box 2000 pass the element
+    cap: one error line under a 1.5 GB address-space limit, no traceback."""
+    argv = ["ktheory", "compact", "--gcm", data_path("hyper_rank3"), "--box", "2000"]
+    proc = subprocess.run([sys.executable, "-m", "dominantk", *argv], capture_output=True,
+                          text=True, env=_cli_env(), timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error resource-exceeded: stratum K = () of Box(coroot_bound=2000,"
+                           " complement_bound=2000) has 8000000000 dominant weights, past the"
+                           " cap of 1000000\n")
+
+
 def test_help_documents_tsv_schema(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["davis", "hc", "--help"])

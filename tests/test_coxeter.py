@@ -283,6 +283,23 @@ def test_element_cap():
     assert len(group.min_coset_reps((), (0,), 9)) == 10
 
 
+def test_element_cap_counts_distinct_elements():
+    """An element held by the ball and by a right quotient counts once: with
+    the cap at |ball(6)| = 13 of affine A1, W^K of K = (0,) to length 6 holds
+    only ball elements, in either order, and the next sphere is refused."""
+    A = gcm_from_rows([[2, -2], [-2, 2]])
+    for quotient_first in (False, True):
+        group = WeylGroup(A, element_cap=13)
+        calls = [lambda: group.ball(6), lambda: group.min_coset_reps((), (0,), 6)]
+        if quotient_first:
+            calls.reverse()
+        assert [len(call()) for call in calls] == ([7, 13] if quotient_first else [13, 7])
+        with pytest.raises(ResourceExceededError,
+                           match=r"cap of 13 elements \(15 enumerated through length 7\)"):
+            group.ball(7)
+        assert len(group._by_orbit) == 13
+
+
 # -- cosets ------------------------------------------------------------------------
 
 

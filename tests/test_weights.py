@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dominantk.errors import NotAffineError, NotDominantError, NotProperError
+from dominantk.errors import (NotAffineError, NotDominantError, NotFiniteTypeError,
+                              NotProperError, ResourceExceededError)
 from dominantk.coxeter import weyl_group
-from dominantk.weights import IN_CONE, NOT_IN_CONE, UNDECIDED, Box, build_realization
+from dominantk.data import load
+from dominantk.gcm import spherical_poset
+from dominantk.weights import (IN_CONE, NOT_IN_CONE, UNDECIDED, Box, ChamberReduction,
+                               build_realization)
 
 
 def test_realization_shapes(matrices):
@@ -86,6 +90,51 @@ def test_chamber_reduce_examples(matrices):
 def test_chamber_reduce_level_zero_undecided(matrices):
     real = build_realization(matrices["affine_a1"])
     assert real.chamber_reduce((1, -1, 0)).status == UNDECIDED
+
+
+def test_chamber_reduce_step_bound(matrices):
+    """A reduction of k letters is decided with max_steps = k and undecided
+    with k - 1, where steps reports the bound; a negative bound decides
+    nothing."""
+    real = build_realization(matrices["affine_a2"])
+    lam = (-3, 2, 2, 0)
+    k = real.chamber_reduce(lam).steps
+    assert k == 5
+    res = real.chamber_reduce(lam, max_steps=k)
+    assert (res.status, res.steps, res.element.length) == (IN_CONE, k, k)
+    for bound in (k - 1, 0, -1, -2):
+        assert real.chamber_reduce(lam, max_steps=bound) == ChamberReduction(
+            UNDECIDED, None, None, bound)
+    assert real.chamber_reduce(real.rho(), max_steps=-1).status == UNDECIDED
+
+
+def reference_dominantize(real, lam, J):
+    """Reflect at the first negative value in the order of J, flipping the
+    sign each time."""
+    sign = 1
+    while (neg := next((j for j in J if lam[j] < 0), None)) is not None:
+        lam, sign = real.reflect(neg, lam), -sign
+    return lam, sign
+
+
+@pytest.mark.parametrize("name", ["affine_a2", "hyper_rank3", "e9"])
+def test_dominantize_matches_loop_reference(matrices, name):
+    """The strip within J ends where the one-letter loop does, with its sign,
+    on every spherical J."""
+    rng = random.Random(5)
+    real = build_realization(matrices[name])
+    for J in spherical_poset(matrices[name]).members:
+        for _ in range(10):
+            lam = tuple(rng.randint(-3, 3) for _ in range(real.rank))
+            assert real.dominantize(lam, J) == reference_dominantize(real, lam, J)
+
+
+def test_dominantize_refuses_an_infinite_subset(matrices):
+    """W_J of affine A1 is infinite, so no J-dominant weight need be reached:
+    the subset is refused before any reflection."""
+    real = build_realization(matrices["affine_a1"])
+    with pytest.raises(NotFiniteTypeError, match=r"\(0, 1\)"):
+        real.dominantize((-1, -1, 0), (0, 1))
 
 
 @pytest.mark.parametrize("name", ["affine_a1", "affine_a2"])
@@ -234,3 +283,16 @@ def test_e9_dual_labels_sum(matrices):
     real = build_realization(matrices["e9"])
     assert sum(real.dual_kac_labels) == 30
     assert real.affine_level(real.rho()) == 30
+
+
+def test_dominant_box_past_the_cap_is_refused_before_building():
+    """The box's weight count is the product of its ranges; past the
+    group's element cap the stratum is refused without enumerating it."""
+    A = load("hyper_rank3")  # a fresh matrix, so its group is its own
+    weyl_group(A).element_cap = 999
+    real = build_realization(A)
+    assert len(real.dominant_box_weights((), Box(9, 0))) == 729
+    with pytest.raises(ResourceExceededError,
+                       match=r"K = \(\) of Box\(coroot_bound=10, complement_bound=0\)"
+                             r" has 1000 dominant weights, past the cap of 999"):
+        real.dominant_box_weights((), Box(10, 0))
