@@ -18,7 +18,6 @@ from .errors import (
     ConeReductionFailedError,
     DivisionRemainderError,
     NotDominantError,
-    NotFiniteTypeError,
     ResourceExceededError,
 )
 from .gcm import GeneralizedCartanMatrix, _symmetrizer, finite_subset
@@ -49,15 +48,10 @@ class FormalCharacter:
         return cls({})
 
     def _meta(self, other):
-        bound = self.length_bound if self.length_bound is not None else other.length_bound
-        if (
-            self.length_bound is not None
-            and other.length_bound is not None
-            and self.length_bound != other.length_bound
-        ):
+        if self.length_bound is not None and other.length_bound not in (None, self.length_bound):
             raise ValueError("length-truncated characters are comparable only at equal bounds")
-        box = self.box if self.box is not None else other.box
-        return bound, box
+        bound = self.length_bound if self.length_bound is not None else other.length_bound
+        return bound, self.box if self.box is not None else other.box
 
     def __add__(self, other):
         bound, box = self._meta(other)
@@ -70,10 +64,7 @@ class FormalCharacter:
         )
 
     def __neg__(self):
-        return FormalCharacter(
-            {w: -c for w, c in self.terms.items()},
-            length_bound=self.length_bound, box=self.box, truncated=self.truncated,
-        )
+        return self.scaled(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -246,9 +237,7 @@ def weyl_numerator(real: Realization, lam: Weight, J=None,
         bound = None
     else:
         if length_bound is None:
-            raise NotFiniteTypeError(
-                "a length bound is required when no subset J is given"
-            )
+            raise ValueError("a length bound is required when no subset J is given")
         elements = group.ball(length_bound)
         bound = length_bound
     # ShortLex words are closed under suffixes and ``elements`` is sorted

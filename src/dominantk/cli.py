@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import os
 import sys
+from itertools import combinations, zip_longest
 
 from . import __version__
 from .characters import (
@@ -24,11 +25,10 @@ from .coxeter import weyl_group
 from .davis import (
     davis_truncation,
     hat_sector_cohomology,
-    nerve_complex,
     sector_filtration_cohomology,
     snf_cohomology,
 )
-from .errors import DominantKError
+from .errors import DominantKError, WrongTypeError
 from .gcm import classify_type, parse_gcm, spherical_poset
 from .ktheory import (
     Box,
@@ -229,12 +229,27 @@ def _cmd_character(args, out):
     return 0
 
 
+def _nerve_f_vector(A):
+    """f-vector of the nerve of the spherical poset, counted without listing
+    chains: a chain with k + 1 members ending at T is one with k members
+    ending at some T' < T, extended by T."""
+    members = spherical_poset(A).members
+    if A.index_set in members:
+        raise WrongTypeError("nerve is a cone: the full index set is spherical (finite type)")
+    ending = {}
+    for T in members:  # by size, and every subset of a member is a member
+        ending[T] = counts = [1] + [0] * len(T)
+        for Tp in (Tp for size in range(len(T)) for Tp in combinations(T, size)):
+            for k, c in enumerate(ending[Tp]):
+                counts[k + 1] += c
+    return [sum(column) for column in zip_longest(*ending.values(), fillvalue=0)]
+
+
 def _cmd_davis(args, out):
     A = _load_gcm(args.gcm)
     _header(out, A, {"max-length": args.max_length, "method": getattr(args, "method", None)})
     if args.sub == "nerve":
-        complex_ = nerve_complex(spherical_poset(A))
-        out.write("f-vector\t" + ",".join(map(str, complex_.f_vector())) + "\n")
+        out.write("f-vector\t" + ",".join(map(str, _nerve_f_vector(A))) + "\n")
         return 0
     K = _subset(A, args.k)
     if args.sub == "hc":
@@ -292,9 +307,8 @@ def _cmd_ktheory(args, out):
         _report_lines(out, A, k_homology_report(A, box), args.format, args.generators)
     elif args.sub == "predicates":
         rec = st_r_image_predicates(A, _parse_weight(real, args.weight))
-        out.write(f"regular_dominant_for_levi\t{str(rec.regular_dominant_for_levi).lower()}\n")
-        out.write(f"in_image_st\t{str(rec.in_image_st).lower()}\n")
-        out.write(f"in_image_of_r\t{str(rec.in_image_of_r).lower()}\n")
+        for key in ("regular_dominant_for_levi", "in_image_st", "in_image_of_r"):
+            out.write(f"{key}\t{str(getattr(rec, key)).lower()}\n")
         out.write(f"reduction_status\t{rec.reduction_status}\n")
     else:  # oracle
         K = _subset(A, args.k)

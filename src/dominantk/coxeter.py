@@ -22,6 +22,7 @@ alpha_i, are filled in per element on first use.
 from __future__ import annotations
 
 import threading
+from itertools import chain
 
 from .errors import NotMinimalError, ResourceExceededError
 from .gcm import GeneralizedCartanMatrix, finite_subset, per_matrix
@@ -332,17 +333,11 @@ class WeylGroup(Reflections):
 
     def ball(self, L: int) -> tuple[CoxeterElement, ...]:
         """All elements of length <= L, sorted by (length, ShortLex)."""
-        out = []
-        for sphere in self._quotient(L):
-            out.extend(sphere)
-        return tuple(out)
+        return tuple(chain.from_iterable(self._quotient(L)))
 
     def is_finite(self, max_length: int = 64) -> bool:
         """Exhaustion test: some sphere up to max_length is empty."""
-        for k in range(max_length + 1):
-            if not self.sphere(k):
-                return True
-        return False
+        return any(not self.sphere(k) for k in range(max_length + 1))
 
     def longest(self, J) -> CoxeterElement:
         """Longest element of the finite parabolic on J: w_J(rho) is the image of

@@ -105,10 +105,7 @@ def nerve_complex(poset) -> SimplicialComplexDesc:
     excluded by convention).
     """
     members = poset.members
-    index_union = set()
-    for m in members:
-        index_union |= set(m)
-    if tuple(sorted(index_union)) in members:
+    if tuple(sorted(set().union(*members))) in members:
         raise WrongTypeError(
             "nerve is a cone: the full index set is spherical (finite type)"
         )

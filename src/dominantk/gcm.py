@@ -142,11 +142,7 @@ def parse_gcm(text: str) -> GeneralizedCartanMatrix:
     then ``<size>`` rows of ``<size>`` space-separated integers.  Lines
     starting with ``#`` (and blank lines) are ignored.
     """
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
+    lines = [s for s in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if s]
     if not lines:
         raise MalformedFileError("empty file")
     head = lines[0].split()
@@ -275,13 +271,9 @@ def _symmetrizer(A: GeneralizedCartanMatrix):
         for j in range(n):
             if d[i] * A.entries[i][j] != d[j] * A.entries[j][i]:
                 return None
-    denom = 1
-    for x in d:
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for x in d))
     ints = [int(x * denom) for x in d]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
+    g = math.gcd(*ints)
     return tuple(x // g for x in ints)
 
 

@@ -1,24 +1,27 @@
 """Closed-form K-theory reports for the building, with independent
-derived-(co)limit oracles over the spherical poset.
+derived-(co)limit oracles over the intervals of the spherical poset.
 
 Reports are E2-page data: the underlying spectral sequences collapse in
 every computed case, so the closed forms are assembled directly from strata
 of dominant weights and coset index sets.  The oracle route recomputes the
-same ranks as derived limits/colimits of truncated strata functors and is
-held against the closed forms by the test suite.
+same ranks as derived limits/colimits of truncated strata functors, whose
+transitions are stored along covers, over the intervals [T', T] of the
+spherical poset; the test suite holds it against the closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .coxeter import CoxeterElement, weyl_group
-from .davis import IntegerCohomology, _chains, _levels, cochain_cohomology
+from .davis import IntegerCohomology, cochain_cohomology
 from .characters import FormalCharacter, dirac_induction
 from .errors import (
     ConeReductionFailedError,
     FunctorialityError,
     HypothesisViolatedError,
+    ResourceExceededError,
     WrongTypeError,
 )
 from .gcm import (FINITE, GeneralizedCartanMatrix, classify_type, is_finite_type, per_matrix,
@@ -192,16 +195,17 @@ def st_r_image_predicates(A: GeneralizedCartanMatrix, lam: Weight,
 
 class FunctorOnPoset:
     """Finite free abelian groups indexed by spherical subsets with integer
-    transitions along inclusions.
+    transitions along covers.
 
     ``variance`` is "covariant" (maps go up the poset) or "contravariant"
-    (maps go down).  ``transitions[(J, Jp)]`` is stored for every strict
-    inclusion J < Jp as one sparse row ``{c: coefficient}`` (nonzero
+    (maps go down).  ``transitions[(J, Jp)]`` is stored for every cover
+    J < Jp = J + s as one sparse row ``{c: coefficient}`` (nonzero
     coefficients only) per basis element k of F(J), where c indexes the
     basis of F(Jp): for a covariant functor row k is the image of k, for a
     contravariant one it is row k of the matrix of F(Jp) -> F(J).  Either
-    way the transition along J < Jpp is the row product of those along
-    J < Jp and Jp < Jpp, which is what the functoriality check compares.
+    way a composite along J < Jp < Jpp is the row product.  Spherical
+    subsets are closed under subsets, so every interval is a Boolean lattice
+    and functoriality is the commuting of the squares of covers.
     """
 
     def __init__(self, members, variance, basis, transitions):
@@ -211,32 +215,37 @@ class FunctorOnPoset:
         self.transitions = dict(transitions)
 
     def check_functoriality(self) -> None:
-        above: dict = {}
-        for J, Jp in self.transitions:
-            above.setdefault(J, []).append(Jp)
-        for (J, Jp), rows in self.transitions.items():
-            for Jpp in above.get(Jp, ()):
-                outer = self.transitions[(Jp, Jpp)]
-                composed = []
-                for row in rows:
-                    out: dict[int, int] = {}
-                    for c, v in row.items():
-                        for d, x in outer[c].items():
-                            out[d] = out.get(d, 0) + v * x
-                    composed.append({d: x for d, x in out.items() if x})
-                if composed != list(self.transitions.get((J, Jpp), ())):
-                    raise FunctorialityError(
-                        f"transitions through {Jp} break on {J} < {Jpp}"
-                    )
+        """Raise unless J < J+s < T equals J < J+t < T for each member
+        T = J+s+t: the squares of covers."""
+        def through(J, Jp, T):
+            composed, outer = [], self.transitions[(Jp, T)]
+            for row in self.transitions[(J, Jp)]:
+                out: dict[int, int] = {}
+                for c, v in row.items():
+                    for d, x in outer[c].items():
+                        out[d] = out.get(d, 0) + v * x
+                composed.append({d: x for d, x in out.items() if x})
+            return composed
+
+        for T in self.members:
+            for i, j in combinations(range(len(T)), 2):
+                J, a, b = T[:i] + T[i + 1:j] + T[j + 1:], T[:j] + T[j + 1:], T[:i] + T[i + 1:]
+                if through(J, a, T) != through(J, b, T):
+                    raise FunctorialityError(f"transitions via {a} and {b} break on {J} < {T}")
 
 
 def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
                          direction: str) -> IntegerCohomology:
     """Exact derived limit (cochain) or colimit (chain) of a poset functor,
-    computed from the nerve of the spherical poset with Smith normal form.
+    computed over the intervals of the spherical poset with Smith normal form.
 
-    The p-(co)chains are indexed by strict chains J_0 < ... < J_p carrying
-    the value at J_0; dropping J_0 moves coefficients along the transition.
+    The intervals [T', T] of members form a cube complex with the cohomology
+    of the nerve (Davis, ch. 7; Curry 2014).  Its p-cells are the intervals
+    with |T - T'| = p, carrying F(T').  For s at position i of T - T', with
+    sign (-1)^i, the faces are [T' + s, T], through the transition along
+    T' < T' + s, and [T', T - s], through the identity with the opposite
+    sign.  The top degree is the largest |T|.  A cochain basis past the
+    group's element cap is refused before any row is built.
     """
     if direction not in ("limit", "colimit"):
         raise ValueError("direction must be 'limit' or 'colimit'")
@@ -245,29 +254,41 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
         raise FunctorialityError(f"{direction} needs a {expected} functor")
     functor.check_functoriality()
 
-    dims = [
-        [(chain, k) for chain in level for k in range(len(functor.basis[chain[0]]))]
-        for level in _levels(_chains(functor.members))
-    ]
-    basis_index = {label: i for labels in dims for i, label in enumerate(labels)}
+    basis, transitions = functor.basis, functor.transitions
+    cells = [[] for _ in range(max(map(len, functor.members), default=0) + 1)]
+    for T in functor.members:  # every subset of a member is a member
+        for k in range(len(T) + 1):
+            cells[len(T) - k].extend((Tp, T) for Tp in combinations(T, k))
+    sizes, offset = [0] * len(cells), {}  # offset: a cell's first basis index
+    for p, level in enumerate(cells):
+        for cell in level:
+            offset[cell], sizes[p] = sizes[p], sizes[p] + len(basis[cell[0]])
+    if sum(sizes) > (cap := weyl_group(A).element_cap):
+        raise ResourceExceededError(f"derived {direction} oracle needs {sum(sizes)} cochain"
+                                    f" basis elements, past the element cap of {cap}")
 
     def faces(p):
-        """Sparse rows, indexed by p-chains, of the face map to (p-1)-chains.
+        """Sparse rows, indexed by p-cells, of the face map to (p-1)-cells.
 
         This is the limit's coboundary C^{p-1} -> C^p, and the transpose of
         the colimit's boundary C_p -> C_{p-1}: the coboundary of its dual.
         """
         rows = []
-        for chain, k in dims[p]:
-            row = {basis_index[(chain[1:], c)]: v
-                   for c, v in functor.transitions[chain[:2]][k].items()}
-            for i in range(1, len(chain)):
-                row[basis_index[(chain[:i] + chain[i + 1 :], k)]] = (-1) ** i
-            rows.append(row)
+        for Tp, T in cells[p]:
+            gaps = []  # per s: sign, transition rows, raised and lowered face
+            for i, s in enumerate(s for s in T if s not in Tp):
+                up = tuple(sorted(Tp + (s,)))
+                gaps.append(((-1) ** i, transitions[(Tp, up)], offset[(up, T)],
+                             offset[(Tp, tuple(t for t in T if t != s))]))
+            for k in range(len(basis[Tp])):
+                row = {}
+                for sign, rows_up, up, down in gaps:
+                    row.update((up + c, sign * v) for c, v in rows_up[k].items())
+                    row[down + k] = -sign
+                rows.append(row)
         return rows
 
-    coh = cochain_cohomology([len(labels) for labels in dims],
-                             (faces(p) for p in range(1, len(dims))))
+    coh = cochain_cohomology(sizes, (faces(p) for p in range(1, len(cells))))
     if direction == "limit":
         return coh
     # universal coefficients: H_p has the free rank of H^p of the dual
@@ -279,23 +300,19 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
 # -- truncated strata functors ---------------------------------------------------------
 
 
-def _inclusions(members):
-    """Strict inclusion pairs (J, Jp) of poset members, J in member order."""
-    return [(J, Jp) for J in members for Jp in members if set(J) < set(Jp)]
-
-
 def _strata_functor(A, K, box, variance, reps, column, label) -> FunctorOnPoset:
     """Functor of the K-stratum built from representatives: the basis over J
     is ``label(w, tau)`` for each stratum weight tau (outer) and each w of
-    ``reps(J)`` (inner).  Along J < Jp the row of w holds the coefficient v
-    at the column of wp, where ``(wp, v) = column(w, Jp)``, for every tau;
-    it is empty when wp is not among ``reps(Jp)``."""
+    ``reps(J)`` (inner).  Along a cover J < Jp the row of w holds the
+    coefficient v at the column of wp, where ``(wp, v) = column(w, Jp)``, for
+    every tau; it is empty when wp is not among ``reps(Jp)``."""
     taus = build_realization(A).dominant_box_weights(K, box)
     members = spherical_poset(A).members
     reps = {J: reps(J) for J in members}
     basis = {J: tuple(label(w, tau) for tau in taus for w in reps[J]) for J in members}
     transitions = {}
-    for J, Jp in _inclusions(members):
+    # the covers J = Jp - s < Jp: every subset of a member is a member
+    for J, Jp in ((Jp[:i] + Jp[i + 1:], Jp) for Jp in members for i in range(len(Jp))):
         index = {wp.word: c for c, wp in enumerate(reps[Jp])}
         cols = [(index.get(wp.word), v) for wp, v in (column(w, Jp) for w in reps[J])]
         width = len(reps[Jp])

@@ -108,12 +108,8 @@ class Realization(Reflections):
 
     def root_weight(self, coeffs) -> Weight:
         """Weight coordinates of an integer combination of simple roots."""
-        out = [0] * self.rank
-        for j, c in enumerate(coeffs):
-            if c:
-                for k, x in enumerate(self.root_coords[j]):
-                    out[k] += c * x
-        return tuple(out)
+        return tuple(sum(c * self.root_coords[j][k] for j, c in enumerate(coeffs))
+                     for k in range(self.rank))
 
     # -- action ----------------------------------------------------------------
 

@@ -118,7 +118,7 @@ def test_weyl_numerator_full_truncated(matrices):
         expected[real.act(w, rho)] = w.sign()
     assert char.terms == expected
     assert len(char) == 5
-    with pytest.raises(NotFiniteTypeError):
+    with pytest.raises(ValueError, match="a length bound is required"):
         weyl_numerator(real, rho)
 
 

@@ -306,7 +306,7 @@ def test_numerator_without_bound_or_subset(capsys):
     code, _ = run(["character", "numerator", "--gcm", data_path("a2"), "--weight", "1,1"])
     assert code == 1
     assert capsys.readouterr().err == (
-        "error not-finite-type: a length bound is required when no subset J is given\n")
+        "error invalid-input: a length bound is required when no subset J is given\n")
 
 
 def _limit_memory():

@@ -4,10 +4,12 @@ from itertools import combinations
 import pytest
 
 from dominantk.data import load
+from dominantk import ktheory
 from dominantk.errors import (
     ConeReductionFailedError,
     FunctorialityError,
     HypothesisViolatedError,
+    ResourceExceededError,
     WrongTypeError,
 )
 from dominantk.characters import (
@@ -17,7 +19,15 @@ from dominantk.characters import (
     weyl_numerator,
 )
 from dominantk.coxeter import WeylGroup, weyl_group
-from dominantk.davis import davis_truncation, hat_sector_cohomology, sector_filtration_cohomology
+from dominantk.davis import (
+    IntegerCohomology,
+    _chains,
+    _levels,
+    cochain_cohomology,
+    davis_truncation,
+    hat_sector_cohomology,
+    sector_filtration_cohomology,
+)
 from dominantk.gcm import gcm_from_rows, spherical_poset
 from dominantk.ktheory import (
     Box,
@@ -277,14 +287,16 @@ def test_image_predicates_undecided_is_not_in_image(matrices):
 # -- derived limit oracle -------------------------------------------------------------------
 
 
+def covers(members):
+    """Cover pairs (J, Jp), |Jp| = |J| + 1, of poset members."""
+    return [(J, Jp) for J in members for Jp in members
+            if len(Jp) == len(J) + 1 and set(J) < set(Jp)]
+
+
 def constant_functor(A):
     members = spherical_poset(A).members
     basis = {J: ("*",) for J in members}
-    transitions = {}
-    for J in members:
-        for Jp in members:
-            if set(J) < set(Jp):
-                transitions[(J, Jp)] = ({0: 1},)
+    transitions = {cover: ({0: 1},) for cover in covers(members)}
     return FunctorOnPoset(members, "contravariant", basis, transitions)
 
 
@@ -296,11 +308,112 @@ def test_constant_functor_limit(matrices):
 
 
 def test_functoriality_violation(matrices):
+    """With the cover () < (0,) zeroed, the square () < (0,) < (0, 1) and
+    () < (1,) < (0, 1) no longer commutes."""
     A = matrices["hyper_rank3"]
     functor = constant_functor(A)
-    functor.transitions[((), (0, 1))] = ({},)  # the zero map
+    functor.transitions[((), (0,))] = ({},)  # the zero map
     with pytest.raises(FunctorialityError):
         derived_limit_oracle(A, functor, "limit")
+
+
+def compose(inner, outer):
+    """Row product of two transitions: inner along J < Jp, outer along
+    Jp < Jpp, the same for both variances."""
+    composed = []
+    for row in inner:
+        out = {}
+        for c, v in row.items():
+            for d, x in outer[c].items():
+                out[d] = out.get(d, 0) + v * x
+        composed.append({d: x for d, x in out.items() if x})
+    return tuple(composed)
+
+
+def strict_inclusions(functor):
+    """The transition along every strict inclusion J < Jp, composed from
+    covers: first J < J + s, s the least node of Jp - J, then J + s < Jp."""
+    table = {}
+    for gap in range(1, max(map(len, functor.members)) + 1):
+        for J in functor.members:
+            for Jp in functor.members:
+                if len(Jp) == len(J) + gap and set(J) < set(Jp):
+                    s = min(set(Jp) - set(J))
+                    first = (J, tuple(sorted(J + (s,))))
+                    table[(J, Jp)] = (functor.transitions[first] if gap == 1
+                                      else compose(functor.transitions[first],
+                                                   table[(first[1], Jp)]))
+    return table
+
+
+def chain_limit_oracle(functor, direction):
+    """Derived (co)limit over the nerve of the poset: the p-(co)chains are
+    indexed by strict chains J_0 < ... < J_p carrying the value at J_0, and
+    dropping J_0 moves coefficients along the transition J_0 < J_1."""
+    transitions = strict_inclusions(functor)
+    dims = [
+        [(chain, k) for chain in level for k in range(len(functor.basis[chain[0]]))]
+        for level in _levels(_chains(functor.members))
+    ]
+    basis_index = {label: i for labels in dims for i, label in enumerate(labels)}
+
+    def faces(p):
+        rows = []
+        for chain, k in dims[p]:
+            row = {basis_index[(chain[1:], c)]: v
+                   for c, v in transitions[chain[:2]][k].items()}
+            for i in range(1, len(chain)):
+                row[basis_index[(chain[:i] + chain[i + 1:], k)]] = (-1) ** i
+            rows.append(row)
+        return rows
+
+    coh = cochain_cohomology([len(labels) for labels in dims],
+                             (faces(p) for p in range(1, len(dims))))
+    if direction == "limit":
+        return coh
+    return IntegerCohomology(tuple((free, coh.torsion(p + 1))
+                                   for p, (free, _) in enumerate(coh.groups)))
+
+
+@pytest.mark.parametrize("name,L,box", [
+    ("affine_a1", 6, Box(2, 1)),
+    ("hyper_rank2", 6, Box(2, 0)),
+    ("hyper_rank3", 5, Box(1, 0)),
+    ("ext4", 6, Box(1, 0)),
+])
+def test_interval_route_matches_chain_route(matrices, name, L, box):
+    """The oracle over the intervals [T', T] gives the groups of the oracle
+    over strict chains, both directions and every K: the acceptance-9 cases
+    and ext4."""
+    A = matrices[name]
+    for K in all_subsets(A.size):
+        for build, direction in ((strata_limit_functor, "limit"),
+                                 (strata_colimit_functor, "colimit")):
+            functor = build(A, K, L, box)
+            assert (derived_limit_oracle(A, functor, direction).groups
+                    == chain_limit_oracle(functor, direction).groups)
+
+
+def test_oracle_past_the_element_cap_is_refused_before_any_row():
+    """The cochain basis, one copy of F(T') per interval [T', T], is counted
+    before any face row is built and refused past the group's element cap."""
+    A = load("hyper_rank3")  # a fresh matrix, so its group is its own
+    functor = strata_limit_functor(A, (), 4, Box(1, 0))
+    size = sum(len(functor.basis[Tp]) for T in functor.members
+               for Tp in functor.members if set(Tp) <= set(T))
+    group = weyl_group(A)
+    group.element_cap = size
+    assert derived_limit_oracle(A, functor, "limit").free_rank(2) == 1
+    group.element_cap = size - 1
+    with pytest.MonkeyPatch.context() as patch:
+        def refuse(*args):
+            raise AssertionError("cochain rows built")
+
+        patch.setattr(ktheory, "cochain_cohomology", refuse)
+        with pytest.raises(ResourceExceededError,
+                           match=rf"derived limit oracle needs {size} cochain basis elements,"
+                                 rf" past the element cap of {size - 1}"):
+            derived_limit_oracle(A, functor, "limit")
 
 
 def test_oracle_torsion_placement(matrices):
@@ -329,7 +442,7 @@ def test_direction_variance_mismatch(matrices):
 def reference_strata_limit_functor(A, K, L, box):
     """The limit functor built from full W_J-orbits: a representative is kept
     when every element of its orbit strips to length <= L, and its row
-    along J < Jp collects the Jp-representatives whose orbit meets it."""
+    along a cover J < Jp collects the Jp-representatives whose orbit meets it."""
     real = build_realization(A)
     group = weyl_group(A)
     K = tuple(sorted(set(K)))
@@ -345,7 +458,7 @@ def reference_strata_limit_functor(A, K, L, box):
                 reps[J].append((w, orbit))
     basis = {J: tuple((w.word, tau) for tau in taus for w, _ in reps[J]) for J in members}
     transitions = {}
-    for J, Jp in [(J, Jp) for J in members for Jp in members if set(J) < set(Jp)]:
+    for J, Jp in covers(members):
         index = {w.word: i for i, (w, _) in enumerate(reps[J])}
         hits = [[] for _ in reps[J]]
         for c, (_, orbit) in enumerate(reps[Jp]):
@@ -377,7 +490,7 @@ def reference_strata_colimit_functor(A, K, L, box):
     }
 
     transitions = {}
-    for J, Jp in [(J, Jp) for J in members for Jp in members if set(J) < set(Jp)]:
+    for J, Jp in covers(members):
         index = {lam: i for i, lam in enumerate(basis[Jp])}
         rows = []
         for lam in basis[J]:
@@ -397,7 +510,7 @@ def test_limit_functor_matches_orbit_reference(matrices, name, direction):
     per row, give the reference builders' bases and transitions, every K:
     the limit functor's window read from the projection of w_J against full
     W_J-orbits, the colimit functor's pure representatives against
-    dominantized weights."""
+    dominantized weights, on every cover."""
     build, reference = {
         "limit": (strata_limit_functor, reference_strata_limit_functor),
         "colimit": (strata_colimit_functor, reference_strata_colimit_functor),
@@ -452,6 +565,46 @@ def test_oracles_reproduce_closed_forms(matrices, name, L, box):
         assert [lim.free_rank(p) for p in range(n + 1)] == expected_lim
         assert [col.free_rank(p) for p in range(n + 1)] == expected_col
         assert all(not lim.torsion(p) and not col.torsion(p) for p in range(n + 1))
+
+
+def assert_limit_matches(A, K, L, box, report):
+    """The derived limit of the K-stratum's limit functor has the report's
+    rank in every degree and no torsion."""
+    lim = derived_limit_oracle(A, strata_limit_functor(A, K, L, box), "limit")
+    assert [lim.groups[p] for p in range(len(lim.groups))] == [
+        (report.rank_in_degree(p, K), ()) for p in range(len(lim.groups))]
+    return lim
+
+
+@pytest.mark.parametrize("K,degree", [((), 8), ((0,), None)])
+def test_e9_limit_oracle_matches_compact_report(K, degree):
+    """E9 is affine, so of compact type: at L = 2 the interval oracle (19,171
+    intervals; the nerve has 14,174,521 chains) gives lim^8 = Z at K = ()
+    and nothing at K = (0,), as the compact report says."""
+    A, box = load("e9"), Box(1, 0)
+    lim = assert_limit_matches(A, K, 2, box, compact_type_report(A, box))
+    assert [p for p in range(len(lim.groups)) if lim.free_rank(p)] == (
+        [] if degree is None else [degree])
+
+
+def test_limit_oracle_matches_extended_report_ext4(matrices):
+    """On the extended compact ext4, the derived limit of every K-stratum is
+    the extended report's rank in every degree, with no torsion."""
+    A = matrices["ext4"]
+    for L in (4, 6):
+        for box in (Box(1, 0), Box(1, 1)):
+            report = extended_type_report(A, L, box)
+            for K in all_subsets(A.size):
+                assert_limit_matches(A, K, L, box, report)
+
+
+@pytest.mark.parametrize("K,rank", [((), 2), ((0,), 1)])
+def test_limit_oracle_matches_extended_report_e10(K, rank):
+    """E10 at L = 2: lim^8 = Z^2 at K = () and Z at K = (0,), the extended
+    report's degree-8 ranks, and nothing elsewhere."""
+    A, box = load("e10"), Box(1, 0)
+    lim = assert_limit_matches(A, K, 2, box, extended_type_report(A, 2, box))
+    assert [lim.free_rank(p) for p in range(len(lim.groups))] == [0] * 8 + [rank, 0]
 
 
 # -- splitting maps ----------------------------------------------------------------------
@@ -521,7 +674,7 @@ def test_colimit_functor_transitions_match_induction(matrices):
     """The covariant strata functor's weight-level transitions implement
     character-level induction: a basis class maps to its signed target
     exactly when the corresponding induced characters agree.  Every
-    inclusion is checked; on hyper_rank3 and ext4 the strips behind the
+    cover is checked; on hyper_rank3 and ext4 the strips behind the
     signs have several letters."""
     signs = []
     for name, box in (("affine_a1", Box(2, 0)), ("hyper_rank3", Box(1, 0)), ("ext4", Box(1, 0))):
