@@ -248,14 +248,16 @@ class WeylGroup(Reflections):
 
     def _quotient(self, L: int, K=()) -> list[list[CoxeterElement]]:
         """Spheres 0..L of the right quotient W^K (w minimal in w W_K), walked
-        once per K and kept under the element cap; K empty gives the ball."""
+        once per K and kept under the element cap; K empty gives the ball.
+        The walk ends at the first empty sphere, as nothing is longer, so a
+        finite quotient may return fewer than L + 1 spheres."""
         if L < 0:
             raise ValueError("length bound must be >= 0")
         kmask = self.subset_mask(K)
         with self._lock:
             spheres = self._quotients.setdefault(kmask, [[self.identity]])
             by_orbit = self._by_orbit
-            while len(spheres) <= L:
+            while len(spheres) <= L and spheres[-1]:
                 sphere = self._step(spheres[-1], range(self.n), kmask)
                 # distinct elements: those held and the sphere's new ones, at
                 # most all of it, so the orbits are looked up only near the cap
@@ -329,7 +331,8 @@ class WeylGroup(Reflections):
         return out
 
     def sphere(self, length: int) -> tuple[CoxeterElement, ...]:
-        return tuple(self._quotient(length)[length])
+        spheres = self._quotient(length)
+        return tuple(spheres[length]) if length < len(spheres) else ()
 
     def ball(self, L: int) -> tuple[CoxeterElement, ...]:
         """All elements of length <= L, sorted by (length, ShortLex)."""

@@ -9,8 +9,8 @@ agree once truncations stabilize, and the test suite enforces that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import intlinalg
 from .coxeter import CoxeterElement, weyl_group
@@ -26,8 +26,7 @@ SILENT = "silent"
 CHAIN_CAP = 500_000
 
 
-@dataclass(frozen=True)
-class SimplicialComplexDesc:
+class SimplicialComplexDesc(NamedTuple):
     """Finite simplicial complex; ``simplices[d]`` holds the dimension-d cells
     as tuples of vertex labels, every cell listing its vertices in one shared
     order (poset order, for chains of the spherical poset)."""
@@ -42,8 +41,7 @@ class SimplicialComplexDesc:
         return tuple(len(level) for level in self.simplices)
 
 
-@dataclass(frozen=True)
-class IntegerCohomology:
+class IntegerCohomology(NamedTuple):
     """Per-degree free rank plus torsion divisors (d1 | d2 | ...)."""
 
     groups: tuple[tuple[int, tuple[int, ...]], ...]
@@ -238,15 +236,13 @@ def _two_degree_cohomology(top_degree: int, zero_rank: int, top_rank: int) -> In
 # -- sector filtration ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SectorStep:
+class SectorStep(NamedTuple):
     element: CoxeterElement
     continuation: tuple[int, ...]  # ascent nodes keeping K-left minimality
     verdict: str
 
 
-@dataclass(frozen=True)
-class SectorReport:
+class SectorReport(NamedTuple):
     """Per-step record of the chamber scan plus the resulting compactly
     supported cohomology of the K-sector."""
 
@@ -322,8 +318,7 @@ def sector_filtration_cohomology(A: GeneralizedCartanMatrix, K, L: int) -> Secto
 # -- decomposition of the induced complex ------------------------------------------
 
 
-@dataclass(frozen=True)
-class HatSectorReport:
+class HatSectorReport(NamedTuple):
     """Cohomology of the K-quotient of the induced chamber complex, with the
     coset representatives generating each nonzero degree."""
 

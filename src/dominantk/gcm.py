@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import MalformedFileError, NotAGCMError, NotFiniteTypeError, WrongTypeError
 
@@ -27,14 +26,40 @@ BOND_ORDER = {0: 2, 1: 3, 2: 4, 3: 6}
 INFINITE_ORDER = math.inf
 
 
-@dataclass(frozen=True)
 class GeneralizedCartanMatrix:
     """Validated integer matrix with 2's on the diagonal, non-positive
-    off-diagonal entries and a symmetric zero pattern."""
+    off-diagonal entries and a symmetric zero pattern.
 
-    entries: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    Immutable, and equal and hashed by (entries, labels).  ``_memo`` holds
+    the data derived from the matrix (see ``per_matrix``) and takes no part
+    in equality, hashing or copies."""
+
+    __slots__ = ("entries", "labels", "_memo")
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...], labels: tuple[str, ...]):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_memo", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.labels) == (other.entries, other.labels)
+
+    def __hash__(self):
+        return hash((self.entries, self.labels))
+
+    def __repr__(self):
+        return f"GeneralizedCartanMatrix(entries={self.entries!r}, labels={self.labels!r})"
+
+    def __reduce__(self):
+        return GeneralizedCartanMatrix, (self.entries, self.labels)
 
     @property
     def size(self) -> int:
@@ -181,8 +206,7 @@ def parse_gcm(text: str) -> GeneralizedCartanMatrix:
     return gcm_from_rows(rows, labels)
 
 
-@dataclass(frozen=True)
-class TypeClassification:
+class TypeClassification(NamedTuple):
     kind: str
     symmetrizable: bool
     symmetrizer: tuple[int, ...] | None
@@ -191,8 +215,7 @@ class TypeClassification:
     indecomposable: bool
 
 
-@dataclass(frozen=True)
-class SphericalPoset:
+class SphericalPoset(NamedTuple):
     """Subsets J of the node set whose reflection subgroup is finite,
     listed in (size, lexicographic) order and closed downward."""
 
@@ -231,9 +254,21 @@ def _block_kind(entries) -> str:
 
 @per_matrix
 def _subset_finite(A: GeneralizedCartanMatrix, subset: tuple[int, ...]) -> bool:
-    # the leading minors of A_J are products of its blocks' leading minors,
-    # and one block advances per step: all are positive iff every block's are
-    return all(m > 0 for m in _leading_minors([[A.entries[i][j] for j in subset] for i in subset]))
+    # finite type holds blockwise (Kac, ch. 4): a connected subset is finite
+    # iff its leading minors are all positive, any other iff both the
+    # component of its last node and the rest are, each tested once
+    a = A.entries
+    comp, stack, rest = list(subset[-1:]), list(subset[-1:]), list(subset[:-1])
+    while stack:
+        row = a[stack.pop()]
+        near = [j for j in rest if row[j]]
+        if near:
+            comp += near
+            stack += near
+            rest = [j for j in rest if not row[j]]
+    if rest:
+        return _subset_finite(A, tuple(rest)) and _subset_finite(A, tuple(sorted(comp)))
+    return all(m > 0 for m in _leading_minors([[a[i][j] for j in subset] for i in subset]))
 
 
 def is_finite_type(A: GeneralizedCartanMatrix, subset=None) -> bool:
@@ -253,28 +288,32 @@ def finite_subset(A: GeneralizedCartanMatrix, subset) -> tuple[int, ...]:
 
 
 def _symmetrizer(A: GeneralizedCartanMatrix):
-    """Positive rational diagonal d with d_i a_ij = d_j a_ji, as a primitive
-    positive integer vector, or None if no such d exists."""
-    n = A.size
-    d: list[Fraction | None] = [None] * n
+    """Positive diagonal d with d_i a_ij = d_j a_ji, as a primitive positive
+    integer vector, or None if no such d exists.
+
+    Each block's first node gets the current unit, and its other nodes
+    d_j = d_i a_ij / a_ji along a search tree; where that quotient is not
+    integral, every value set so far (and the unit) is scaled to make it so."""
+    n, a = A.size, A.entries
+    d, unit = [0] * n, 1
     for block in A.blocks():
-        root = block[0]
-        d[root] = Fraction(1)
-        stack = [root]
+        d[block[0]] = unit
+        stack = [block[0]]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if A.entries[i][j] != 0 and i != j and d[j] is None:
-                    d[j] = d[i] * A.entries[i][j] / A.entries[j][i]
+                if a[i][j] and i != j and not d[j]:
+                    num, den = d[i] * a[i][j], a[j][i]
+                    scale = -den // math.gcd(num, den)
+                    if scale > 1:
+                        d = [x * scale for x in d]
+                        unit, num = unit * scale, num * scale
+                    d[j] = num // den
                     stack.append(j)
-    for i in range(n):
-        for j in range(n):
-            if d[i] * A.entries[i][j] != d[j] * A.entries[j][i]:
-                return None
-    denom = math.lcm(*(x.denominator for x in d))
-    ints = [int(x * denom) for x in d]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+    if any(d[i] * a[i][j] != d[j] * a[j][i] for i in range(n) for j in range(n)):
+        return None
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
 
 
 @per_matrix
@@ -293,7 +332,7 @@ def classify_type(A: GeneralizedCartanMatrix) -> TypeClassification:
     when I0 is itself not of finite type.
     """
     blocks = A.blocks()
-    kinds = [_block_kind(A.submatrix(b).entries) for b in blocks]
+    kinds = [_block_kind([[A.entries[i][j] for j in b] for i in b]) for b in blocks]
     if all(k == FINITE for k in kinds):
         kind = FINITE
     elif all(k in (FINITE, AFFINE) for k in kinds):

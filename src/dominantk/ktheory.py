@@ -11,8 +11,8 @@ spherical poset; the test suite holds it against the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .coxeter import CoxeterElement, weyl_group
 from .davis import IntegerCohomology, cochain_cohomology
@@ -33,8 +33,7 @@ EXTENDED_COHOMOLOGY = "extended-cohomology"
 COMPACT_HOMOLOGY = "compact-homology"
 
 
-@dataclass(frozen=True)
-class StratumBasis:
+class StratumBasis(NamedTuple):
     """Dominant weights in a box vanishing exactly on the coroots in K."""
 
     subset: tuple[int, ...]
@@ -44,8 +43,7 @@ class StratumBasis:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     degree: int
     subset: tuple[int, ...]
     index_words: tuple | None  # None: the one-point index set
@@ -60,8 +58,7 @@ class Summand:
         return self.index_size * len(self.basis)
 
 
-@dataclass(frozen=True)
-class KTheoryReport:
+class KTheoryReport(NamedTuple):
     mode: str
     top_degree: int
     torus_rank: int
@@ -165,8 +162,7 @@ def k_homology_report(A: GeneralizedCartanMatrix, box: Box) -> KTheoryReport:
 # -- restriction / stabilization image predicates -----------------------------------
 
 
-@dataclass(frozen=True)
-class ImagePredicates:
+class ImagePredicates(NamedTuple):
     regular_dominant_for_levi: bool
     in_image_st: bool
     in_image_of_r: bool
@@ -375,8 +371,7 @@ def strata_colimit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> F
 # -- splitting of the homology functor ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitRecord:
+class SplitRecord(NamedTuple):
     sign: int
     cone_weight: Weight
     element: CoxeterElement

@@ -8,8 +8,8 @@ rank is 2m - rank(A), so these coordinates determine the weight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import intlinalg
 from .coxeter import CoxeterElement, Reflections, weyl_group
@@ -23,8 +23,7 @@ NOT_IN_CONE = "not-in-cone"
 UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
     """Finite window in weight space: |coroot values| and |complement
     coordinates| bounded separately."""
 
@@ -38,8 +37,7 @@ class Box:
         )
 
 
-@dataclass(frozen=True)
-class ChamberReduction:
+class ChamberReduction(NamedTuple):
     status: str
     weight: Weight | None
     element: CoxeterElement | None

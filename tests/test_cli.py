@@ -68,6 +68,18 @@ def test_coxeter_ball():
     assert rows[-1] == ["0,1,0", "3"]
 
 
+def test_finite_ball_at_a_huge_length_bound():
+    """A2 lists its 6 elements at a 20-digit bound: the walk ends at the
+    first empty sphere."""
+    argv = ["coxeter", "ball", "--gcm", data_path("a2"), "--max-length",
+            "99999999999999999999", "--format", "tsv"]
+    proc = subprocess.run([sys.executable, "-m", "dominantk", *argv], capture_output=True,
+                          text=True, env=_cli_env(), timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 0, proc.stderr
+    assert [row.split("\t")[0] for row in body(proc.stdout)] == [
+        "e", "0", "1", "0,1", "1,0", "0,1,0"]
+
+
 def test_coxeter_cosets_and_pure():
     code, out = run(
         ["coxeter", "cosets", "--gcm", data_path("affine_a1"), "--j", "0",

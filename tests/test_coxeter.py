@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -10,6 +12,7 @@ from dominantk import coxeter
 from dominantk.coxeter import CoxeterElement, WeylGroup, weyl_group
 from dominantk.gcm import classify_type, gcm_from_rows, spherical_poset
 from test_characters import reference_levi_positive_roots
+from test_cli import _cli_env, _limit_memory
 
 
 # -- independent oracle: W(A2) as permutations of three letters --------------------
@@ -247,6 +250,26 @@ def test_ball_sizes(matrices):
     for L in range(11):
         assert len(weyl_group(matrices["affine_a1"]).ball(L)) == 2 * L + 1
     assert weyl_group(matrices["g2"]).ball(0) == (weyl_group(matrices["g2"]).identity,)
+
+
+def test_finite_ball_ends_at_its_longest_element(matrices):
+    """The walk stops at the first empty sphere: past the longest element
+    every sphere is empty, and ball, cosets and the exhaustion test keep
+    their answers at any bound.  A fresh interpreter checks a 20-digit bound,
+    which a walk stepping every length would never finish."""
+    script = ("from dominantk.data import load\n"
+              "from dominantk.coxeter import weyl_group\n"
+              "group, L = weyl_group(load('a2')), 10**20\n"
+              "print(len(group.ball(L)), len(group.min_coset_reps((0,), (1,), L)),"
+              " group.sphere(L), group.is_finite(L))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_cli_env(), timeout=60, preexec_fn=_limit_memory)
+    assert proc.stdout == "6 2 () True\n", proc.stderr
+    group = WeylGroup(matrices["a2"])
+    assert [len(group.sphere(k)) for k in range(6)] == [1, 2, 2, 1, 0, 0]
+    assert group.ball(3_000_000) == group.ball(3)
+    assert group.min_coset_reps((0,), (), 3_000_000) == group.min_coset_reps((0,), (), 3)
+    assert group.is_finite(4) and not group.is_finite(3)
 
 
 def test_ball_sorted_and_unique(matrices):

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -16,6 +18,7 @@ from dominantk.gcm import (
     INFINITE_ORDER,
     GeneralizedCartanMatrix,
     _leading_minors,
+    _symmetrizer,
     classify_type,
     coxeter_matrix,
     gcm_from_rows,
@@ -302,6 +305,114 @@ def test_node_indices_are_checked_once(matrices):
     with pytest.raises(IndexError):
         ambient_dominance_test(build_realization(A), (-1,), (0, 0))
     assert is_finite_type(A, (0, 0))
+
+
+
+def random_tree_gcm(rng, n):
+    """A random n-node GCM whose bond graph is a tree: always symmetrizable,
+    and a_ij / a_ji is often not integral."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for j in range(1, n):
+        i = rng.randrange(j)
+        rows[i][j], rows[j][i] = rng.choice((-1, -1, -2, -3)), rng.choice((-1, -1, -2, -3))
+    return gcm_from_rows(rows)
+
+
+def random_mixed_gcms(seed, count=400):
+    """Seeded 2-7-node GCMs: random bond graphs, trees, and sums of two such
+    pieces with their nodes interleaved, so decomposable matrices with blocks
+    of different symmetrizer scales and non-symmetrizable ones both occur."""
+    rng = random.Random(seed)
+
+    def piece(n):
+        return (random_gcm if rng.random() < 0.5 else random_tree_gcm)(rng, n)
+
+    out = []
+    for k in range(count):
+        n = rng.randint(2, 7)
+        if k % 3 < 2:
+            out.append(piece(n))
+            continue
+        first = piece(rng.randint(1, n - 1))
+        second = piece(n - first.size)
+        order = list(range(n))
+        rng.shuffle(order)
+        rows = [[0] * n for _ in range(n)]
+        for offset, part in ((0, first), (first.size, second)):
+            for i, row in enumerate(part.entries):
+                for j, x in enumerate(row):
+                    rows[order[offset + i]][order[offset + j]] = x
+        out.append(gcm_from_rows(rows))
+    return out
+
+
+def reference_symmetrizer(A: GeneralizedCartanMatrix):
+    """The rational route: each block's first node gets 1, the others
+    d_j = d_i a_ij / a_ji as fractions, then the primitive integer multiple."""
+    n = A.size
+    d = [None] * n
+    for block in A.blocks():
+        root = block[0]
+        d[root] = Fraction(1)
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if A.entries[i][j] != 0 and i != j and d[j] is None:
+                    d[j] = d[i] * A.entries[i][j] / A.entries[j][i]
+                    stack.append(j)
+    for i in range(n):
+        for j in range(n):
+            if d[i] * A.entries[i][j] != d[j] * A.entries[j][i]:
+                return None
+    denom = math.lcm(*(x.denominator for x in d))
+    ints = [int(x * denom) for x in d]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def test_integer_symmetrizer_matches_rational_route(matrices):
+    assert classify_type(matrices["g2"]).symmetrizer == (3, 1)
+    assert classify_type(matrices["b2"]).symmetrizer == (2, 1)
+    cases = list(matrices.values()) + random_mixed_gcms(5)
+    scaled = unsymmetrizable = 0
+    for A in cases:
+        expected = reference_symmetrizer(A)
+        assert _symmetrizer(A) == expected, A
+        unsymmetrizable += expected is None
+        scaled += expected is not None and len(A.blocks()) > 1 and max(expected) > 1
+    assert scaled >= 40 and unsymmetrizable >= 40
+
+
+def reference_spherical_members(A: GeneralizedCartanMatrix):
+    """The whole-submatrix route: every subset in combinations order, finite
+    when the leading minors of its whole submatrix are all positive."""
+    return tuple(
+        subset
+        for size in range(A.size + 1)
+        for subset in combinations(A.index_set, size)
+        if all(m > 0 for m in _leading_minors([[A.entries[i][j] for j in subset] for i in subset]))
+    )
+
+
+def test_spherical_poset_matches_whole_submatrix_route(matrices):
+    """Per-component minors give the poset and the finite-type test of one
+    elimination per subset, on the bundled matrices and 400 random ones;
+    the test runs on a fresh copy in shuffled order as well, so that the
+    components are split without the poset's smaller subsets at hand."""
+    rng = random.Random(17)
+    cases = list(matrices.values()) + random_mixed_gcms(17)
+    decomposable = 0
+    for A in cases:
+        expected = reference_spherical_members(A)
+        assert spherical_poset(A).members == expected, A
+        subsets = [s for k in range(A.size + 1) for s in combinations(A.index_set, k)]
+        rng.shuffle(subsets)
+        fresh, members = gcm_from_rows(A.entries), set(expected)
+        for subset in subsets:
+            assert is_finite_type(fresh, subset) == (subset in members), (A, subset)
+        decomposable += len(A.blocks()) > 1
+    assert decomposable >= 100
 
 
 # -- spherical poset -------------------------------------------------------------
