@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .coxeter import weyl_group
+from .coxeter import paused_gc, weyl_group
 from .errors import (
     ConeReductionFailedError,
     DivisionRemainderError,
@@ -233,22 +233,21 @@ def weyl_numerator(real: Realization, lam: Weight, J=None,
     """
     group = weyl_group(real.gcm)
     if J is not None:
-        elements = group.subgroup_elements(J)
-        bound = None
+        spheres, bound = group._subgroup_spheres(J), None
+    elif length_bound is None:
+        raise ValueError("a length bound is required when no subset J is given")
     else:
-        if length_bound is None:
-            raise ValueError("a length bound is required when no subset J is given")
-        elements = group.ball(length_bound)
-        bound = length_bound
-    # ShortLex words are closed under suffixes and ``elements`` is sorted
-    # by length, so w = r_i w' with w' = word[1:] already seen
-    orbit = {(): lam}
-    terms: dict = {}
-    for w in elements:
-        key = orbit[w.word] = (
-            real.reflect(w.word[0], orbit[w.word[1:]]) if w.word else lam
-        )
-        terms[key] = terms.get(key, 0) + w.sign()
+        spheres, bound = group._quotient(length_bound), length_bound
+    # ShortLex words are closed under suffixes, so w = r_i u with u = word[1:]
+    # in the sphere before; its image is kept for that sphere only
+    images, terms = {(): lam}, {lam: 1}
+    with paused_gc():
+        for length in range(1, len(spheres)):
+            shorter, images, sign = images, {}, -1 if length % 2 else 1
+            for w in spheres[length]:
+                word = w.word
+                key = images[word] = real.reflect(word[0], shorter[word[1:]])
+                terms[key] = terms.get(key, 0) + sign
     return FormalCharacter(terms, length_bound=bound)
 
 

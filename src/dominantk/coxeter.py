@@ -21,13 +21,31 @@ alpha_i, are filled in per element on first use.
 
 from __future__ import annotations
 
+import gc
 import threading
+from contextlib import contextmanager
 from itertools import chain
 
 from .errors import NotMinimalError, ResourceExceededError
 from .gcm import GeneralizedCartanMatrix, finite_subset, per_matrix
 
 DEFAULT_ELEMENT_CAP = 10**6
+
+
+@contextmanager
+def paused_gc():
+    """Pause the cyclic collector while a walk grows: a walk leaves no garbage
+    cycles, yet each element, word and orbit vector it keeps counts towards
+    the next collection.  Only a collector this pause disabled is enabled
+    again (in the manner of Mercurial's ``util.nogc``)."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 class CoxeterElement:
@@ -250,11 +268,16 @@ class WeylGroup(Reflections):
         """Spheres 0..L of the right quotient W^K (w minimal in w W_K), walked
         once per K and kept under the element cap; K empty gives the ball.
         The walk ends at the first empty sphere, as nothing is longer, so a
-        finite quotient may return fewer than L + 1 spheres."""
+        finite quotient may return fewer than L + 1 spheres.  Spheres already
+        kept are returned without the lock; a walk that must step holds it
+        with the collector paused."""
         if L < 0:
             raise ValueError("length bound must be >= 0")
         kmask = self.subset_mask(K)
-        with self._lock:
+        spheres = self._quotients.get(kmask)
+        if spheres is not None and (len(spheres) > L or not spheres[-1]):
+            return spheres[: L + 1]  # a sphere is appended whole, never removed
+        with self._lock, paused_gc():
             spheres = self._quotients.setdefault(kmask, [[self.identity]])
             by_orbit = self._by_orbit
             while len(spheres) <= L and spheres[-1]:
@@ -274,17 +297,6 @@ class WeylGroup(Reflections):
                 spheres.append(sphere)
         return spheres[: L + 1]
 
-    def _ascend(self, i: int, vector, mask: int):
-        """r_i on ``vector`` with <vector, h_i> > 0 and its negative ``mask``
-        updated: only the rows of column i move, i falls and the others rise."""
-        v, out = vector[i], list(vector)
-        mask &= ~self._moved[i]
-        for k, a in self._columns[i]:
-            out[k] -= v * a
-            if out[k] < 0:
-                mask |= 1 << k
-        return tuple(out), mask
-
     def _step(self, shorter, letters, kmask: int = 0) -> list[CoxeterElement]:
         """The next sphere, in ShortLex order, of the group generated by
         ``letters`` after its sphere ``shorter``: w = r_i u for i ascending
@@ -303,19 +315,29 @@ class WeylGroup(Reflections):
             simple = self._simple
             exits = [sum(simple.get(root, 0) for k, root in enumerate(self._root_images(u))
                          if kmask >> k & 1) for u in shorter]
-        out = []
+        # (row k, a[k][i], bit k) over the nonzero a[k][i] of each column i
+        columns = [tuple((k, a, 1 << k) for k, a in column) for column in self._columns]
+        by_orbit, moved, out = self._by_orbit, self._moved, []
         for i in letters:
-            below = (1 << i) - 1
-            blocked = below & ~self._moved[i] | 1 << i
+            below, column, keep = (1 << i) - 1, columns[i], ~moved[i]
+            blocked = below & keep | 1 << i
             stay = shorter if not kmask else [u for u, x in zip(shorter, exits) if not x >> i & 1]
             for u in stay:
-                if u.left & blocked:
+                left = u.left
+                if left & blocked:
                     continue
-                orbit, left = self._ascend(i, u.orbit, u.left)
+                # r_i on u(rho) with <u(rho), h_i> > 0: only the rows of
+                # column i move, row i falls and the others rise
+                orbit, v, left = list(u.orbit), u.orbit[i], left & keep
+                for k, a, bit in column:
+                    x = orbit[k] = orbit[k] - v * a
+                    if x < 0:
+                        left |= bit
                 if left & below:
                     continue
+                orbit = tuple(orbit)
                 if kmask:
-                    known = self._by_orbit.get(orbit)
+                    known = by_orbit.get(orbit)
                     if known is not None:
                         out.append(known)
                         continue
@@ -325,8 +347,14 @@ class WeylGroup(Reflections):
                 except KeyError:  # a prefix outside W^K
                     inv_orbit = self._fold(word, self._rho)
                     right = _negative_mask(inv_orbit)
-                else:
-                    inv_orbit, right = self._ascend(word[-1], p.inv_orbit, p.right)
+                else:  # the same ascent, by the last letter s, on p^{-1}(rho)
+                    s = word[-1]
+                    inv_orbit, v, right = list(p.inv_orbit), p.inv_orbit[s], p.right & ~moved[s]
+                    for k, a, bit in columns[s]:
+                        x = inv_orbit[k] = inv_orbit[k] - v * a
+                        if x < 0:
+                            right |= bit
+                    inv_orbit = tuple(inv_orbit)
                 out.append(CoxeterElement(self, word, orbit, inv_orbit, left, right))
         return out
 
@@ -350,19 +378,26 @@ class WeylGroup(Reflections):
 
     def subgroup_elements(self, J) -> tuple[CoxeterElement, ...]:
         """All elements of the standard parabolic subgroup on J (finite type),
-        sorted by (length, ShortLex): sphere steps over the letters of J."""
+        sorted by (length, ShortLex)."""
+        return tuple(chain.from_iterable(self._subgroup_spheres(J)))
+
+    def _subgroup_spheres(self, J) -> list[list[CoxeterElement]]:
+        """The spheres of W_J (J of finite type), the last one empty: sphere
+        steps over the letters of J."""
         J = finite_subset(self.gcm, J)
-        out, layer = [self.identity], [self.identity]
-        while layer:
-            # elements within the enumerated ball are the ball's own
-            layer = [self._by_orbit.get(w.orbit, w) for w in self._step(layer, J)]
-            out.extend(layer)
-            if len(out) > self.element_cap:
-                raise ResourceExceededError(
-                    f"parabolic subgroup on {J} exceeded the cap of {self.element_cap}"
-                    f" elements ({len(out)} enumerated)"
-                )
-        return tuple(out)
+        spheres, total = [[self.identity]], 1
+        with paused_gc():
+            while spheres[-1]:
+                # elements within the enumerated ball are the ball's own
+                spheres.append([self._by_orbit.get(w.orbit, w)
+                                for w in self._step(spheres[-1], J)])
+                total += len(spheres[-1])
+                if total > self.element_cap:
+                    raise ResourceExceededError(
+                        f"parabolic subgroup on {J} exceeded the cap of {self.element_cap}"
+                        f" elements ({total} enumerated)"
+                    )
+        return spheres
 
     # -- cosets, purity, Bruhat order -----------------------------------------
 

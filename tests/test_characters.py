@@ -136,6 +136,65 @@ def test_numerator_orbit_support(matrices):
         assert set(char.terms.values()) <= {1, -1}
 
 
+# -- the word-keyed numerator, kept as the reference for the per-sphere loop ----------
+
+
+def reference_weyl_numerator(real, lam, J=None, length_bound=None):
+    """Over the flat ball or W_J, each w(lam) reflected from the image of
+    word[1:] kept for every element, signed by w.sign()."""
+    group = weyl_group(real.gcm)
+    if J is not None:
+        elements, bound = group.subgroup_elements(J), None
+    else:
+        elements, bound = group.ball(length_bound), length_bound
+    orbit, terms = {(): lam}, {}
+    for w in elements:
+        key = orbit[w.word] = (
+            real.reflect(w.word[0], orbit[w.word[1:]]) if w.word else lam
+        )
+        terms[key] = terms.get(key, 0) + w.sign()
+    return FormalCharacter(terms, length_bound=bound)
+
+
+def _singular(real, j):
+    """rho with coordinate j set to 0: fixed by r_j."""
+    return tuple(0 if k == j else x for k, x in enumerate(real.rho()))
+
+
+def _assert_same_numerator(real, lam, J=None, length_bound=None):
+    new = weyl_numerator(real, lam, J, length_bound)
+    old = reference_weyl_numerator(real, lam, J, length_bound)
+    assert new == old
+    assert (new.length_bound, new.box, new.truncated) == (old.length_bound, None, False)
+    return new
+
+
+@pytest.mark.parametrize("name", ["a2", "b2", "g2", "a1xa1", "affine_a1", "affine_a2",
+                                  "hyper_rank2", "hyper_rank3", "ext4", "e9", "e10"])
+def test_numerator_matches_word_keyed_reference(matrices, name):
+    """Ball sums at a regular and a singular weight, and W_J sums over the
+    spherical J of up to 3 nodes: at rho, and at a weight singular on J,
+    where every term cancels and is dropped."""
+    A = matrices[name]
+    real = build_realization(A)
+    bound = 6 if A.size <= 4 else 3
+    for lam in (real.rho(), _singular(real, 0)):
+        assert _assert_same_numerator(real, lam, length_bound=bound).length_bound == bound
+    for J in spherical_poset(A).members:
+        if len(J) <= 3:
+            assert len(_assert_same_numerator(real, real.rho(), J)) == len(
+                weyl_group(A).subgroup_elements(J))
+        if 0 < len(J) <= 3:
+            assert not _assert_same_numerator(real, _singular(real, J[-1]), J)
+
+
+def test_numerator_matches_word_keyed_reference_e10(matrices):
+    real = build_realization(matrices["e10"])
+    assert len(_assert_same_numerator(real, real.rho(), length_bound=6)) == len(
+        weyl_group(matrices["e10"]).ball(6))
+    _assert_same_numerator(real, _singular(real, 4), length_bound=6)
+
+
 # -- irreducible characters ------------------------------------------------------------
 
 

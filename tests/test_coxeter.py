@@ -1,3 +1,4 @@
+import gc
 import subprocess
 import sys
 from fractions import Fraction
@@ -540,6 +541,7 @@ def test_concurrent_enumeration(matrices):
         t.join()
     assert len(set(results)) == 1
     assert results[0] == tuple(w.word for w in weyl_group(matrices["hyper_rank3"]).ball(6))
+    assert gc.isenabled()  # every walk's pause handed the collector back
 
 
 # -- the root-matrix route, kept as the reference for the orbit vectors ------------
@@ -760,6 +762,7 @@ def test_thread_pool_shares_one_group(matrices):
     finally:
         sys.setswitchinterval(interval)
     assert results == expected
+    assert gc.isenabled()
 
 
 def test_thread_pool_shares_one_quotient(matrices):
@@ -790,6 +793,7 @@ def test_thread_pool_shares_one_quotient(matrices):
     finally:
         sys.setswitchinterval(interval)
     assert results == expected
+    assert gc.isenabled()
     assert all(len(words) for words in expected[0])
 
 
