@@ -1,10 +1,12 @@
-"""Truncated character-ring arithmetic for Levi subgroups.
+"""Character-ring arithmetic for Levi subgroups.
 
-Characters are finitely supported integer maps on weights.  The term order
+Characters are finitely supported integer maps on weights; a truncated
+full-group alternating sum also carries its length bound.  The term order
 is lexicographic on the coordinate tuple; exact division is leading-term
-elimination.  Levi irreducible characters, and Dirac induction through
-them, come from Freudenthal's multiplicity formula on the dominant weights
-without dividing or enumerating W_J.  A nonzero remainder in either is
+elimination.  Levi irreducible characters, the spinor character (the one
+at rho_J) and Dirac induction through them come from Freudenthal's
+multiplicity formula on the dominant weights without dividing or
+enumerating W_J.  A nonzero remainder in division or in the recursion is
 treated as an internal bug.
 """
 
@@ -25,19 +27,17 @@ from .weights import IN_CONE, NOT_IN_CONE, Realization, Weight
 
 
 class FormalCharacter:
-    """Finitely supported Weight -> int map with optional truncation metadata.
+    """Finitely supported Weight -> int map.
 
     ``length_bound`` records the enumeration bound of a truncated full-group
-    alternating sum; two characters compare equal only at equal metadata.
+    alternating sum; two characters compare equal only at equal bounds.
     """
 
-    __slots__ = ("terms", "length_bound", "box", "truncated")
+    __slots__ = ("terms", "length_bound")
 
-    def __init__(self, terms=None, *, length_bound=None, box=None, truncated=False):
+    def __init__(self, terms=None, *, length_bound=None):
         self.terms = {w: c for w, c in (terms or {}).items() if c}
         self.length_bound = length_bound
-        self.box = box
-        self.truncated = truncated
 
     @classmethod
     def monomial(cls, lam: Weight, coeff: int = 1) -> "FormalCharacter":
@@ -50,18 +50,13 @@ class FormalCharacter:
     def _meta(self, other):
         if self.length_bound is not None and other.length_bound not in (None, self.length_bound):
             raise ValueError("length-truncated characters are comparable only at equal bounds")
-        bound = self.length_bound if self.length_bound is not None else other.length_bound
-        return bound, self.box if self.box is not None else other.box
+        return self.length_bound if self.length_bound is not None else other.length_bound
 
     def __add__(self, other):
-        bound, box = self._meta(other)
-        terms = dict(self.terms)
+        bound, terms = self._meta(other), dict(self.terms)
         for w, c in other.terms.items():
             terms[w] = terms.get(w, 0) + c
-        return FormalCharacter(
-            terms, length_bound=bound, box=box,
-            truncated=self.truncated or other.truncated,
-        )
+        return FormalCharacter(terms, length_bound=bound)
 
     def __neg__(self):
         return self.scaled(-1)
@@ -70,44 +65,25 @@ class FormalCharacter:
         return self + (-other)
 
     def scaled(self, k: int) -> "FormalCharacter":
-        return FormalCharacter(
-            {w: k * c for w, c in self.terms.items()},
-            length_bound=self.length_bound, box=self.box, truncated=self.truncated,
-        )
+        return FormalCharacter({w: k * c for w, c in self.terms.items()},
+                               length_bound=self.length_bound)
 
-    def mul(self, other, real: Realization | None = None) -> "FormalCharacter":
-        """Product; with a box present, terms outside it are discarded and
-        the result is flagged truncated."""
-        bound, box = self._meta(other)
-        terms: dict = {}
+    def __mul__(self, other):
+        if not isinstance(other, FormalCharacter):
+            return self.scaled(other)
+        bound, terms = self._meta(other), {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = tuple(a + b for a, b in zip(w1, w2))
                 terms[w] = terms.get(w, 0) + c1 * c2
-        truncated = self.truncated or other.truncated
-        if box is not None:
-            if real is None:
-                raise ValueError("a realization is needed to apply a box")
-            kept = {w: c for w, c in terms.items() if c and box.contains(real, w)}
-            truncated = truncated or len(kept) != len({w for w, c in terms.items() if c})
-            terms = kept
-        return FormalCharacter(terms, length_bound=bound, box=box, truncated=truncated)
-
-    def __mul__(self, other):
-        if isinstance(other, FormalCharacter):
-            return self.mul(other)
-        return self.scaled(other)
+        return FormalCharacter(terms, length_bound=bound)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, FormalCharacter):
             return NotImplemented
-        return (
-            self.terms == other.terms
-            and self.length_bound == other.length_bound
-            and self.box == other.box
-        )
+        return self.terms == other.terms and self.length_bound == other.length_bound
 
     def __bool__(self):
         return bool(self.terms)
@@ -214,13 +190,9 @@ def weyl_denominator(real: Realization, J) -> FormalCharacter:
 
 
 def spinor_character(real: Realization, J) -> FormalCharacter:
-    """e^{rho_J} times the product of (1 + e^{-alpha}): the character of the
-    Levi irreducible with highest weight rho_J (degree-shift Thom class)."""
-    out = FormalCharacter.monomial(real.partial_rho(J))
-    for root in levi_positive_roots(real.gcm, J):
-        neg = real.root_weight([-c for c in root])
-        out = out * (FormalCharacter.monomial(real.zero()) + FormalCharacter.monomial(neg))
-    return out
+    """The Levi irreducible with highest weight rho_J (degree-shift Thom
+    class), which equals e^{rho_J} times the product of (1 + e^{-alpha})."""
+    return levi_irreducible_character(real, J, real.partial_rho(J))
 
 
 def weyl_numerator(real: Realization, lam: Weight, J=None,
@@ -229,10 +201,12 @@ def weyl_numerator(real: Realization, lam: Weight, J=None,
 
     With J given the sum runs over the full finite Levi group W_J; without
     J it runs over the ball of the stated length bound and the result
-    carries that bound as metadata.
+    carries that bound as metadata.  Exactly one of the two is taken.
     """
     group = weyl_group(real.gcm)
     if J is not None:
+        if length_bound is not None:
+            raise ValueError("a subset J or a length bound, not both")
         spheres, bound = group._subgroup_spheres(J), None
     elif length_bound is None:
         raise ValueError("a length bound is required when no subset J is given")

@@ -76,23 +76,10 @@ class GeneralizedCartanMatrix:
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Indecomposable blocks: connected components of the bond graph."""
-        n = self.size
-        seen = [False] * n
-        out = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            comp = []
-            stack = [start]
-            seen[start] = True
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j in range(n):
-                    if not seen[j] and self.entries[i][j] != 0:
-                        seen[j] = True
-                        stack.append(j)
-            out.append(tuple(sorted(comp)))
+        out, rest = [], self.index_set
+        while rest:
+            comp, rest = _component(self.entries, rest)
+            out.append(comp)
         return tuple(sorted(out))
 
     def label_indices(self, names) -> tuple[int, ...]:
@@ -252,22 +239,29 @@ def _block_kind(entries) -> str:
     return INDEFINITE
 
 
+def _component(entries, nodes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sorted bond-graph component of the last node within ``nodes``,
+    and the other nodes in their given order."""
+    comp, stack, rest = list(nodes[-1:]), list(nodes[-1:]), nodes[:-1]
+    while stack:
+        row = entries[stack.pop()]
+        near = [j for j in rest if row[j]]
+        if near:
+            comp += near
+            stack += near
+            rest = tuple(j for j in rest if not row[j])
+    return tuple(sorted(comp)), rest
+
+
 @per_matrix
 def _subset_finite(A: GeneralizedCartanMatrix, subset: tuple[int, ...]) -> bool:
     # finite type holds blockwise (Kac, ch. 4): a connected subset is finite
     # iff its leading minors are all positive, any other iff both the
     # component of its last node and the rest are, each tested once
     a = A.entries
-    comp, stack, rest = list(subset[-1:]), list(subset[-1:]), list(subset[:-1])
-    while stack:
-        row = a[stack.pop()]
-        near = [j for j in rest if row[j]]
-        if near:
-            comp += near
-            stack += near
-            rest = [j for j in rest if not row[j]]
+    comp, rest = _component(a, subset)
     if rest:
-        return _subset_finite(A, tuple(rest)) and _subset_finite(A, tuple(sorted(comp)))
+        return _subset_finite(A, rest) and _subset_finite(A, comp)
     return all(m > 0 for m in _leading_minors([[a[i][j] for j in subset] for i in subset]))
 
 

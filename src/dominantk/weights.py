@@ -30,12 +30,6 @@ class Box(NamedTuple):
     coroot_bound: int
     complement_bound: int = 0
 
-    def contains(self, real: "Realization", lam: Weight) -> bool:
-        m = real.coroot_count
-        return all(abs(x) <= self.coroot_bound for x in lam[:m]) and all(
-            abs(x) <= self.complement_bound for x in lam[m:]
-        )
-
 
 class ChamberReduction(NamedTuple):
     status: str

@@ -122,6 +122,15 @@ def test_weyl_numerator_full_truncated(matrices):
         weyl_numerator(real, rho)
 
 
+def test_weyl_numerator_refuses_subset_with_bound(matrices):
+    """A W_J sum runs over all of W_J, so a length bound beside J is refused
+    rather than dropped."""
+    real = build_realization(matrices["affine_a1"])
+    for bound in (0, 3):
+        with pytest.raises(ValueError, match="a subset J or a length bound, not both"):
+            weyl_numerator(real, real.rho(), (1,), bound)
+
+
 def test_numerator_orbit_support(matrices):
     """Truncated full alternating sums at a shifted dominant weight have
     support exactly the ball orbit with unit coefficients."""
@@ -165,7 +174,7 @@ def _assert_same_numerator(real, lam, J=None, length_bound=None):
     new = weyl_numerator(real, lam, J, length_bound)
     old = reference_weyl_numerator(real, lam, J, length_bound)
     assert new == old
-    assert (new.length_bound, new.box, new.truncated) == (old.length_bound, None, False)
+    assert new.length_bound == old.length_bound == length_bound
     return new
 
 
@@ -266,6 +275,16 @@ def test_spinor_total_dimension(matrices):
     assert sum(char.terms.values()) == 8  # 2^(number of positive roots)
 
 
+def reference_spinor_character(real, J):
+    """e^{rho_J} times the product of (1 + e^{-alpha}) over the positive Levi
+    roots, expanded factor by factor."""
+    one = FormalCharacter.monomial(real.zero())
+    out = FormalCharacter.monomial(real.partial_rho(J))
+    for root in levi_positive_roots(real.gcm, J):
+        out = out * (one + FormalCharacter.monomial(real.root_weight([-c for c in root])))
+    return out
+
+
 @pytest.mark.parametrize(
     "name,J",
     [
@@ -275,21 +294,31 @@ def test_spinor_total_dimension(matrices):
         ("hyper_rank3", (0, 2)),
         ("b2", (0, 1)),
         ("g2", (0, 1)),
+        ("e10", (1, 2, 3, 4, 5)),  # A5: 2,932 weights, dimension 2^15
     ],
 )
 def test_spinor_equals_irreducible_at_partial_rho(matrices, name, J):
+    """The Levi irreducible at rho_J is the product of (1 + e^{-alpha})."""
     real = build_realization(matrices[name])
-    assert spinor_character(real, J) == levi_irreducible_character(
-        real, J, real.partial_rho(J)
-    )
+    assert spinor_character(real, J) == reference_spinor_character(real, J)
 
 
 def test_spinor_equals_irreducible_rank3():
     real = build_realization(gcm_from_rows(A3_ROWS))
     J = (0, 1, 2)
-    assert spinor_character(real, J) == levi_irreducible_character(
-        real, J, real.partial_rho(J)
-    )
+    assert spinor_character(real, J) == reference_spinor_character(real, J)
+
+
+def test_spinor_character_respects_element_cap():
+    """The spinor character's weights count against the group's element
+    cap, like any Levi character's."""
+    J = (0, 1, 2)
+    A = gcm_from_rows(A3_ROWS)  # a fresh matrix, so no other test shares its group
+    real, group = build_realization(A), weyl_group(A)
+    size = len(reference_spinor_character(real, J))
+    group.element_cap = size - 1
+    with pytest.raises(ResourceExceededError, match=rf"cap of {size - 1} weights"):
+        spinor_character(real, J)
 
 
 # -- induction ---------------------------------------------------------------------------
@@ -618,19 +647,6 @@ def test_length_bound_metadata(matrices):
     assert a != b
     with pytest.raises(ValueError):
         a + b
-
-
-def test_box_truncated_product(matrices):
-    from dominantk.weights import Box
-
-    real = build_realization(matrices["affine_a1"])
-    box = Box(1, 1)
-    a = FormalCharacter({(1, 0, 0): 1}, box=box)
-    b = FormalCharacter({(1, 0, 0): 1})
-    out = a.mul(b, real)
-    assert out.truncated and not out.terms  # (2,0,0) falls outside the box
-    inside = FormalCharacter({(0, 1, 0): 1}).mul(a, real)
-    assert inside.terms == {(1, 1, 0): 1}
 
 
 def _levi_root_coroot_pairs(A, J):

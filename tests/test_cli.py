@@ -321,6 +321,15 @@ def test_numerator_without_bound_or_subset(capsys):
         "error invalid-input: a length bound is required when no subset J is given\n")
 
 
+def test_numerator_refuses_subset_with_bound(capsys):
+    """A W_J sum ignores length, so --j with --max-length is refused."""
+    code, _ = run(["character", "numerator", "--gcm", data_path("affine_a1"),
+                   "--weight", "1,1/0", "--j", "1", "--max-length", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error invalid-input: a subset J or a length bound, not both\n")
+
+
 def _limit_memory():
     import resource
 
