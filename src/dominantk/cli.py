@@ -383,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("ball", "cosets", "pure"):
         q = subcommand(psub, name, _cmd_coxeter)
         q.add_argument("--max-length", type=_nonnegative, required=True)
-        q.add_argument("--j", default=None, help="comma-separated node labels ('' = empty)")
-        q.add_argument("--k", default=None, help="comma-separated node labels ('' = empty)")
+        if name != "ball":
+            q.add_argument("--j", default=None, help="comma-separated node labels ('' = empty)")
+            q.add_argument("--k", default=None, help="comma-separated node labels ('' = empty)")
         if name == "pure":
             q.add_argument("--maximal", action="store_true")
 
@@ -403,14 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("levi", "dirac", "numerator", "spinor", "ambient"):
         q = subcommand(psub, name, _cmd_character)
         q.add_argument("--j", default=None, required=name != "numerator")
-        q.add_argument("--weight", default=None, required=name != "spinor")
+        if name != "spinor":
+            q.add_argument("--weight", required=True)
         q.add_argument("--max-length", type=_nonnegative, default=None)
 
     p = sub.add_parser("davis", help="building combinatorics and cohomology")
     psub = p.add_subparsers(dest="sub", required=True)
     for name in ("nerve", "hc", "hc-hat"):
         q = subcommand(psub, name, _cmd_davis)
-        q.add_argument("--k", default="")
+        if name != "nerve":
+            q.add_argument("--k", default="")
         q.add_argument("--max-length", type=_nonnegative, default=6)
         if name == "hc":
             q.add_argument("--method", choices=("sector", "snf"), default="sector")
@@ -421,10 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
         q = subcommand(psub, name, _cmd_ktheory)
         q.add_argument("--box", type=_nonnegative, default=2)
         q.add_argument("--max-length", type=_nonnegative, default=4)
-        q.add_argument("--k", default="")
-        q.add_argument("--weight", default=None, required=name == "predicates")
-        q.add_argument("--generators", action="store_true")
-        if name == "oracle":
+        if name in ("compact", "extended", "homology"):
+            q.add_argument("--generators", action="store_true")
+        elif name == "predicates":
+            q.add_argument("--weight", required=True)
+        else:
+            q.add_argument("--k", default="")
             q.add_argument("--direction", choices=("limit", "colimit"), default="limit")
 
     return parser

@@ -448,6 +448,22 @@ class WeylGroup(Reflections):
         meet = jmask & ~pmask
         return tuple(j for j in range(self.n) if meet >> j & 1)
 
+    def _purity(self, w: CoxeterElement, jmask: int) -> tuple[int, int]:
+        """(need, forbid) of w in W^J: w is a pure (K, J) representative iff
+        K misses ``forbid``, and maximally pure iff also K contains ``need``.
+
+        ``forbid`` holds the left descents of w and each k with w(alpha_j) =
+        alpha_k for some j in J; ``need`` the k with w(alpha_j) = alpha_k for
+        each right ascent j outside J, or -1 when one such image is not simple
+        (Deodhar's lemma, as in ``continuation_mask``)."""
+        simple, need, forbid = self._simple, 0, w.left
+        for j, root in enumerate(self._root_images(w)):
+            if jmask >> j & 1:
+                forbid |= simple.get(root, 0)
+            elif not w.right >> j & 1:
+                need |= simple.get(root, -1)
+        return need, forbid
+
     def pure_reps(self, K, J, L: int, maximal: bool = False) -> tuple[CoxeterElement, ...]:
         """Minimal (K, J) double coset reps w of length <= L whose conjugate
         of W_J meets W_K trivially (J within P); with ``maximal``,
@@ -455,8 +471,8 @@ class WeylGroup(Reflections):
         kmask, jmask = self.subset_mask(K), self.subset_mask(J)
         out = []
         for w in self.min_coset_reps(K, J, L):
-            pmask = self.continuation_mask(w, kmask)
-            if not jmask & ~pmask and (pmask == jmask or not maximal):
+            need, forbid = self._purity(w, jmask)
+            if not forbid & kmask and not (maximal and need & ~kmask):
                 out.append(w)
         return tuple(out)
 

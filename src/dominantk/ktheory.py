@@ -106,25 +106,22 @@ def _nonfinite_nodes(A: GeneralizedCartanMatrix) -> frozenset[int]:
     return frozenset(i for block in A.blocks() if not is_finite_type(A, block) for i in block)
 
 
-def _finite_index(A: GeneralizedCartanMatrix, K) -> bool:
-    """Does W_K have finite index in the full group?
-
-    Holds exactly when K contains every non-finite indecomposable block:
-    proper standard parabolics of infinite irreducible reflection groups
-    have infinite index.
-    """
-    return _nonfinite_nodes(A) <= set(K)
-
-
-def _subsets(indices):
-    indices = tuple(indices)
-    for bits in range(1 << len(indices)):
-        yield tuple(indices[t] for t in range(len(indices)) if bits >> t & 1)
+def _between(low: int, high: int):
+    """The masks K with low <= K <= high as bit sets, in increasing order."""
+    free, sub = high & ~low, 0
+    yield low
+    while sub != free:
+        sub = (sub - free) & free  # the next submask of free
+        yield low | sub
 
 
 def extended_type_report(A: GeneralizedCartanMatrix, L: int, box: Box) -> KTheoryReport:
     """Degree n: maximally pure (K, I0) representatives tensor the K-stratum,
-    for every K; degree 0: strata whose parabolic has finite index."""
+    for every K, from one pass over W^{I0}: w is listed under each K from its
+    need up to the complement of its forbid (``WeylGroup._purity``).  Degree
+    0: strata whose parabolic has finite index, the K containing every
+    non-finite block (a proper standard parabolic of an infinite irreducible
+    reflection group has infinite index)."""
     cls = classify_type(A)
     if cls.extended_compact is None:
         raise WrongTypeError("report requires an extended compact matrix")
@@ -134,14 +131,23 @@ def extended_type_report(A: GeneralizedCartanMatrix, L: int, box: Box) -> KTheor
         raise HypothesisViolatedError("the compact core must have at least three nodes")
     real = build_realization(A)
     group = weyl_group(A)
-    summands = []
-    for K in _subsets(A.index_set):
-        if _finite_index(A, K):
-            summands.append(Summand(0, K, None, stratum_basis(A, K, box)))
-    for K in _subsets(A.index_set):
-        words = tuple(w.word for w in group.pure_reps(K, i0, L, maximal=True))
-        if words:
-            summands.append(Summand(n, K, words, stratum_basis(A, K, box)))
+    full = (1 << A.size) - 1
+    words = {}  # mask of K: the words of its maximally pure representatives
+    i0mask = group.subset_mask(i0)
+    for w in group.min_coset_reps((), i0, L):
+        need, forbid = group._purity(w, i0mask)
+        # need misses forbid: w(alpha_j) = alpha_k for an ascent j makes k an ascent
+        if need >= 0:
+            for kmask in _between(need, full & ~forbid):
+                words.setdefault(kmask, []).append(w.word)
+
+    def summand(degree, kmask, index):
+        K = tuple(i for i in A.index_set if kmask >> i & 1)
+        return Summand(degree, K, index, stratum_basis(A, K, box))
+
+    nonfinite = group.subset_mask(_nonfinite_nodes(A))
+    summands = [summand(0, kmask, None) for kmask in _between(nonfinite, full)]
+    summands += [summand(n, kmask, tuple(words[kmask])) for kmask in sorted(words)]
     return KTheoryReport(EXTENDED_COHOMOLOGY, n, real.rank, L, box, tuple(summands))
 
 

@@ -296,6 +296,24 @@ def test_negative_max_steps_is_usage_error(capsys):
     assert "--max-steps" in err
 
 
+@pytest.mark.parametrize("argv,unread", [
+    (["ktheory", "compact", "--gcm", data_path("affine_a1"), "--k", "0", "--weight=1,1/0"],
+     "--k 0 --weight=1,1/0"),
+    (["ktheory", "extended", "--gcm", data_path("ext4"), "--k", "1"], "--k 1"),
+    (["ktheory", "predicates", "--gcm", data_path("ext4"), "--weight", "1,1,1,1",
+      "--generators", "--k", "2"], "--generators --k 2"),
+    (["ktheory", "oracle", "--gcm", data_path("affine_a1"), "--generators", "--weight=5"],
+     "--generators --weight=5"),
+    (["coxeter", "ball", "--gcm", data_path("a2"), "--max-length", "1", "--j", "0", "--k", "1"],
+     "--j 0 --k 1"),
+    (["davis", "nerve", "--gcm", data_path("hyper_rank3"), "--k", "1"], "--k 1"),
+    (["character", "spinor", "--gcm", data_path("affine_a1"), "--j", "1", "--weight=0,2/0"],
+     "--weight=0,2/0"),
+], ids=lambda v: "-".join(v[:2]) if isinstance(v, list) else "unread")
+def test_option_the_subcommand_never_reads_is_usage_error(argv, unread, capsys):
+    assert f"unrecognized arguments: {unread}" in _usage_error(argv, capsys)
+
+
 def test_weight_syntax_errors():
     code, _ = run(
         ["weights", "stratum", "--gcm", data_path("affine_a1"), "--weight", "1,1"]

@@ -904,6 +904,18 @@ def test_continuation_mask_matches_support_reference_e10(matrices):
         assert_purity_matches_reference(group, K, i0, 3)
 
 
+def test_pure_reps_match_support_reference_e10_at_length_5(matrices):
+    """The (need, forbid) test equals the root-support loops for all 1,024 K
+    of E10 with J = I0, in both modes."""
+    A = matrices["e10"]
+    group = weyl_group(A)
+    i0 = tuple(range(9))
+    for K in _all_subsets(A.size):
+        for maximal in (False, True):
+            assert (group.pure_reps(K, i0, 5, maximal)
+                    == reference_pure_reps(group, K, i0, 5, maximal))
+
+
 def test_continuation_mask_is_deodhar_continuation(matrices):
     """The mask is the set of right ascents j with w r_j still K-left minimal."""
     group = weyl_group(matrices["ext4"])

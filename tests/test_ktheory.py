@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import combinations
 
@@ -28,11 +29,14 @@ from dominantk.davis import (
     hat_sector_cohomology,
     sector_filtration_cohomology,
 )
-from dominantk.gcm import gcm_from_rows, spherical_poset
+from dominantk.gcm import classify_type, gcm_from_rows, spherical_poset
 from dominantk.ktheory import (
+    EXTENDED_COHOMOLOGY,
     Box,
     FunctorOnPoset,
-    _finite_index,
+    KTheoryReport,
+    Summand,
+    _nonfinite_nodes,
     compact_type_report,
     derived_limit_oracle,
     extended_type_report,
@@ -178,6 +182,84 @@ def test_extended_report_degree_zero(matrices):
     assert zero_subsets == {(0, 1, 2, 3)}
 
 
+def reference_extended_type_report(A, L, box):
+    """The extended report one subset K at a time, all 2^n of them in mask
+    order: a (K, I0) representative is maximally pure when its continuation
+    mask is I0 itself, and degree 0 takes each K of finite index."""
+    i0, _ = classify_type(A).extended_compact
+    group, n = weyl_group(A), len(i0) - 1
+    i0mask = group.subset_mask(i0)
+    subsets = [tuple(i for i in range(A.size) if bits >> i & 1) for bits in range(1 << A.size)]
+    summands = [Summand(0, K, None, stratum_basis(A, K, box))
+                for K in subsets if finite_index(A, K)]
+    for K in subsets:
+        kmask = group.subset_mask(K)
+        words = tuple(w.word for w in group.min_coset_reps(K, i0, L)
+                      if group.continuation_mask(w, kmask) == i0mask)
+        if words:
+            summands.append(Summand(n, K, words, stratum_basis(A, K, box)))
+    return KTheoryReport(EXTENDED_COHOMOLOGY, n, build_realization(A).rank, L, box,
+                         tuple(summands))
+
+
+def relabel(A, seed):
+    """A with its nodes shuffled by ``random.Random(seed)``."""
+    perm = list(range(A.size))
+    random.Random(seed).shuffle(perm)
+    rows = [[0] * A.size for _ in range(A.size)]
+    for i, row in enumerate(A.entries):
+        for j, x in enumerate(row):
+            rows[perm[i]][perm[j]] = x
+    return gcm_from_rows(rows)
+
+
+#: affine A2 on 2, 3, 4 with the tail 0 - 1 - 2: I0 = (2, 3, 4) and J0 = (0, 1),
+#: so W^{I0} has right ascents outside I0 whose root images are not simple
+TAILED_AFFINE_A2 = ((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -1, -1),
+                    (0, 0, -1, 2, -1), (0, 0, -1, -1, 2))
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4])
+@pytest.mark.parametrize("name,top", [("e10", 7), ("ext4", 10), ("tailed_affine_a2", 8)])
+def test_extended_report_matches_per_subset_reference(matrices, name, top, seed):
+    """Summand order, index words and bases equal the 2^n-subset loop's, on
+    the bundled node order and on shuffled ones."""
+    A = matrices[name] if name in matrices else gcm_from_rows(TAILED_AFFINE_A2)
+    A = A if seed is None else relabel(A, seed)
+    for L in range(top + 1):
+        for box in (Box(1, 0), Box(1, 1)):
+            assert extended_type_report(A, L, box) == reference_extended_type_report(A, L, box)
+
+
+def test_purity_need_never_meets_forbid(matrices):
+    """w(alpha_j) = alpha_k for a right ascent j makes k a left ascent, and
+    distinct roots have distinct images, so a w of W^{I0} is maximally pure
+    for some K exactly when its need is not -1.  The tailed matrix has
+    elements with need -1."""
+    for A in (matrices["e10"], matrices["ext4"], gcm_from_rows(TAILED_AFFINE_A2)):
+        group, (i0, _) = weyl_group(A), classify_type(A).extended_compact
+        i0mask = group.subset_mask(i0)
+        pairs = [group._purity(w, i0mask) for w in group.min_coset_reps((), i0, 7)]
+        assert all(need < 0 or not need & forbid for need, forbid in pairs)
+    assert any(need < 0 for need, _ in pairs)  # the tailed matrix's
+
+
+def test_extended_report_reads_each_representative_once(monkeypatch):
+    """On E10 at L = 7 the report reads one (need, forbid) pair per element
+    of W^{I0} and filters no coset per subset K."""
+    calls = dict.fromkeys(("_purity", "pure_reps", "continuation_mask"), 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(WeylGroup, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(WeylGroup, name, counted)
+    A = load("e10")
+    extended_type_report(A, 7, Box(1, 0))
+    i0, _ = classify_type(A).extended_compact
+    quotient = weyl_group(A).min_coset_reps((), i0, 7)
+    assert calls == {"_purity": len(quotient), "pure_reps": 0, "continuation_mask": 0}
+
+
 def _up_to(report, L):
     """(degree, subset, index words) of a report's summands, keeping the
     index words of length <= L and dropping top-degree summands left empty."""
@@ -252,14 +334,19 @@ def test_node_subsets_are_checked_where_they_become_masks_or_weights(matrices):
         stratum_basis(affine_a1, (5,), Box(1, 0))
 
 
+def finite_index(A, K) -> bool:
+    """Does W_K have finite index?  K contains every non-finite block."""
+    return _nonfinite_nodes(A) <= set(K)
+
+
 def test_finite_index_rule(matrices):
     A = matrices["ext4"]
     for K in all_subsets(4):
-        assert _finite_index(A, K) == (K == (0, 1, 2, 3))
+        assert finite_index(A, K) == (K == (0, 1, 2, 3))
     blocks = gcm_from_rows([[2, -2, 0], [-2, 2, 0], [0, 0, 2]])
-    assert _finite_index(blocks, (0, 1))
-    assert _finite_index(blocks, (0, 1, 2))
-    assert not _finite_index(blocks, (0, 2))
+    assert finite_index(blocks, (0, 1))
+    assert finite_index(blocks, (0, 1, 2))
+    assert not finite_index(blocks, (0, 2))
 
 
 # -- image predicates --------------------------------------------------------------------
@@ -659,15 +746,21 @@ def test_splitting_requires_reduction(matrices):
 
 def test_finite_index_matches_enumeration_growth(matrices):
     """Cross-check of the finite-index rule: representative counts stop
-    growing exactly for subsets of finite index."""
+    growing exactly for subsets of finite index, which on ext4 are the
+    extended report's degree-0 subsets."""
     for name in ("affine_a1", "ext4"):
         A = matrices[name]
         group = weyl_group(A)
+        stable = set()
         for K in all_subsets(A.size):
             stabilized = len(group.min_coset_reps(K, None, 8)) == len(
                 group.min_coset_reps(K, None, 10)
             )
-            assert stabilized == _finite_index(A, K)
+            assert stabilized == finite_index(A, K)
+            if stabilized:
+                stable.add(K)
+    report = extended_type_report(matrices["ext4"], 4, Box(1, 0))
+    assert {s.subset for s in report.summands if s.degree == 0} == stable  # ext4's
 
 
 def test_colimit_functor_transitions_match_induction(matrices):
