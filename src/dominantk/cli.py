@@ -191,7 +191,7 @@ def _cmd_coxeter(args, out):
 def _cmd_weights(args, out):
     A = _load_gcm(args.gcm)
     real = build_realization(A)
-    _header(out, A, {"max-steps": args.max_steps})
+    _header(out, A, {"max-steps": getattr(args, "max_steps", None)})
     lam = _parse_weight(real, args.weight)
     if args.sub == "reduce":
         res = real.chamber_reduce(lam, max_steps=args.max_steps)
@@ -210,7 +210,7 @@ def _cmd_weights(args, out):
 def _cmd_character(args, out):
     A = _load_gcm(args.gcm)
     real = build_realization(A)
-    _header(out, A, {"max-length": args.max_length})
+    _header(out, A, {"max-length": getattr(args, "max_length", None)})
     J = _subset(A, args.j) if args.j is not None else None
     if args.sub == "numerator":
         lam = _parse_weight(real, args.weight)
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--weight", required=True,
             help="coroot values, slash, complement values; use --weight=-1,2/0 for negatives",
         )
-        q.add_argument("--max-steps", type=_nonnegative, default=None)
+    psub.choices["reduce"].add_argument("--max-steps", type=_nonnegative, default=None)
 
     p = sub.add_parser("character", help="character-ring operations")
     psub = p.add_subparsers(dest="sub", required=True)
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--j", default=None, required=name != "numerator")
         if name != "spinor":
             q.add_argument("--weight", required=True)
-        q.add_argument("--max-length", type=_nonnegative, default=None)
+    psub.choices["numerator"].add_argument("--max-length", type=_nonnegative, default=None)
 
     p = sub.add_parser("davis", help="building combinatorics and cohomology")
     psub = p.add_subparsers(dest="sub", required=True)

@@ -1,11 +1,11 @@
 """The Weyl group of a generalized Cartan matrix as a computational object.
 
 An element w is stored as its ShortLex-minimal reduced word (input node order
-as tie-break, so the first letter is the least left descent) and the two
-orbit vectors w(rho) and w^{-1}(rho) in coroot coordinates <., h_k>, where
-rho takes the value 1 on every simple coroot.  A simple reflection acts on
-these coordinates through the matrix alone, lam_k <- lam_k - lam_i a[k][i],
-touching only the nonzero entries of column i.
+as tie-break, so the first letter is the least left descent) and its orbit
+vector w(rho) in coroot coordinates <., h_k>, where rho takes the value 1 on
+every simple coroot; w^{-1}(rho) is folded from the word on first read.  A
+simple reflection acts on these coordinates through the matrix alone,
+lam_k <- lam_k - lam_i a[k][i], touching only the nonzero entries of column i.
 
 The orbit vector determines the element and its descents (Kac,
 *Infinite-dimensional Lie algebras*, Prop. 3.12 and Lemma 3.11):
@@ -49,26 +49,41 @@ def paused_gc():
 
 
 class CoxeterElement:
-    """Group element: its ShortLex reduced word and two orbit vectors.
+    """Group element: its ShortLex reduced word and its orbit vector.
 
-    ``orbit`` is w(rho) and ``inv_orbit`` is w^{-1}(rho), both in coroot
-    coordinates.  Bit i of ``left`` is set when <w(rho), h_i> < 0, that is
-    when l(r_i w) < l(w); bit j of ``right`` when <w^{-1}(rho), h_j> < 0,
-    that is when w(alpha_j) is negative and l(w r_j) < l(w).  ``roots``
-    holds the images w(alpha_j) once ``act_on_root`` or the coset tests
-    have asked for them.
+    ``orbit`` is w(rho) in coroot coordinates; bit i of ``left`` is set when
+    <w(rho), h_i> < 0, that is when l(r_i w) < l(w).  A walk reads no inverse
+    side, so ``inv_orbit`` = w^{-1}(rho) is folded from the word on first
+    read, and with it ``right``: bit j when <w^{-1}(rho), h_j> < 0, that is
+    when w(alpha_j) is negative and l(w r_j) < l(w).  ``roots`` holds the
+    images w(alpha_j) once ``act_on_root`` or the coset tests ask for them.
     """
 
-    __slots__ = ("group", "word", "orbit", "inv_orbit", "right", "left", "roots")
+    __slots__ = ("group", "word", "orbit", "_inv", "_right", "left", "roots")
 
     def __init__(self, group, word, orbit, inv_orbit, left, right):
         self.group = group
         self.word = word
         self.orbit = orbit
-        self.inv_orbit = inv_orbit
+        self._inv = inv_orbit
         self.left = left
-        self.right = right
+        self._right = right
         self.roots = None
+
+    @property
+    def inv_orbit(self) -> tuple[int, ...]:
+        return self._inv if self._inv is not None else self._fold_inverse()[0]
+
+    @property
+    def right(self) -> int:
+        return self._right if self._inv is not None else self._fold_inverse()[1]
+
+    def _fold_inverse(self) -> tuple[tuple[int, ...], int]:
+        # _right is set before _inv, so a thread that sees _inv reads a set _right
+        inv = self.group._fold(self.word, self.group._rho)
+        self._right = right = _negative_mask(inv)
+        self._inv = inv
+        return inv, right
 
     @property
     def length(self) -> int:
@@ -198,15 +213,12 @@ class WeylGroup(Reflections):
         self._lock = threading.RLock()  # enumeration caches are shared state
 
     def _normalize(self, orbit) -> CoxeterElement:
-        """The element w with w(rho) = ``orbit``: cached, or built from its
-        stripped word; w^{-1}(rho) applies the word's letters first to last."""
+        """The element w with w(rho) = ``orbit``: cached, or built from its stripped word."""
         cached = self._by_orbit.get(orbit)
         if cached is not None:
             return cached
         word, _ = self._strip(orbit)
-        inv_orbit = self._fold(word, self._rho)
-        return CoxeterElement(self, word, orbit, inv_orbit,
-                              _negative_mask(orbit), _negative_mask(inv_orbit))
+        return CoxeterElement(self, word, orbit, None, _negative_mask(orbit), None)
 
     def _from_inverse(self, inv_orbit) -> CoxeterElement:
         """The element w with w^{-1}(rho) = ``inv_orbit``: the inverse of the
@@ -303,14 +315,12 @@ class WeylGroup(Reflections):
         and u in order, kept when i is the least left descent of w, so each
         w is built once, from its suffix.  left(w) lies in left(u) + {i}: a
         descent of u below i that r_i does not move rules w out unreflected.
-        w^{-1}(rho) comes from the prefix p in ``shorter``, w = p r_s.
+        Only w(rho) is stepped; the inverse side waits for its first read.
 
         With ``kmask`` it steps the right quotient W^K instead, which is
         closed under suffixes (Bjorner-Brenti, Combinatorics of Coxeter
         Groups, 2.4): r_i u leaves W^K iff u(alpha_k) = alpha_i for some k
-        in K (Deodhar's lemma).  The prefix may leave W^K, so a kept element
-        is reused, or w^{-1}(rho) is folded from the word."""
-        prefixes = {p.word: p for p in shorter}
+        in K (Deodhar's lemma).  An element another walk has kept is reused."""
         if kmask:  # bit i of exits[t]: r_i shorter[t] leaves W^K
             simple = self._simple
             exits = [sum(simple.get(root, 0) for k, root in enumerate(self._root_images(u))
@@ -341,21 +351,7 @@ class WeylGroup(Reflections):
                     if known is not None:
                         out.append(known)
                         continue
-                word = (i,) + u.word
-                try:
-                    p = prefixes[word[:-1]]
-                except KeyError:  # a prefix outside W^K
-                    inv_orbit = self._fold(word, self._rho)
-                    right = _negative_mask(inv_orbit)
-                else:  # the same ascent, by the last letter s, on p^{-1}(rho)
-                    s = word[-1]
-                    inv_orbit, v, right = list(p.inv_orbit), p.inv_orbit[s], p.right & ~moved[s]
-                    for k, a, bit in columns[s]:
-                        x = inv_orbit[k] = inv_orbit[k] - v * a
-                        if x < 0:
-                            right |= bit
-                    inv_orbit = tuple(inv_orbit)
-                out.append(CoxeterElement(self, word, orbit, inv_orbit, left, right))
+                out.append(CoxeterElement(self, (i,) + u.word, orbit, None, left, None))
         return out
 
     def sphere(self, length: int) -> tuple[CoxeterElement, ...]:
@@ -423,9 +419,9 @@ class WeylGroup(Reflections):
         dropped exactly when w(alpha_j) is a simple root in K, and a positive
         root w(alpha_j) supported on K is always such a simple root.
         """
-        simple, mask = self._simple, 0
+        simple, right, mask = self._simple, w.right, 0
         for j, root in enumerate(self._root_images(w)):
-            if not (w.right >> j & 1 or simple.get(root, 0) & kmask):
+            if not (right >> j & 1 or simple.get(root, 0) & kmask):
                 mask |= 1 << j
         return mask
 
@@ -456,11 +452,11 @@ class WeylGroup(Reflections):
         alpha_k for some j in J; ``need`` the k with w(alpha_j) = alpha_k for
         each right ascent j outside J, or -1 when one such image is not simple
         (Deodhar's lemma, as in ``continuation_mask``)."""
-        simple, need, forbid = self._simple, 0, w.left
+        simple, right, need, forbid = self._simple, w.right, 0, w.left
         for j, root in enumerate(self._root_images(w)):
             if jmask >> j & 1:
                 forbid |= simple.get(root, 0)
-            elif not w.right >> j & 1:
+            elif not right >> j & 1:
                 need |= simple.get(root, -1)
         return need, forbid
 

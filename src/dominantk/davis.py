@@ -180,21 +180,21 @@ def cochain_cohomology(sizes, coboundaries) -> IntegerCohomology:
     generator holds one at a time) lists the sparse rows ``{col: value}`` of
     C^p -> C^{p+1}, one per basis element of C^{p+1}.  Degree p has free
     rank sizes[p] minus the ranks of the maps out of and into it; its
-    torsion is the invariant factors above 1 of the map into it."""
+    torsion is the invariant factors above 1 of the map into it.  The
+    coboundaries must compose to zero: the rows of d^p that the unit sweep
+    pivots on are then cleared from the columns of d^{p+1}, as their pivot
+    minor is unimodular and d^{p+1} kills the images of the pivot columns
+    (Chen and Kerber's clearing, over Z with unit pivots)."""
     sizes = list(sizes)
-    into = [[]]  # invariant factors of the coboundary into each degree
+    into, pivots = [[]], set()  # invariant factors of the coboundary into each degree
     for size, rows in zip(sizes, coboundaries):
-        into.append(intlinalg.smith_invariants(rows, size) if rows else [])
+        cleared, pivots = pivots, set()
+        into.append(intlinalg.smith_invariants(rows, size, cleared=cleared, pivots=pivots))
     into.append([])
-    groups = tuple(
+    return IntegerCohomology(tuple(
         (size - len(into[p]) - len(into[p + 1]), tuple(d for d in into[p] if d > 1))
         for p, size in enumerate(sizes)
-    )
-    euler_cells = sum((-1) ** p * size for p, size in enumerate(sizes))
-    euler_ranks = sum((-1) ** p * free for p, (free, _) in enumerate(groups))
-    if euler_cells != euler_ranks:
-        raise DominantKError("internal: Euler characteristic mismatch in SNF cohomology")
-    return IntegerCohomology(groups)
+    ))
 
 
 def snf_cohomology(complex_: SimplicialComplexDesc,

@@ -62,11 +62,12 @@ def primitive_null_vector(rows) -> tuple[int, ...]:
     return tuple(x // g for x in row)
 
 
-def smith_invariants(dense_rows, ncols=None) -> list[int]:
+def smith_invariants(dense_rows, ncols=None, *, cleared=frozenset(), pivots=None) -> list[int]:
     """Invariant factors (positive, each dividing the next) of an integer matrix.
 
     Accepts either a dense list of rows or a sparse list of ``{col: value}``
-    dicts (with ``ncols`` given); the input is not modified.  Two stages:
+    dicts (with ``ncols`` given), left unmodified; columns in ``cleared`` read
+    as zero, and the unit sweep adds its pivot rows to ``pivots``.  Two stages:
 
     1. Unit sweep.  Rows are taken shortest first from a lazy heap keyed by
        row length; a row changed by a row operation is pushed again.  In
@@ -79,7 +80,8 @@ def smith_invariants(dense_rows, ncols=None) -> list[int]:
     """
     if ncols is None:
         dense_rows = [dict(enumerate(row)) for row in dense_rows]
-    rows = {i: {j: v for j, v in r.items() if v} for i, r in enumerate(dense_rows)}
+    rows = {i: {j: v for j, v in r.items() if v and j not in cleared}
+            for i, r in enumerate(dense_rows)}
     rows = {i: r for i, r in rows.items() if r}
     col_rows: dict[int, set[int]] = {}
     for i, r in rows.items():
@@ -119,6 +121,8 @@ def smith_invariants(dense_rows, ncols=None) -> list[int]:
             else:
                 del rows[i]
         del rows[pi]
+        if pivots is not None:
+            pivots.add(pi)
         for j in prow:
             if j != pj:
                 col_rows[j].discard(pi)

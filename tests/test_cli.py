@@ -309,6 +309,14 @@ def test_negative_max_steps_is_usage_error(capsys):
     (["davis", "nerve", "--gcm", data_path("hyper_rank3"), "--k", "1"], "--k 1"),
     (["character", "spinor", "--gcm", data_path("affine_a1"), "--j", "1", "--weight=0,2/0"],
      "--weight=0,2/0"),
+    (["character", "levi", "--gcm", data_path("affine_a1"), "--j", "1", "--weight", "0,2/0",
+      "--max-length", "3"], "--max-length 3"),
+    (["character", "dirac", "--gcm", data_path("g2"), "--j", "0,1", "--weight=-2,3",
+      "--max-length", "3"], "--max-length 3"),
+    (["weights", "level", "--gcm", data_path("affine_a1"), "--weight", "1,1/0",
+      "--max-steps", "2"], "--max-steps 2"),
+    (["weights", "stratum", "--gcm", data_path("affine_a1"), "--weight", "1,1/0",
+      "--max-steps", "2"], "--max-steps 2"),
 ], ids=lambda v: "-".join(v[:2]) if isinstance(v, list) else "unread")
 def test_option_the_subcommand_never_reads_is_usage_error(argv, unread, capsys):
     assert f"unrecognized arguments: {unread}" in _usage_error(argv, capsys)

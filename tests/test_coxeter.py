@@ -1069,6 +1069,49 @@ def test_ball_matches_sort_reference(matrices, name):
     assert _fields(group.ball(bound)) == _fields(reference_ball(group, bound))
 
 
+def test_walk_folds_no_inverse_side(matrices):
+    """A walk leaves w^{-1}(rho) and the right descents unread: after E10
+    ball(6) only the identity holds them.  Their first read gives the
+    values of the dedupe-then-sort reference."""
+    A = matrices["e10"]
+    ball = WeylGroup(A).ball(6)
+    assert [w.word for w in ball if w._inv is not None or w._right is not None] == [()]
+    assert _fields(ball) == _fields(reference_ball(WeylGroup(A), 6))
+
+
+def test_thread_pool_folds_one_inverse_side(matrices):
+    """Four threads read right and inv_orbit of the same fresh E10 ball(6)
+    elements, in the same order, two of them right first; each thread sees
+    the values of a serial group, never a vector without its mask."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    A = matrices["e10"]
+    expected = [(w.word, w.right, w.inv_orbit) for w in WeylGroup(A).ball(6)]
+    ball = WeylGroup(A).ball(6)
+    start = threading.Barrier(4)
+
+    def read(w, right_first):
+        if right_first:
+            right = w.right
+            return w.word, right, w.inv_orbit
+        inv_orbit = w.inv_orbit
+        return w.word, w.right, inv_orbit
+
+    def work(seed):
+        start.wait(timeout=60)
+        return [read(w, seed % 2) for w in ball]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(work, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * 4
+
+
 @pytest.mark.parametrize("name", ALL_MATRICES)
 def test_parabolics_match_bfs_reference(matrices, name):
     """subgroup_elements equals the rmul_gen BFS, in order, on every spherical

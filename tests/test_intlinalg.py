@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dominantk import intlinalg
-from dominantk.davis import davis_truncation, snf_cohomology
+from dominantk.davis import _complex_from_cells, davis_truncation, snf_cohomology
 
 
 def brute_det(rows):
@@ -368,20 +368,44 @@ def test_smith_empty_rows_and_unused_columns():
     assert intlinalg.smith_invariants([]) == []
 
 
+#: a 6-vertex triangulation of the real projective plane, for torsion
+RP2 = [(1, 2, 6), (2, 3, 4), (1, 3, 4), (1, 2, 5), (2, 3, 5),
+       (1, 3, 6), (2, 4, 6), (1, 4, 5), (3, 5, 6), (4, 5, 6)]
+
+
+def _random_simplicial_pair(rng):
+    """Some triangles of RP2 and a few random simplices on vertices 0..6,
+    relative to the closure of some of their cells."""
+    cells = [t for t in RP2 if rng.random() < 0.8]
+    cells += [tuple(rng.sample(range(7), rng.randint(1, 4))) for _ in range(rng.randint(0, 3))]
+    complex_ = _complex_from_cells(cells)
+    faces = [c for level in complex_.simplices for c in level]
+    return complex_, _complex_from_cells(rng.sample(faces, rng.randint(0, len(faces) // 3)))
+
+
 def test_unit_sweep_matches_reference_on_ext4_truncation(matrices, monkeypatch):
+    """Each coboundary's invariants, with the rows that the map before it
+    pivoted on cleared from its columns, equal the reference's on the
+    uncleared rows: on the ext4 truncation and on random simplicial pairs."""
     complex_, frontier = davis_truncation(matrices["ext4"], (3,), 10)
     assert complex_.f_vector() == (1637, 4522, 2886)
     assert frontier.f_vector() == (592, 646)
     sweep = intlinalg.smith_invariants
-    checked = []
+    cleared, torsion = [], []
 
-    def against_reference(rows, ncols=None):
-        result = sweep(rows, ncols)
+    def against_reference(rows, ncols=None, **clearing):
+        result = sweep(rows, ncols, **clearing)
         assert result == smith_invariants_reference(rows, ncols)
-        checked.append(len(rows))
+        cleared.append(len(clearing["cleared"]))
+        torsion.extend(d for d in result if d > 1)
         return result
 
     monkeypatch.setattr(intlinalg, "smith_invariants", against_reference)
     snf_cohomology(complex_, frontier)
-    # one coboundary matrix per degree below the top: rows are 1- and 2-cells
-    assert len(checked) == 2
+    # one coboundary matrix per degree below the top: rows are 1- and 2-cells;
+    # the second one has the first one's pivot rows cleared from its columns
+    assert len(cleared) == 2 and cleared[0] == 0 < cleared[1]
+    rng = random.Random(0)
+    for _ in range(300):
+        snf_cohomology(*_random_simplicial_pair(rng))
+    assert sum(cleared) > cleared[1] and torsion  # the pairs clear, and show torsion
