@@ -207,14 +207,16 @@ class FunctorOnPoset:
     contravariant one it is row k of the matrix of F(Jp) -> F(J).  Either
     way a composite along J < Jp < Jpp is the row product.  Spherical
     subsets are closed under subsets, so every interval is a Boolean lattice
-    and functoriality is the commuting of the squares of covers.
+    and functoriality is the commuting of the squares of covers.  With
+    ``copies`` m the functor is Z^m ⊗ G, and only G is stored.
     """
 
-    def __init__(self, members, variance, basis, transitions):
+    def __init__(self, members, variance, basis, transitions, copies=1):
         self.members = tuple(members)
         self.variance = variance
         self.basis = dict(basis)
         self.transitions = dict(transitions)
+        self.copies = copies
 
     def check_functoriality(self) -> None:
         """Raise unless J < J+s < T equals J < J+t < T for each member
@@ -246,8 +248,9 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
     with |T - T'| = p, carrying F(T').  For s at position i of T - T', with
     sign (-1)^i, the faces are [T' + s, T], through the transition along
     T' < T' + s, and [T', T - s], through the identity with the opposite
-    sign.  The top degree is the largest |T|.  A cochain basis past the
-    group's element cap is refused before any row is built.
+    sign.  The top degree is the largest |T|.  Z^m ⊗ G has m copies of G's
+    groups: free ranks times m, each torsion divisor m times in place.  A
+    cochain basis of G past the element cap is refused before any row is built.
     """
     if direction not in ("limit", "colimit"):
         raise ValueError("direction must be 'limit' or 'colimit'")
@@ -291,37 +294,35 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
         return rows
 
     coh = cochain_cohomology(sizes, (faces(p) for p in range(1, len(cells))))
-    if direction == "limit":
-        return coh
-    # universal coefficients: H_p has the free rank of H^p of the dual
-    # complex and the torsion of H^{p+1}
-    return IntegerCohomology(tuple((free, coh.torsion(p + 1))
+    # universal coefficients: a colimit's H_p has the free rank of H^p of the
+    # dual complex and the torsion of H^{p+1}
+    m, shift = functor.copies, direction == "colimit"
+    return IntegerCohomology(tuple((free * m, tuple(d for d in coh.torsion(p + shift)
+                                                    for _ in range(m)))
                                    for p, (free, _) in enumerate(coh.groups)))
 
 
 # -- truncated strata functors ---------------------------------------------------------
 
 
-def _strata_functor(A, K, box, variance, reps, column, label) -> FunctorOnPoset:
-    """Functor of the K-stratum built from representatives: the basis over J
-    is ``label(w, tau)`` for each stratum weight tau (outer) and each w of
-    ``reps(J)`` (inner).  Along a cover J < Jp the row of w holds the
-    coefficient v at the column of wp, where ``(wp, v) = column(w, Jp)``, for
-    every tau; it is empty when wp is not among ``reps(Jp)``."""
-    taus = build_realization(A).dominant_box_weights(K, box)
+def _strata_functor(A, K, box, variance, reps, column) -> FunctorOnPoset:
+    """Functor of the K-stratum built from representatives: Z^m ⊗ G for the
+    m stratum weights tau, since no row depends on tau.  G's basis over J is
+    the word of each w of ``reps(J)``.  Along a cover J < Jp the row of w
+    holds the coefficient v at the column of wp, where ``(wp, v) =
+    column(w, Jp)``; it is empty when wp is not among ``reps(Jp)``."""
     members = spherical_poset(A).members
     reps = {J: reps(J) for J in members}
-    basis = {J: tuple(label(w, tau) for tau in taus for w in reps[J]) for J in members}
+    basis = {J: tuple(w.word for w in reps[J]) for J in members}
     transitions = {}
     # the covers J = Jp - s < Jp: every subset of a member is a member
     for J, Jp in ((Jp[:i] + Jp[i + 1:], Jp) for Jp in members for i in range(len(Jp))):
-        index = {wp.word: c for c, wp in enumerate(reps[Jp])}
-        cols = [(index.get(wp.word), v) for wp, v in (column(w, Jp) for w in reps[J])]
-        width = len(reps[Jp])
+        index = {word: c for c, word in enumerate(basis[Jp])}
+        cols = (column(w, Jp) for w in reps[J])
         transitions[(J, Jp)] = tuple(
-            {} if c is None else {t * width + c: v} for t in range(len(taus)) for c, v in cols
-        )
-    return FunctorOnPoset(members, variance, basis, transitions)
+            {} if (c := index.get(wp.word)) is None else {c: v} for wp, v in cols)
+    copies = len(build_realization(A).dominant_box_weights(K, box))
+    return FunctorOnPoset(members, variance, basis, transitions, copies)
 
 
 def strata_limit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> FunctorOnPoset:
@@ -349,8 +350,7 @@ def strata_limit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> Fun
         ]
 
     return _strata_functor(A, K, box, "contravariant", window,
-                           lambda w, Jp: (group.double_strip(w, Jp, K), 1),
-                           lambda w, tau: (w.word, tau))
+                           lambda w, Jp: (group.double_strip(w, Jp, K), 1))
 
 
 def strata_colimit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> FunctorOnPoset:
@@ -359,10 +359,9 @@ def strata_colimit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> F
     A stratum weight tau has stabilizer W_K, so for w minimal in w W_K the
     weight w tau is J-regular-dominant iff w has no left descent in J and
     W_J meets w W_K w^{-1} trivially: the basis over J is w tau for the pure
-    (J, K) representatives.  Transitions dominantize: w tau goes to wp tau,
-    wp = lstrip(w, Jp), with sign (-1)^(l(w) - l(wp)), zero unless wp is pure.
-    """
-    real = build_realization(A)
+    (J, K) representatives and each tau.  Transitions dominantize: w tau
+    goes to wp tau, wp = lstrip(w, Jp), with sign (-1)^(l(w) - l(wp)), zero
+    unless wp is pure; G's basis is the w."""
     group = weyl_group(A)
     K = tuple(sorted(set(K)))
 
@@ -370,8 +369,7 @@ def strata_colimit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> F
         wp = group.lstrip(w, Jp)
         return wp, (-1) ** (w.length - wp.length)
 
-    return _strata_functor(A, K, box, "covariant", lambda J: group.pure_reps(J, K, L),
-                           column, real.act)
+    return _strata_functor(A, K, box, "covariant", lambda J: group.pure_reps(J, K, L), column)
 
 
 # -- splitting of the homology functor ---------------------------------------------------

@@ -467,18 +467,21 @@ def chain_limit_oracle(functor, direction):
     ("hyper_rank2", 6, Box(2, 0)),
     ("hyper_rank3", 5, Box(1, 0)),
     ("ext4", 6, Box(1, 0)),
+    ("ext4", 4, Box(2, 0)),
+    ("ext4", 4, Box(2, 1)),
 ])
 def test_interval_route_matches_chain_route(matrices, name, L, box):
-    """The oracle over the intervals [T', T] gives the groups of the oracle
-    over strict chains, both directions and every K: the acceptance-9 cases
-    and ext4."""
+    """The oracle over the intervals [T', T] on the factored functor Z^m ⊗ G
+    gives the groups of the oracle over strict chains on the per-tau
+    reference functor, both directions and every K: the acceptance-9 cases
+    and ext4.  Only the first route scales by m."""
     A = matrices[name]
     for K in all_subsets(A.size):
-        for build, direction in ((strata_limit_functor, "limit"),
-                                 (strata_colimit_functor, "colimit")):
-            functor = build(A, K, L, box)
-            assert (derived_limit_oracle(A, functor, direction).groups
-                    == chain_limit_oracle(functor, direction).groups)
+        for build, reference, direction in (
+                (strata_limit_functor, reference_strata_limit_functor, "limit"),
+                (strata_colimit_functor, reference_strata_colimit_functor, "colimit")):
+            assert (derived_limit_oracle(A, build(A, K, L, box), direction).groups
+                    == chain_limit_oracle(reference(A, K, L, box), direction).groups)
 
 
 def test_oracle_past_the_element_cap_is_refused_before_any_row():
@@ -505,18 +508,27 @@ def test_oracle_past_the_element_cap_is_refused_before_any_row():
 
 def test_oracle_torsion_placement(matrices):
     """Z everywhere with both transitions x2: the cokernel Z/2 is degree-1
-    torsion of the limit and degree-0 torsion of the colimit."""
+    torsion of the limit and degree-0 torsion of the colimit.  Z^2 with
+    both transitions diag(2, 4) in three copies gives the groups of the
+    explicit three-block functor: each divisor three times, in order."""
     A = matrices["affine_a1"]
     members = spherical_poset(A).members
     assert members == ((), (0,), (1,))
-    basis = {J: ("*",) for J in members}
-    transitions = {((), (0,)): ({0: 2},), ((), (1,)): ({0: 2},)}
-    lim = derived_limit_oracle(
-        A, FunctorOnPoset(members, "contravariant", basis, transitions), "limit")
-    col = derived_limit_oracle(
-        A, FunctorOnPoset(members, "covariant", basis, transitions), "colimit")
-    assert lim.groups == ((1, ()), (0, (2,)))
-    assert col.groups == ((1, (2,)), (0, ()))
+
+    def oracles(basis, diagonal, copies=1):
+        transitions = {cover: tuple({k: d} for k, d in enumerate(diagonal))
+                       for cover in (((), (0,)), ((), (1,)))}
+        return tuple(
+            derived_limit_oracle(A, FunctorOnPoset(members, variance, basis, transitions,
+                                                   copies), direction).groups
+            for variance, direction in (("contravariant", "limit"), ("covariant", "colimit")))
+
+    assert oracles({J: ("*",) for J in members}, (2,)) == (
+        ((1, ()), (0, (2,))), ((1, (2,)), (0, ())))
+    factored = oracles({J: ("a", "b") for J in members}, (2, 4), copies=3)
+    assert factored == oracles({J: tuple(range(6)) for J in members}, (2, 4) * 3)
+    assert factored == (((6, ()), (0, (2, 2, 2, 4, 4, 4))),
+                        ((6, (2, 2, 2, 4, 4, 4)), (0, ())))
 
 
 def test_direction_variance_mismatch(matrices):
@@ -587,6 +599,22 @@ def reference_strata_colimit_functor(A, K, L, box):
     return FunctorOnPoset(members, "covariant", basis, transitions)
 
 
+def expand_copies(A, functor, K, box, label):
+    """The per-tau functor that a factored Z^m ⊗ G stands for: block t of the
+    basis over J is G's basis labelled by the t-th stratum weight tau, and
+    each row of G repeats in every block, shifted to that block's columns."""
+    taus = stratum_basis(A, K, box).weights
+    assert functor.copies == len(taus)
+    basis = {J: tuple(label(word, tau) for tau in taus for word in words)
+             for J, words in functor.basis.items()}
+    transitions = {}
+    for (J, Jp), rows in functor.transitions.items():
+        width = len(functor.basis[Jp])
+        transitions[(J, Jp)] = tuple({t * width + c: v for c, v in row.items()}
+                                     for t in range(len(taus)) for row in rows)
+    return FunctorOnPoset(functor.members, functor.variance, basis, transitions)
+
+
 @pytest.mark.parametrize("name,direction", [
     pytest.param(name, direction, id=name if direction == "limit" else f"{name}-colimit")
     for direction in ("limit", "colimit")
@@ -594,19 +622,22 @@ def reference_strata_colimit_functor(A, K, L, box):
 ])
 def test_limit_functor_matches_orbit_reference(matrices, name, direction):
     """Both functors, built from double-coset representatives with one strip
-    per row, give the reference builders' bases and transitions, every K:
-    the limit functor's window read from the projection of w_J against full
-    W_J-orbits, the colimit functor's pure representatives against
-    dominantized weights, on every cover."""
+    per row and expanded from Z^m ⊗ G to m blocks, give the reference
+    builders' bases and transitions, every K: the limit functor's window
+    read from the projection of w_J against full W_J-orbits, the colimit
+    functor's pure representatives against dominantized weights, on every
+    cover."""
     build, reference = {
         "limit": (strata_limit_functor, reference_strata_limit_functor),
         "colimit": (strata_colimit_functor, reference_strata_colimit_functor),
     }[direction]
     A = matrices[name]
+    real = build_realization(A)
+    label = (lambda word, tau: (word, tau)) if direction == "limit" else real.act
     for K in all_subsets(A.size):
         for L in (2, 4, 6):
-            for box in (Box(1), Box(2, 0)):
-                functor = build(A, K, L, box)
+            for box in (Box(1), Box(2, 0), Box(2, 1)):
+                functor = expand_copies(A, build(A, K, L, box), K, box, label)
                 expected = reference(A, K, L, box)
                 assert functor.basis == expected.basis
                 assert functor.transitions == expected.transitions
@@ -622,7 +653,8 @@ def test_colimit_functor_neither_dominantizes_nor_filters_weights(matrices, monk
 
     for name in ("dominantize", "is_regular_for", "is_dominant_for"):
         monkeypatch.setattr(Realization, name, refuse)
-    functor = strata_colimit_functor(A, (), 4, Box(1, 0))
+    functor = expand_copies(A, strata_colimit_functor(A, (), 4, Box(1, 0)), (), Box(1, 0),
+                            build_realization(A).act)
     assert functor.basis == expected.basis
     assert functor.transitions == expected.transitions
 
@@ -685,11 +717,14 @@ def test_limit_oracle_matches_extended_report_ext4(matrices):
                 assert_limit_matches(A, K, L, box, report)
 
 
-@pytest.mark.parametrize("K,rank", [((), 2), ((0,), 1)])
-def test_limit_oracle_matches_extended_report_e10(K, rank):
-    """E10 at L = 2: lim^8 = Z^2 at K = () and Z at K = (0,), the extended
-    report's degree-8 ranks, and nothing elsewhere."""
-    A, box = load("e10"), Box(1, 0)
+@pytest.mark.parametrize("K,box,rank", [
+    ((), Box(1, 0), 2), ((0,), Box(1, 0), 1), ((9,), Box(2, 0), 512),
+], ids=("K0-2", "K1-1", "K2-512"))
+def test_limit_oracle_matches_extended_report_e10(K, box, rank):
+    """E10 at L = 2: lim^8 = Z^2 at K = () and Z at K = (0,) with Box(1, 0),
+    and Z^512 at K = (9,) with Box(2, 0), whose stratum has 512 weights:
+    the extended report's degree-8 ranks, and nothing elsewhere."""
+    A = load("e10")
     lim = assert_limit_matches(A, K, 2, box, extended_type_report(A, 2, box))
     assert [lim.free_rank(p) for p in range(len(lim.groups))] == [0] * 8 + [rank, 0]
 
@@ -764,27 +799,30 @@ def test_finite_index_matches_enumeration_growth(matrices):
 
 
 def test_colimit_functor_transitions_match_induction(matrices):
-    """The covariant strata functor's weight-level transitions implement
-    character-level induction: a basis class maps to its signed target
-    exactly when the corresponding induced characters agree.  Every
-    cover is checked; on hyper_rank3 and ext4 the strips behind the
+    """The covariant strata functor's transitions implement character-level
+    induction for every stratum weight tau: w tau maps to wp tau with the
+    row's sign exactly when the corresponding induced characters agree.
+    Every cover is checked; on hyper_rank3 and ext4 the strips behind the
     signs have several letters."""
     signs = []
     for name, box in (("affine_a1", Box(2, 0)), ("hyper_rank3", Box(1, 0)), ("ext4", Box(1, 0))):
         A = matrices[name]
         real = build_realization(A)
         functor = strata_colimit_functor(A, (), 4, box)
+        taus = stratum_basis(A, (), box).weights
+        assert functor.copies == len(taus)
         for (J, Jp), images in functor.transitions.items():
             assert len(images) == len(functor.basis[J])
-            for lam, image in zip(functor.basis[J], images):
+            for word, image in zip(functor.basis[J], images):
                 assert len(image) <= 1
                 assert all(image.values())
-                induced = dirac_induction(real, Jp, lam)
-                if not induced:
-                    assert not image
-                    continue
-                ((row, sign),) = image.items()
-                target = functor.basis[Jp][row]
-                assert induced == dirac_induction(real, Jp, target).scaled(sign)
-                signs.append(sign)
+                for tau in taus:
+                    induced = dirac_induction(real, Jp, real.act(word, tau))
+                    if not induced:
+                        assert not image
+                        continue
+                    ((row, sign),) = image.items()
+                    target = real.act(functor.basis[Jp][row], tau)
+                    assert induced == dirac_induction(real, Jp, target).scaled(sign)
+                    signs.append(sign)
     assert -1 in signs
