@@ -174,23 +174,29 @@ def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):
 # -- Smith normal form oracle ---------------------------------------------------
 
 
-def cochain_cohomology(sizes, coboundaries) -> IntegerCohomology:
+def cochain_cohomology(sizes, coboundary) -> IntegerCohomology:
     """Integral cohomology, via Smith normal form, of a cochain complex of
-    free groups: C^p has rank ``sizes[p]``, and ``coboundaries[p]`` (a
-    generator holds one at a time) lists the sparse rows ``{col: value}`` of
-    C^p -> C^{p+1}, one per basis element of C^{p+1}.  Degree p has free
-    rank sizes[p] minus the ranks of the maps out of and into it; its
-    torsion is the invariant factors above 1 of the map into it.  The
-    coboundaries must compose to zero: the rows of d^p that the unit sweep
-    pivots on are then cleared from the columns of d^{p+1}, as their pivot
-    minor is unimodular and d^{p+1} kills the images of the pivot columns
-    (Chen and Kerber's clearing, over Z with unit pivots)."""
+    free groups: C^p has rank ``sizes[p]``, and ``coboundary(p, skip)`` lists
+    the sparse rows ``{col: value}`` of d^p: C^p -> C^{p+1}, one per basis
+    element of C^{p+1} not in ``skip``.  Degree p has free rank sizes[p]
+    minus the ranks of the maps out of and into it; its torsion is the
+    invariant factors above 1 of the map into it.
+
+    The maps are asked for from the top one down, one at a time, and
+    ``skip`` holds the columns P on which the unit sweep of d^{p+1} pivoted,
+    with pivot rows R.  The coboundaries must compose to zero.  Rows R of
+    d^{p+1}·d^p = 0 then read M·d^p[P] = -d^{p+1}[R, Q]·d^p[Q], where Q are
+    the other rows of d^p and the pivot minor M = d^{p+1}[R, P] is
+    unimodular.  So the rows P of d^p are integer combinations of the rows
+    Q, and leaving them out keeps its invariant factors (Bauer, Kerber and
+    Reininghaus's clearing, over Z with unit pivots)."""
     sizes = list(sizes)
-    into, pivots = [[]], set()  # invariant factors of the coboundary into each degree
-    for size, rows in zip(sizes, coboundaries):
-        cleared, pivots = pivots, set()
-        into.append(intlinalg.smith_invariants(rows, size, cleared=cleared, pivots=pivots))
-    into.append([])
+    into = [[]] * (len(sizes) + 1)  # invariant factors of the map into each degree
+    skip = set()
+    for p in reversed(range(len(sizes) - 1)):
+        pivots = set()  # the map is a temporary, freed before the next one is built
+        into[p + 1] = intlinalg.smith_invariants(coboundary(p, skip), sizes[p], pivots=pivots)
+        skip = pivots
     return IntegerCohomology(tuple(
         (size - len(into[p]) - len(into[p + 1]), tuple(d for d in into[p] if d > 1))
         for p, size in enumerate(sizes)
@@ -199,29 +205,36 @@ def cochain_cohomology(sizes, coboundaries) -> IntegerCohomology:
 
 def snf_cohomology(complex_: SimplicialComplexDesc,
                    relative_to: SimplicialComplexDesc | None = None) -> IntegerCohomology:
-    """Integral (relative) simplicial cohomology via Smith normal form; the
-    cells of ``relative_to`` list their vertices in the complex's order."""
+    """Integral (relative) simplicial cohomology via Smith normal form.
+
+    ``relative_to`` must be a subcomplex: its cells are cells of the complex,
+    listing their vertices in the same order, and it is closed under faces.
+    Anything else raises ValueError."""
     excluded = set() if relative_to is None else {
         c for level in relative_to.simplices for c in level}
     cells = [[c for c in level if c not in excluded] for level in complex_.simplices]
+    if sum(map(len, complex_.simplices)) - sum(map(len, cells)) != len(excluded):
+        raise ValueError("relative_to has cells that are not cells of the complex")
+    if any(c[:k] + c[k + 1:] not in excluded
+           for c in excluded if len(c) > 1 for k in range(len(c))):
+        raise ValueError("relative_to is not closed under faces")
 
-    def coboundary(p):
+    def coboundary(p, skip):
         # rows: (p+1)-cells, columns: p-cells; transpose of the boundary map
         col_index = {cell: k for k, cell in enumerate(cells[p])}
         rows = []
-        for big in cells[p + 1]:
+        for i, big in enumerate(cells[p + 1]):
+            if i in skip:
+                continue
             row = {}
             for k in range(len(big)):
-                face = big[:k] + big[k + 1 :]
-                j = col_index.get(face)
+                j = col_index.get(big[:k] + big[k + 1:])
                 if j is not None:
                     row[j] = (-1) ** k
             rows.append(row)
         return rows
 
-    return cochain_cohomology(
-        [len(level) for level in cells], (coboundary(p) for p in range(complex_.dim))
-    )
+    return cochain_cohomology(map(len, cells), coboundary)
 
 
 def _two_degree_cohomology(top_degree: int, zero_rank: int, top_rank: int) -> IntegerCohomology:

@@ -62,12 +62,16 @@ def primitive_null_vector(rows) -> tuple[int, ...]:
     return tuple(x // g for x in row)
 
 
-def smith_invariants(dense_rows, ncols=None, *, cleared=frozenset(), pivots=None) -> list[int]:
+def smith_invariants(dense_rows, ncols=None, *, pivots=None) -> list[int]:
     """Invariant factors (positive, each dividing the next) of an integer matrix.
 
     Accepts either a dense list of rows or a sparse list of ``{col: value}``
-    dicts (with ``ncols`` given), left unmodified; columns in ``cleared`` read
-    as zero, and the unit sweep adds its pivot rows to ``pivots``.  Two stages:
+    dicts (with ``ncols`` given), left unmodified; the unit sweep adds its
+    pivot columns to ``pivots``.  The input's minor on the pivot rows and
+    columns is unimodular: in pivot order, each pivot row is its input row
+    plus multiples of the earlier ones, with ±1 at its own pivot column and
+    0 at the earlier ones, so the minor is a unimodular row change of a
+    triangular matrix with ±1 on its diagonal.  Two stages:
 
     1. Unit sweep.  Rows are taken shortest first from a lazy heap keyed by
        row length; a row changed by a row operation is pushed again.  In
@@ -80,8 +84,7 @@ def smith_invariants(dense_rows, ncols=None, *, cleared=frozenset(), pivots=None
     """
     if ncols is None:
         dense_rows = [dict(enumerate(row)) for row in dense_rows]
-    rows = {i: {j: v for j, v in r.items() if v and j not in cleared}
-            for i, r in enumerate(dense_rows)}
+    rows = {i: {j: v for j, v in r.items() if v} for i, r in enumerate(dense_rows)}
     rows = {i: r for i, r in rows.items() if r}
     col_rows: dict[int, set[int]] = {}
     for i, r in rows.items():
@@ -91,21 +94,29 @@ def smith_invariants(dense_rows, ncols=None, *, cleared=frozenset(), pivots=None
     units = 0
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        size, pi = heapq.heappop(heap)
+        size, pi = pop(heap)
         prow = rows.get(pi)
         if prow is None or len(prow) != size:
             continue  # stale: the row was used or changed and pushed again
-        pj = min((j for j, v in prow.items() if v in (1, -1)),
-                 key=lambda j: len(col_rows[j]), default=None)
+        pj, fewest = None, None
+        for j, v in prow.items():
+            if (v == 1 or v == -1) and (pj is None or len(col_rows[j]) < fewest):
+                pj, fewest = j, len(col_rows[j])
         if pj is None:
             continue
-        p = prow[pj]
-        for i in col_rows.pop(pj):
-            if i == pi:
-                continue
+        del rows[pi]
+        others = col_rows.pop(pj)
+        others.discard(pi)
+        p = prow.pop(pj)
+        for j in prow:
+            col_rows[j].discard(pi)
+        for i in others:
+            # row[i] -= c * row[pi] clears column pj: the pop alone when the
+            # pivot row has no other entry
             row = rows[i]
-            c = row[pj] * p  # row[i] -= c * row[pi] clears column pj
+            c = row.pop(pj) * p
             for j, v in prow.items():
                 new = row.get(j, 0) - c * v
                 if new:
@@ -114,18 +125,13 @@ def smith_invariants(dense_rows, ncols=None, *, cleared=frozenset(), pivots=None
                     row[j] = new
                 else:
                     del row[j]
-                    if j != pj:
-                        col_rows[j].discard(i)
+                    col_rows[j].discard(i)
             if row:
-                heapq.heappush(heap, (len(row), i))
+                push(heap, (len(row), i))
             else:
                 del rows[i]
-        del rows[pi]
         if pivots is not None:
-            pivots.add(pi)
-        for j in prow:
-            if j != pj:
-                col_rows[j].discard(pi)
+            pivots.add(pj)
         units += 1
 
     used = sorted({j for r in rows.values() for j in r})

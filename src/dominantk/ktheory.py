@@ -272,20 +272,26 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
         raise ResourceExceededError(f"derived {direction} oracle needs {sum(sizes)} cochain"
                                     f" basis elements, past the element cap of {cap}")
 
-    def faces(p):
-        """Sparse rows, indexed by p-cells, of the face map to (p-1)-cells.
+    def faces(p, skip):
+        """Sparse rows, indexed by (p+1)-cells, of the face map to p-cells,
+        leaving out the rows in ``skip``.
 
-        This is the limit's coboundary C^{p-1} -> C^p, and the transpose of
-        the colimit's boundary C_p -> C_{p-1}: the coboundary of its dual.
+        This is the limit's coboundary C^p -> C^{p+1}, and the transpose of
+        the colimit's boundary C_{p+1} -> C_p: the coboundary of its dual.
         """
         rows = []
-        for Tp, T in cells[p]:
+        for cell in cells[p + 1]:
+            Tp, T = cell
+            first = offset[cell]
+            kept = [k for k in range(len(basis[Tp])) if first + k not in skip]
+            if not kept:
+                continue
             gaps = []  # per s: sign, transition rows, raised and lowered face
             for i, s in enumerate(s for s in T if s not in Tp):
                 up = tuple(sorted(Tp + (s,)))
                 gaps.append(((-1) ** i, transitions[(Tp, up)], offset[(up, T)],
                              offset[(Tp, tuple(t for t in T if t != s))]))
-            for k in range(len(basis[Tp])):
+            for k in kept:
                 row = {}
                 for sign, rows_up, up, down in gaps:
                     row.update((up + c, sign * v) for c, v in rows_up[k].items())
@@ -293,7 +299,7 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
                 rows.append(row)
         return rows
 
-    coh = cochain_cohomology(sizes, (faces(p) for p in range(1, len(cells))))
+    coh = cochain_cohomology(sizes, faces)
     # universal coefficients: a colimit's H_p has the free rank of H^p of the
     # dual complex and the torsion of H^{p+1}
     m, shift = functor.copies, direction == "colimit"

@@ -1,13 +1,18 @@
+import weakref
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dominantk import davis
 from dominantk.errors import WrongTypeError
 from dominantk.coxeter import weyl_group
 from dominantk.davis import (
     EMPTY,
     FULL,
     SILENT,
+    SimplicialComplexDesc,
     cochain_cohomology,
     davis_truncation,
     hat_sector_cohomology,
@@ -19,6 +24,7 @@ from dominantk.davis import (
     _two_degree_cohomology,
 )
 from dominantk.gcm import classify_type, spherical_poset
+from test_intlinalg import kernel_basis, smith_invariants_reference
 from test_coxeter import (
     _all_subsets,
     reference_double_coset_intersection,
@@ -77,14 +83,95 @@ def test_projective_plane_torsion():
     assert coh.groups == ((1, ()), (0, ()), (0, (2,)))
 
 
+class Rows(list):
+    """A coboundary's rows, in a list that a weak reference can watch."""
+
+
+def lazy_maps(maps, calls):
+    """``coboundary(p, skip)`` over dense matrices ``maps[p]`` that records
+    each call as (p, skip) and checks that no map it returned before is alive."""
+    alive = []
+
+    def coboundary(p, skip):
+        assert all(ref() is None for ref in alive), "an earlier coboundary is still held"
+        calls.append((p, set(skip)))
+        rows = Rows({j: v for j, v in enumerate(row) if v}
+                    for i, row in enumerate(maps[p]) if i not in skip)
+        alive.append(weakref.ref(rows))
+        return rows
+
+    return coboundary
+
+
 def test_cochain_cohomology_torsion_and_lazy_coboundaries():
     # Z --x(2, 2)--> Z^2 --(a - b)--> Z: the diagonal mod twice itself is
     # Z/2 in degree 1, and a - b is onto
-    coh = cochain_cohomology([1, 2, 1], iter([[{0: 2}, {0: 2}], [{0: 1, 1: -1}]]))
+    calls = []
+    coh = cochain_cohomology([1, 2, 1], lazy_maps([[[2], [2]], [[1, -1]]], calls))
     assert coh.groups == ((0, ()), (0, (2,)), (0, ()))
+    # once per degree from the top down; a - b pivots on a, so the row of
+    # a in d^0 is never built
+    assert calls == [(1, set()), (0, {0})]
     # a zero coboundary, and a complex in one degree
-    assert cochain_cohomology([2, 3], [[{}, {}, {}]]).groups == ((2, ()), (3, ()))
-    assert cochain_cohomology([4], []).groups == ((4, ()),)
+    assert cochain_cohomology([2, 3], lazy_maps([[[0, 0]] * 3], [])).groups == (
+        (2, ()), (3, ()))
+    assert cochain_cohomology([4], lazy_maps([], [])).groups == ((4, ()),)
+
+
+def test_coboundaries_skip_rows_below_the_top_on_ext4(matrices, monkeypatch):
+    """The truncation's coboundaries are asked for from the top down, and
+    the lower one leaves out the rows that the top one pivoted on."""
+    complex_, frontier = davis_truncation(matrices["ext4"], (3,), 6)
+    calls, cohomology = [], davis.cochain_cohomology
+
+    def recording(sizes, coboundary):
+        def recorded(p, skip):
+            calls.append((p, len(skip)))
+            return coboundary(p, skip)
+        return cohomology(sizes, recorded)
+
+    monkeypatch.setattr(davis, "cochain_cohomology", recording)
+    snf_cohomology(complex_, frontier)
+    assert [p for p, _ in calls] == [1, 0] and calls[0][1] == 0 < calls[1][1]
+
+
+@st.composite
+def two_map_complexes(draw):
+    """(d^0, d^1) with d^1·d^0 = 0: d^1 random, and d^0 a kernel basis of d^1
+    times a random integer matrix, so that d^0 may have torsion."""
+    n0, n1, n2 = (draw(st.integers(1, 5)) for _ in range(3))
+    entries = st.integers(-2, 2)
+    d1 = draw(st.lists(st.lists(entries, min_size=n1, max_size=n1), min_size=n2, max_size=n2))
+    kernel = kernel_basis(d1, n1)
+    mix = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n0, max_size=n0),
+                        min_size=len(kernel), max_size=len(kernel)))
+    d0 = [[sum(v[i] * m[j] for v, m in zip(kernel, mix)) for j in range(n0)]
+          for i in range(n1)]
+    return (n0, n1, n2), d0, d1
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_map_complexes())
+@example(((1, 2, 1), [[2], [2]], [[1, -1]]))  # Z/2 in degree 1
+def test_cochain_cohomology_drops_rows_soundly(complex_):
+    """Leaving out the rows that d^1 pivots on keeps the groups that the
+    reference gives on the full maps."""
+    sizes, d0, d1 = complex_
+    into = [[], smith_invariants_reference(d0), smith_invariants_reference(d1), []]
+    expected = tuple((size - len(into[p]) - len(into[p + 1]), tuple(d for d in into[p] if d > 1))
+                     for p, size in enumerate(sizes))
+    assert cochain_cohomology(sizes, lazy_maps([d0, d1], [])).groups == expected
+
+
+@pytest.mark.parametrize("relative_to", [
+    SimplicialComplexDesc((((9,),),)),  # not a vertex of the triangle
+    SimplicialComplexDesc((((1,), (2,)), ((2, 1),))),  # an edge in the wrong order
+    SimplicialComplexDesc(((), ((1, 2),))),  # an edge without its vertices
+], ids=["foreign-vertex", "misordered-edge", "edge-without-vertices"])
+def test_snf_cohomology_refuses_a_relative_complex_that_is_no_subcomplex(relative_to):
+    triangle = _complex_from_cells([(1, 2, 3)])
+    with pytest.raises(ValueError):
+        snf_cohomology(triangle, relative_to)
 
 
 def test_two_degree_cohomology():

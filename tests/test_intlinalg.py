@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dominantk import intlinalg
+from dominantk import davis, intlinalg
 from dominantk.davis import _complex_from_cells, davis_truncation, snf_cohomology
 
 
@@ -318,6 +318,23 @@ def test_smith_sparse_input():
     assert intlinalg.smith_invariants(rows, 3) == [1, 2]
 
 
+def kernel_basis(rows, ncols) -> list[tuple[int, ...]]:
+    """Integer vectors spanning the rational kernel of an integer matrix, one
+    per free column of its reduced row echelon form."""
+    m, pivots = _rref(rows or [[0] * ncols])
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][free]
+        denom = 1
+        for x in vec:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        basis.append(tuple(int(x * denom) for x in vec))
+    return basis
+
+
 # -- the unit sweep against the minor-gcd and pre-sweep oracles ---------------------
 
 #: dense unit entries mixed with non-units, so that both the sweep (with
@@ -349,6 +366,19 @@ def test_smith_property_against_reference(matrix):
     before = [dict(row) for row in rows]
     assert intlinalg.smith_invariants(rows, ncols) == smith_invariants_reference(rows, ncols)
     assert rows == before  # the input is not modified
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(30))
+def test_smith_pivot_columns_are_unimodular(matrix):
+    """The columns that the sweep pivots on carry a unimodular minor: the
+    matrix cut down to them has invariant factors 1, one per pivot column."""
+    rows, ncols = matrix
+    pivots = set()
+    result = intlinalg.smith_invariants(rows, ncols, pivots=pivots)
+    assert len(pivots) <= result.count(1)
+    kept = [{j: v for j, v in row.items() if j in pivots} for row in rows]
+    assert smith_invariants_reference(kept, ncols) == [1] * len(pivots)
 
 
 def test_smith_torsion_block_beside_unit_rows():
@@ -383,29 +413,51 @@ def _random_simplicial_pair(rng):
     return complex_, _complex_from_cells(rng.sample(faces, rng.randint(0, len(faces) // 3)))
 
 
+def recording_maps(monkeypatch):
+    """Patch ``davis.cochain_cohomology`` and ``intlinalg.smith_invariants``
+    to record, per map in call order, (full rows, ncols, skipped, invariants):
+    the full rows come from asking the coboundary for them with no skip."""
+    maps, results = [], []
+    cohomology, sweep = davis.cochain_cohomology, intlinalg.smith_invariants
+
+    def recording_cohomology(sizes, coboundary):
+        sizes = list(sizes)
+
+        def recorded(p, skip):
+            maps.append((coboundary(p, set()), sizes[p], len(skip)))
+            return coboundary(p, skip)
+
+        return cohomology(sizes, recorded)
+
+    def recording_sweep(rows, ncols=None, **keywords):
+        results.append(sweep(rows, ncols, **keywords))
+        return results[-1]
+
+    monkeypatch.setattr(davis, "cochain_cohomology", recording_cohomology)
+    monkeypatch.setattr(intlinalg, "smith_invariants", recording_sweep)
+    return lambda: [m + (r,) for m, r in zip(maps, results, strict=True)]
+
+
 def test_unit_sweep_matches_reference_on_ext4_truncation(matrices, monkeypatch):
-    """Each coboundary's invariants, with the rows that the map before it
-    pivoted on cleared from its columns, equal the reference's on the
-    uncleared rows: on the ext4 truncation and on random simplicial pairs."""
+    """Each coboundary's invariants, with the rows that the sweep of the map
+    above it pivoted on left out, equal the reference's on the full map: on
+    the ext4 truncation and on random simplicial pairs."""
     complex_, frontier = davis_truncation(matrices["ext4"], (3,), 10)
     assert complex_.f_vector() == (1637, 4522, 2886)
     assert frontier.f_vector() == (592, 646)
-    sweep = intlinalg.smith_invariants
-    cleared, torsion = [], []
-
-    def against_reference(rows, ncols=None, **clearing):
-        result = sweep(rows, ncols, **clearing)
-        assert result == smith_invariants_reference(rows, ncols)
-        cleared.append(len(clearing["cleared"]))
-        torsion.extend(d for d in result if d > 1)
-        return result
-
-    monkeypatch.setattr(intlinalg, "smith_invariants", against_reference)
+    recorded = recording_maps(monkeypatch)
     snf_cohomology(complex_, frontier)
-    # one coboundary matrix per degree below the top: rows are 1- and 2-cells;
-    # the second one has the first one's pivot rows cleared from its columns
-    assert len(cleared) == 2 and cleared[0] == 0 < cleared[1]
+    # one coboundary matrix per degree below the top, the top one first: its
+    # rows are the 2-cells, and the 1-cells it pivoted on are not rows of the
+    # map below it
+    (_, _, top_skipped, _), (low, _, low_skipped, _) = recorded()
+    assert top_skipped == 0 and (len(low), low_skipped) == (3876, 2831)
     rng = random.Random(0)
     for _ in range(300):
         snf_cohomology(*_random_simplicial_pair(rng))
-    assert sum(cleared) > cleared[1] and torsion  # the pairs clear, and show torsion
+    maps = recorded()
+    for rows, ncols, _, result in maps:
+        assert result == smith_invariants_reference(rows, ncols)
+    # the pairs drop rows below their top maps, and show torsion
+    assert any(skipped for _, _, skipped, _ in maps[2:])
+    assert any(d > 1 for *_, result in maps[2:] for d in result)

@@ -444,9 +444,11 @@ def chain_limit_oracle(functor, direction):
     ]
     basis_index = {label: i for labels in dims for i, label in enumerate(labels)}
 
-    def faces(p):
+    def faces(p, skip):
         rows = []
-        for chain, k in dims[p]:
+        for index, (chain, k) in enumerate(dims[p + 1]):
+            if index in skip:
+                continue
             row = {basis_index[(chain[1:], c)]: v
                    for c, v in transitions[chain[:2]][k].items()}
             for i in range(1, len(chain)):
@@ -454,8 +456,7 @@ def chain_limit_oracle(functor, direction):
             rows.append(row)
         return rows
 
-    coh = cochain_cohomology([len(labels) for labels in dims],
-                             (faces(p) for p in range(1, len(dims))))
+    coh = cochain_cohomology([len(labels) for labels in dims], faces)
     if direction == "limit":
         return coh
     return IntegerCohomology(tuple((free, coh.torsion(p + 1))
