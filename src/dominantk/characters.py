@@ -1,7 +1,9 @@
 """Character-ring arithmetic for Levi subgroups.
 
 Characters are finitely supported integer maps on weights; a truncated
-full-group alternating sum also carries its length bound.  The term order
+full-group alternating sum also carries its length bound.  The alternating
+sum at rho is read from the orbit vectors w(rho) that the Weyl group walk
+keeps when the weights have no complement coordinates.  The term order
 is lexicographic on the coordinate tuple; exact division is leading-term
 elimination.  Levi irreducible characters, the spinor character (the one
 at rho_J) and Dirac induction through them come from Freudenthal's
@@ -36,7 +38,8 @@ class FormalCharacter:
     __slots__ = ("terms", "length_bound")
 
     def __init__(self, terms=None, *, length_bound=None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+        terms = dict(terms or {})
+        self.terms = {w: c for w, c in terms.items() if c} if 0 in terms.values() else terms
         self.length_bound = length_bound
 
     @classmethod
@@ -202,7 +205,15 @@ def weyl_numerator(real: Realization, lam: Weight, J=None,
     With J given the sum runs over the full finite Levi group W_J; without
     J it runs over the ball of the stated length bound and the result
     carries that bound as metadata.  Exactly one of the two is taken.
+
+    At lam = rho on a matrix with no complement coordinates (A nonsingular),
+    the weight w(rho) is the orbit vector the walk keeps for w, and
+    w -> w(rho) is injective (Kac, Prop. 3.12), so the sum is read off the
+    spheres: no reflection, and no term repeats or cancels.  Any other
+    weight, or rho with complement coordinates, which the orbit vector
+    lacks, is walked: each w(lam) is reflected from the image of its suffix.
     """
+    lam = real.check_weight(lam)
     group = weyl_group(real.gcm)
     if J is not None:
         if length_bound is not None:
@@ -212,6 +223,13 @@ def weyl_numerator(real: Realization, lam: Weight, J=None,
         raise ValueError("a length bound is required when no subset J is given")
     else:
         spheres, bound = group._quotient(length_bound), length_bound
+    if real.rank == group.n and lam == real.rho():
+        terms = {}
+        for length, sphere in enumerate(spheres):
+            sign = -1 if length % 2 else 1
+            for w in sphere:
+                terms[w.orbit] = sign
+        return FormalCharacter(terms, length_bound=bound)
     # ShortLex words are closed under suffixes, so w = r_i u with u = word[1:]
     # in the sphere before; its image is kept for that sphere only
     images, terms = {(): lam}, {lam: 1}
@@ -240,7 +258,7 @@ def levi_irreducible_character(real: Realization, J, mu: Weight) -> FormalCharac
     ends at its first weight not yet in the character.  The weights
     produced count against the group's element cap.
     """
-    A, mu = real.gcm, tuple(mu)
+    A, mu = real.gcm, real.check_weight(mu)
     J = finite_subset(A, J)
     if not real.is_dominant_for(mu, J):
         raise NotDominantError(f"{mu} is not dominant for the Levi on {J}")
@@ -296,7 +314,7 @@ def dirac_induction(real: Realization, J, mu: Weight) -> FormalCharacter:
     and the sign reaching it, that is sign times the Levi irreducible at
     nu - rho_J, and zero when mu is J-singular (nu vanishes somewhere on J)."""
     J = finite_subset(real.gcm, J)
-    nu, sign = real.dominantize(mu, J)
+    nu, sign = real.dominantize(real.check_weight(mu), J)
     if not real.is_regular_for(nu, J):
         return FormalCharacter.zero()
     lowered = tuple(a - b for a, b in zip(nu, real.partial_rho(J)))
@@ -315,7 +333,7 @@ def ambient_dominance_test(real: Realization, J, mu: Weight,
     maximal dominant representation is exactly the cone, it is closed under
     the group action and under addition, and mu is itself a weight of L_mu.
     """
-    J = finite_subset(real.gcm, J)
+    J, mu = finite_subset(real.gcm, J), real.check_weight(mu)
     if not real.is_dominant_for(mu, J):
         raise NotDominantError(f"{mu} is not dominant for the Levi on {J}")
     result = real.chamber_reduce(mu, max_steps=max_steps)

@@ -403,7 +403,7 @@ def splitting_maps(A: GeneralizedCartanMatrix, J, mu: Weight,
     """
     J = tuple(sorted(set(J)))
     real = build_realization(A)
-    shifted = tuple(a + b for a, b in zip(mu, real.partial_rho(J)))
+    shifted = tuple(a + b for a, b in zip(real.check_weight(mu), real.partial_rho(J)))
     reduction = real.chamber_reduce(shifted, max_steps=max_steps)
     if reduction.status != IN_CONE:
         raise ConeReductionFailedError(

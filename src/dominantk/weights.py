@@ -73,6 +73,16 @@ class Realization(Reflections):
 
     # -- basic weights ---------------------------------------------------------
 
+    def check_weight(self, lam) -> Weight:
+        """``lam`` as a weight tuple, refused unless it holds one integer per
+        coroot and complement coordinate."""
+        lam = tuple(lam)
+        if len(lam) != self.rank or not all(isinstance(x, int) for x in lam):
+            c = self.rank - self.coroot_count
+            raise ValueError(f"weight {lam} needs {self.rank} integer coordinates"
+                             f" ({self.coroot_count} coroot and {c} complement values)")
+        return lam
+
     def zero(self) -> Weight:
         return (0,) * self.rank
 
@@ -151,6 +161,7 @@ class Realization(Reflections):
         indecomposable affine matrix a negative level certifies that the
         weight lies outside the Tits cone.
         """
+        lam = self.check_weight(lam)
         if max_steps is None:
             max_steps = self.default_max_steps(lam)
         cls = classify_type(self.gcm)

@@ -26,7 +26,7 @@ from dominantk.characters import (
 )
 from dominantk.coxeter import WeylGroup, weyl_group
 from dominantk.gcm import gcm_from_rows, is_finite_type, spherical_poset
-from dominantk.weights import build_realization
+from dominantk.weights import Realization, build_realization
 
 A3_ROWS = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 F4_ROWS = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
@@ -202,6 +202,63 @@ def test_numerator_matches_word_keyed_reference_e10(matrices):
     assert len(_assert_same_numerator(real, real.rho(), length_bound=6)) == len(
         weyl_group(matrices["e10"]).ball(6))
     _assert_same_numerator(real, _singular(real, 4), length_bound=6)
+
+
+def test_numerator_at_rho_reads_the_orbit_vectors(matrices, monkeypatch):
+    """On a nonsingular matrix the numerator at rho reflects nothing: each
+    key is the orbit vector w(rho) the walk keeps for w, signed by w.  E10
+    at a length bound, hyper_rank3 at a bound and over every spherical W_J."""
+    def refuse(*args):
+        raise AssertionError("the numerator at rho reflected a weight")
+
+    monkeypatch.setattr(Realization, "reflect", refuse)
+    monkeypatch.setattr(Realization, "_reflect", refuse)
+    e10, hyper = matrices["e10"], matrices["hyper_rank3"]
+    cases = [(e10, weyl_group(e10).ball(6), dict(length_bound=6)),
+             (hyper, weyl_group(hyper).ball(8), dict(length_bound=8))]
+    cases += [(hyper, weyl_group(hyper).subgroup_elements(J), dict(J=J))
+              for J in spherical_poset(hyper).members]
+    for A, elements, how in cases:
+        real = build_realization(A)
+        char = weyl_numerator(real, real.rho(), **how)
+        assert char.length_bound == how.get("length_bound")
+        keys = {key: key for key in char.terms}
+        assert len(keys) == len(elements)
+        for w in elements:
+            assert keys[w.orbit] is w.orbit
+            assert char.terms[w.orbit] == w.sign()
+
+
+def test_entry_points_check_the_weight(matrices):
+    """Weights of the affine_a1 realization have 3 coordinates; a longer or
+    shorter one is refused by every character entry point, and any sequence
+    of the right length is taken as its tuple."""
+    real = build_realization(matrices["affine_a1"])
+    calls = [
+        lambda: levi_irreducible_character(real, (1,), (1, 1, 0, 7)),
+        lambda: dirac_induction(real, (1,), (1, 2, 0, 4)),
+        lambda: weyl_numerator(real, (1, 1), (1,)),
+        lambda: weyl_numerator(real, (1, 1, 0, 0), length_bound=2),
+        lambda: ambient_dominance_test(real, (1,), (2, 1, 0, 5)),
+        lambda: ambient_dominance_test(real, (1,), (2, 1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="needs 3 integer coordinates"):
+            call()
+    assert weyl_numerator(real, [1, 1, 0], length_bound=2) == weyl_numerator(
+        real, (1, 1, 0), length_bound=2)
+
+
+def test_formal_character_drops_zeros_and_copies_its_terms():
+    """Zero coefficients are dropped, and the terms are a copy: changing the
+    caller's dict afterwards leaves the character as it was."""
+    assert FormalCharacter({(0, 0): 0}) == FormalCharacter.zero()
+    for source in ({(1, 0): 2, (0, 0): -1}, {(1, 0): 2, (0, 1): 0, (0, 0): -1}):
+        char = FormalCharacter(source, length_bound=3)
+        source[(5, 5)] = 7
+        source[(1, 0)] = 9
+        assert char.terms == {(1, 0): 2, (0, 0): -1}
+        assert char.length_bound == 3
 
 
 # -- irreducible characters ------------------------------------------------------------

@@ -757,6 +757,14 @@ def test_splitting_nontrivial(matrices):
     assert record.sign == -1
 
 
+def test_splitting_refuses_a_weight_of_the_wrong_length(matrices):
+    """mu + rho_J is formed before the chamber reduction sees the weight, so
+    the length is checked first: a fourth coordinate is refused, not dropped."""
+    for mu in ((1, 1, 0, 7), (1, 1)):
+        with pytest.raises(ValueError, match="needs 3 integer coordinates"):
+            splitting_maps(matrices["affine_a1"], (1,), mu)
+
+
 def test_splitting_sign_flip(matrices):
     A = matrices["affine_a1"]
     group = weyl_group(A)

@@ -84,7 +84,7 @@ def transcript(commands) -> str:
 
 
 def test_readme_commands_match_golden():
-    assert len(readme_commands()) == 13
+    assert len(readme_commands()) == 14
     assert transcript(readme_commands()) == README_GOLDEN.read_text(encoding="utf-8")
 
 

@@ -87,6 +87,19 @@ def test_chamber_reduce_examples(matrices):
     assert real.chamber_reduce((-1, 0, 0)).status == NOT_IN_CONE
 
 
+def test_weight_of_the_wrong_shape_is_refused(matrices):
+    """A weight needs one integer per coroot and complement coordinate:
+    anything else is refused, not truncated or carried along."""
+    real = build_realization(matrices["affine_a1"])
+    assert real.check_weight([1, 1, 0]) == (1, 1, 0)
+    for bad in ((1, 1), (1, 1, 0, 3), (1, 0.5, 0), ("1", 1, 0)):
+        with pytest.raises(ValueError, match="needs 3 integer coordinates"):
+            real.check_weight(bad)
+    with pytest.raises(ValueError, match="needs 3 integer coordinates"):
+        real.chamber_reduce((1, 1, 0, 3))
+    assert real.chamber_reduce([-1, 2, 0]) == real.chamber_reduce((-1, 2, 0))
+
+
 def test_chamber_reduce_level_zero_undecided(matrices):
     real = build_realization(matrices["affine_a1"])
     assert real.chamber_reduce((1, -1, 0)).status == UNDECIDED
