@@ -256,7 +256,8 @@ def levi_irreducible_character(real: Realization, J, mu: Weight) -> FormalCharac
     W_J-orbit enters the character once its multiplicity is known: nu + k
     alpha lies in the orbit of a higher dominant weight, so an alpha-string
     ends at its first weight not yet in the character.  The weights
-    produced count against the group's element cap.
+    produced count against the group's element cap, the dominant ones as
+    they are reached, before the recursion.
     """
     A, mu = real.gcm, real.check_weight(mu)
     J = finite_subset(A, J)
@@ -268,6 +269,7 @@ def levi_irreducible_character(real: Realization, J, mu: Weight) -> FormalCharac
         return sum(c * dj * lam[j] for c, dj, j in zip(coeffs, d, J))
 
     roots = [(real.root_weight(c), tuple(c[j] for j in J)) for c in levi_positive_roots(A, J)]
+    cap = weyl_group(A).element_cap
     # beta = mu - nu on the simple roots of J, for every J-dominant nu <= mu
     depth, layer = {mu: (0,) * len(J)}, [mu]
     while layer:
@@ -278,8 +280,11 @@ def levi_irreducible_character(real: Realization, J, mu: Weight) -> FormalCharac
                 if lam not in depth and all(lam[j] >= 0 for j in J):
                     depth[lam] = tuple(b + c for b, c in zip(depth[nu], coeffs))
                     below.append(lam)
+            if len(depth) > cap:  # each one is a weight of the character
+                raise ResourceExceededError(
+                    f"Levi character on {J} exceeded the cap of {cap} weights"
+                    f" ({len(depth)} dominant weights reached)")
         layer = below
-    cap = weyl_group(A).element_cap
     terms: dict = {}
     for nu in sorted(depth, key=lambda nu: sum(depth[nu])):
         mult = 1

@@ -98,7 +98,7 @@ def _weight_str(real, lam) -> str:
     return f"{head}/{tail}" if tail else head
 
 
-def _character_lines(real, char, fmt):
+def _print_character(out, real, char, fmt):
     lines = []
     for w, c in char.sorted_terms():
         if fmt == "tsv":
@@ -107,15 +107,23 @@ def _character_lines(real, char, fmt):
             sign = "+" if c >= 0 else "-"
             mag = "" if abs(c) == 1 else str(abs(c))
             lines.append(f"{sign}{mag}e^{{({_weight_str(real, w)})}}")
-    return lines or ["0"]
+    out.write("\n".join(lines or ["0"]) + "\n")
 
 
-def _header(out, A, params):
+# The truncation options a grouped subcommand may register, in header order.
+_PARAMS = ("max_length", "max_steps", "method", "box")
+
+
+def _header(out, A, args):
+    """Version and matrix hash; then, for a grouped subcommand, the truncation
+    options it registers (each one that is set)."""
     out.write(f"# dominantk {__version__}\n")
     digest = hashlib.sha256(A.canonical_text().encode()).hexdigest()[:16]
     out.write(f"# gcm sha256={digest} size={A.size}\n")
-    if params:
-        rendered = " ".join(f"{k}={v}" for k, v in params.items() if v is not None)
+    values = vars(args)
+    if "sub" in values:
+        rendered = " ".join(f"{key.replace('_', '-')}={values[key]}"
+                            for key in _PARAMS if values.get(key) is not None)
         out.write(f"# params {rendered}\n")
 
 
@@ -128,108 +136,111 @@ def _print_cohomology(out, coh, fmt, prefix="H^", suffix="_c"):
             out.write(f"{prefix}{p}{suffix} = {coh.describe(p)}\n")
 
 
-def _cmd_classify(args, out):
-    A = _load_gcm(args.gcm)
-    _header(out, A, {})
+def _print_words(out, A, elements):
+    for w in elements:
+        out.write(f"{_word_str(A, w.word)}\t{w.length}\n")
+
+
+def _realize(A, args):
+    """The realization of A and the ``--weight`` in it."""
+    real = build_realization(A)
+    return real, _parse_weight(real, args.weight)
+
+
+# -- one runner per subcommand: run(A, args, out) reads every option it registers
+
+
+def _run_classify(A, args, out):
     cls = classify_type(A)
+    rows = [("kind", cls.kind), ("symmetrizable", str(cls.symmetrizable).lower()),
+            ("symmetrizer", ",".join(map(str, cls.symmetrizer or ()))),
+            ("indecomposable", str(cls.indecomposable).lower()),
+            ("compact_type", str(cls.compact_type).lower())]
+    if cls.extended_compact:
+        i0, j0 = cls.extended_compact
+        rows.append(("extended_compact", f"I0={_subset_str(A, i0)} J0={_subset_str(A, j0)}"))
     if args.format == "tsv":
-        out.write(f"kind\t{cls.kind}\n")
-        out.write(f"symmetrizable\t{str(cls.symmetrizable).lower()}\n")
-        if cls.symmetrizer:
-            out.write("symmetrizer\t" + ",".join(map(str, cls.symmetrizer)) + "\n")
-        out.write(f"indecomposable\t{str(cls.indecomposable).lower()}\n")
-        out.write(f"compact_type\t{str(cls.compact_type).lower()}\n")
-        if cls.extended_compact:
-            i0, j0 = cls.extended_compact
-            out.write(f"extended_compact\tI0={_subset_str(A, i0)} J0={_subset_str(A, j0)}\n")
-    else:
-        bits = [
-            f"kind {cls.kind}",
-            f"symmetrizable {str(cls.symmetrizable).lower()}",
-            f"compact_type {str(cls.compact_type).lower()}",
-        ]
-        if cls.extended_compact:
-            i0, j0 = cls.extended_compact
-            bits.append(
-                f"extended_compact I0={_subset_str(A, i0)} J0={_subset_str(A, j0)}"
-            )
-        out.write(" / ".join(bits) + "\n")
-    return 0
+        out.writelines(f"{key}\t{value}\n" for key, value in rows if value)
+    else:  # the human line leaves out the symmetrizer and indecomposability
+        brief = [f"{key} {value}" for key, value in rows
+                 if key not in ("symmetrizer", "indecomposable")]
+        out.write(" / ".join(brief) + "\n")
 
 
-def _cmd_spherical(args, out):
-    A = _load_gcm(args.gcm)
-    _header(out, A, {})
-    poset = spherical_poset(A)
-    for member in poset.members:
+def _run_spherical(A, args, out):
+    for member in spherical_poset(A).members:
         if args.format == "tsv":
             out.write(f"{_subset_str(A, member)}\t{len(member)}\n")
         else:
             out.write(f"{{{_subset_str(A, member) if member else ''}}}\n")
-    return 0
 
 
-def _cmd_coxeter(args, out):
-    A = _load_gcm(args.gcm)
-    group = weyl_group(A)
-    _header(out, A, {"max-length": args.max_length})
-    if args.sub == "ball":
-        elements = group.ball(args.max_length)
-    elif args.sub == "cosets":
-        J = _subset(A, args.j)
-        K = _subset(A, args.k) if args.k is not None else None
-        elements = group.min_coset_reps(J, K, args.max_length)
-    else:  # pure
-        K = _subset(A, args.k)
-        J = _subset(A, args.j)
-        elements = group.pure_reps(K, J, args.max_length, maximal=args.maximal)
-    for w in elements:
-        out.write(f"{_word_str(A, w.word)}\t{w.length}\n")
-    return 0
+def _run_ball(A, args, out):
+    _print_words(out, A, weyl_group(A).ball(args.max_length))
 
 
-def _cmd_weights(args, out):
-    A = _load_gcm(args.gcm)
-    real = build_realization(A)
-    _header(out, A, {"max-steps": getattr(args, "max_steps", None)})
-    lam = _parse_weight(real, args.weight)
-    if args.sub == "reduce":
-        res = real.chamber_reduce(lam, max_steps=args.max_steps)
-        out.write(f"status\t{res.status}\n")
-        if res.weight is not None:
-            out.write(f"dominant\t{_weight_str(real, res.weight)}\n")
-            out.write(f"word\t{_word_str(A, res.element.word)}\n")
-            out.write(f"steps\t{res.steps}\n")
-    elif args.sub == "stratum":
-        out.write(f"stratum\t{_subset_str(A, real.stratum(lam))}\n")
-    else:  # level
-        out.write(f"level\t{real.affine_level(lam)}\n")
-    return 0
+def _run_cosets(A, args, out):
+    J = _subset(A, args.j)
+    K = _subset(A, args.k) if args.k is not None else None
+    _print_words(out, A, weyl_group(A).min_coset_reps(J, K, args.max_length))
 
 
-def _cmd_character(args, out):
-    A = _load_gcm(args.gcm)
-    real = build_realization(A)
-    _header(out, A, {"max-length": getattr(args, "max_length", None)})
+def _run_pure(A, args, out):
+    K, J = _subset(A, args.k), _subset(A, args.j)
+    _print_words(out, A, weyl_group(A).pure_reps(K, J, args.max_length, maximal=args.maximal))
+
+
+def _run_reduce(A, args, out):
+    real, lam = _realize(A, args)
+    res = real.chamber_reduce(lam, max_steps=args.max_steps)
+    out.write(f"status\t{res.status}\n")
+    if res.weight is not None:
+        out.write(f"dominant\t{_weight_str(real, res.weight)}\n")
+        out.write(f"word\t{_word_str(A, res.element.word)}\n")
+        out.write(f"steps\t{res.steps}\n")
+
+
+def _run_stratum(A, args, out):
+    real, lam = _realize(A, args)
+    out.write(f"stratum\t{_subset_str(A, real.stratum(lam))}\n")
+
+
+def _run_level(A, args, out):
+    real, lam = _realize(A, args)
+    out.write(f"level\t{real.affine_level(lam)}\n")
+
+
+def _run_levi(A, args, out):
+    J = _subset(A, args.j)
+    real, mu = _realize(A, args)
+    _print_character(out, real, levi_irreducible_character(real, J, mu), args.format)
+
+
+def _run_dirac(A, args, out):
+    J = _subset(A, args.j)
+    real, mu = _realize(A, args)
+    _print_character(out, real, dirac_induction(real, J, mu), args.format)
+
+
+def _run_numerator(A, args, out):
     J = _subset(A, args.j) if args.j is not None else None
-    if args.sub == "numerator":
-        lam = _parse_weight(real, args.weight)
-        char = weyl_numerator(real, lam, J, length_bound=args.max_length)
-    elif args.sub == "levi":
-        char = levi_irreducible_character(real, J, _parse_weight(real, args.weight))
-    elif args.sub == "dirac":
-        char = dirac_induction(real, J, _parse_weight(real, args.weight))
-    elif args.sub == "spinor":
-        char = spinor_character(real, J)
-    else:  # ambient
-        verdict = ambient_dominance_test(real, J, _parse_weight(real, args.weight))
-        out.write(f"ambient_dominant\t{str(verdict).lower()}\n")
-        return 0
-    out.write("\n".join(_character_lines(real, char, args.format)) + "\n")
-    return 0
+    real, lam = _realize(A, args)
+    char = weyl_numerator(real, lam, J, length_bound=args.max_length)
+    _print_character(out, real, char, args.format)
 
 
-def _nerve_f_vector(A):
+def _run_spinor(A, args, out):
+    real = build_realization(A)
+    _print_character(out, real, spinor_character(real, _subset(A, args.j)), args.format)
+
+
+def _run_ambient(A, args, out):
+    J = _subset(A, args.j)
+    real, mu = _realize(A, args)
+    out.write(f"ambient_dominant\t{str(ambient_dominance_test(real, J, mu)).lower()}\n")
+
+
+def _run_nerve(A, args, out):
     """f-vector of the nerve of the spherical poset, counted without listing
     chains: a chain with k + 1 members ending at T is one with k members
     ending at some T' < T, extended by T."""
@@ -242,84 +253,71 @@ def _nerve_f_vector(A):
         for Tp in (Tp for size in range(len(T)) for Tp in combinations(T, size)):
             for k, c in enumerate(ending[Tp]):
                 counts[k + 1] += c
-    return [sum(column) for column in zip_longest(*ending.values(), fillvalue=0)]
+    f_vector = [sum(column) for column in zip_longest(*ending.values(), fillvalue=0)]
+    out.write("f-vector\t" + ",".join(map(str, f_vector)) + "\n")
 
 
-def _cmd_davis(args, out):
-    A = _load_gcm(args.gcm)
-    _header(out, A, {"max-length": args.max_length, "method": getattr(args, "method", None)})
-    if args.sub == "nerve":
-        out.write("f-vector\t" + ",".join(map(str, _nerve_f_vector(A))) + "\n")
-        return 0
+def _run_hc(A, args, out):
     K = _subset(A, args.k)
-    if args.sub == "hc":
-        if args.method == "snf":
-            complex_, frontier = davis_truncation(A, K, args.max_length)
-            coh = snf_cohomology(complex_, frontier)
-        else:
-            report = sector_filtration_cohomology(A, K, args.max_length)
-            if args.format == "tsv":
-                for step_no, step in enumerate(report.steps):
-                    out.write(
-                        f"{step_no}\t{_word_str(A, step.element.word)}\t{step.verdict}\n"
-                    )
-            coh = report.cohomology()
-        _print_cohomology(out, coh, args.format)
-        return 0
-    # hc-hat
-    report = hat_sector_cohomology(A, K, args.max_length)
+    if args.method == "snf":
+        coh = snf_cohomology(*davis_truncation(A, K, args.max_length))
+    else:
+        report = sector_filtration_cohomology(A, K, args.max_length)
+        if args.format == "tsv":
+            for step_no, step in enumerate(report.steps):
+                out.write(f"{step_no}\t{_word_str(A, step.element.word)}\t{step.verdict}\n")
+        coh = report.cohomology()
+    _print_cohomology(out, coh, args.format)
+
+
+def _run_hc_hat(A, args, out):
+    report = hat_sector_cohomology(A, _subset(A, args.k), args.max_length)
     _print_cohomology(out, report.cohomology(), args.format)
-    return 0
 
 
-def _report_lines(out, A, report, fmt, generators=False):
-    real = build_realization(A)
-    out.write(
-        f"mode {report.mode} n={report.top_degree} r={report.torus_rank}"
-        f" L={report.length_bound} box={report.box.coroot_bound}/{report.box.complement_bound}\n"
-    )
+def _print_report(out, A, report, generators):
+    real, box = build_realization(A), report.box
+    out.write(f"mode {report.mode} n={report.top_degree} r={report.torus_rank}"
+              f" L={report.length_bound} box={box.coroot_bound}/{box.complement_bound}\n")
     for s in report.summands:
-        out.write(
-            f"{s.degree}\t{_subset_str(A, s.subset)}\t{s.index_size}\t{len(s.basis)}\n"
-        )
+        K = _subset_str(A, s.subset)
+        out.write(f"{s.degree}\t{K}\t{s.index_size}\t{len(s.basis)}\n")
         if generators:
-            words = s.index_words if s.index_words is not None else ((),)
-            for word in words:
+            for word in s.index_words if s.index_words is not None else ((),):
                 for lam in s.basis.weights:
-                    out.write(
-                        f"gen\t{s.degree}\t{_subset_str(A, s.subset)}"
-                        f"\t{_word_str(A, word)}\t{_weight_str(real, lam)}\n"
-                    )
+                    out.write(f"gen\t{s.degree}\t{K}\t{_word_str(A, word)}"
+                              f"\t{_weight_str(real, lam)}\n")
 
 
-def _cmd_ktheory(args, out):
-    A = _load_gcm(args.gcm)
-    real = build_realization(A)
-    box = Box(args.box, args.box)
-    _header(out, A, {"max-length": args.max_length, "box": args.box})
-    if args.sub == "compact":
-        _report_lines(out, A, compact_type_report(A, box), args.format, args.generators)
-    elif args.sub == "extended":
-        _report_lines(
-            out, A, extended_type_report(A, args.max_length, box), args.format, args.generators
-        )
-    elif args.sub == "homology":
-        _report_lines(out, A, k_homology_report(A, box), args.format, args.generators)
-    elif args.sub == "predicates":
-        rec = st_r_image_predicates(A, _parse_weight(real, args.weight))
-        for key in ("regular_dominant_for_levi", "in_image_st", "in_image_of_r"):
-            out.write(f"{key}\t{str(getattr(rec, key)).lower()}\n")
-        out.write(f"reduction_status\t{rec.reduction_status}\n")
-    else:  # oracle
-        K = _subset(A, args.k)
-        if args.direction == "limit":
-            functor = strata_limit_functor(A, K, args.max_length, box)
-        else:
-            functor = strata_colimit_functor(A, K, args.max_length, box)
-        coh = derived_limit_oracle(A, functor, args.direction)
-        label = "lim^" if args.direction == "limit" else "colim_"
-        _print_cohomology(out, coh, args.format, prefix=label, suffix="")
-    return 0
+def _run_compact(A, args, out):
+    _print_report(out, A, compact_type_report(A, Box(args.box, args.box)), args.generators)
+
+
+def _run_extended(A, args, out):
+    report = extended_type_report(A, args.max_length, Box(args.box, args.box))
+    _print_report(out, A, report, args.generators)
+
+
+def _run_homology(A, args, out):
+    _print_report(out, A, k_homology_report(A, Box(args.box, args.box)), args.generators)
+
+
+def _run_predicates(A, args, out):
+    real, mu = _realize(A, args)
+    rec = st_r_image_predicates(A, mu)
+    for key in ("regular_dominant_for_levi", "in_image_st", "in_image_of_r"):
+        out.write(f"{key}\t{str(getattr(rec, key)).lower()}\n")
+    out.write(f"reduction_status\t{rec.reduction_status}\n")
+
+
+def _run_oracle(A, args, out):
+    K, box = _subset(A, args.k), Box(args.box, args.box)
+    if args.direction == "limit":
+        functor, label = strata_limit_functor(A, K, args.max_length, box), "lim^"
+    else:
+        functor, label = strata_colimit_functor(A, K, args.max_length, box), "colim_"
+    coh = derived_limit_oracle(A, functor, args.direction)
+    _print_cohomology(out, coh, args.format, prefix=label, suffix="")
 
 
 _TSV_SCHEMAS = {
@@ -348,90 +346,76 @@ _TSV_SCHEMAS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree.  Each subcommand registers exactly the options its
+    runner reads; ``main`` reads ``--gcm`` and writes the header."""
     parser = argparse.ArgumentParser(
         prog="dominantk",
         description="Exact Cartan-matrix, Coxeter-group, character and building computations.",
     )
     parser.add_argument("--version", action="version", version=f"dominantk {__version__}")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    commands = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, gcm_positional=False):
-        if gcm_positional:
-            p.add_argument("gcm", help="matrix file")
-        else:
-            p.add_argument("--gcm", required=True, help="matrix file")
-        p.add_argument("--format", choices=("human", "tsv"), default="human")
+    def opt(flag, **kwargs):
+        return flag, kwargs
 
-    def subcommand(parent, name, run):
-        q = parent.add_parser(name, epilog=_TSV_SCHEMAS.get(name))
-        common(q)
-        q.set_defaults(run=run)
-        return q
+    def command(parent, name, run, *options,
+                gcm=opt("--gcm", required=True, help="matrix file"), **kwargs):
+        p = parent.add_parser(name, epilog=_TSV_SCHEMAS[name], **kwargs)
+        for flag, settings in (gcm, *options):
+            p.add_argument(flag, **settings)
+        p.set_defaults(run=run)
 
-    p = sub.add_parser("classify", help="type classification of a matrix file",
-                       epilog=_TSV_SCHEMAS["classify"])
-    common(p, gcm_positional=True)
-    p.set_defaults(run=_cmd_classify)
+    def group(name, text):
+        return commands.add_parser(name, help=text).add_subparsers(dest="sub", required=True)
 
-    p = sub.add_parser("spherical", help="spherical subsets of a matrix file",
-                       epilog=_TSV_SCHEMAS["spherical"])
-    common(p, gcm_positional=True)
-    p.set_defaults(run=_cmd_spherical)
+    def length(**kwargs):
+        return opt("--max-length", type=_nonnegative, **kwargs)
 
-    p = sub.add_parser("coxeter", help="group enumeration")
-    psub = p.add_subparsers(dest="sub", required=True)
-    for name in ("ball", "cosets", "pure"):
-        q = subcommand(psub, name, _cmd_coxeter)
-        q.add_argument("--max-length", type=_nonnegative, required=True)
-        if name != "ball":
-            q.add_argument("--j", default=None, help="comma-separated node labels ('' = empty)")
-            q.add_argument("--k", default=None, help="comma-separated node labels ('' = empty)")
-        if name == "pure":
-            q.add_argument("--maximal", action="store_true")
+    labels = "comma-separated node labels ('' = empty)"
+    fmt = opt("--format", choices=("human", "tsv"), default="human")
+    weight = opt("--weight", required=True, help="coroot values, slash, complement values;"
+                 " use --weight=-1,2/0 for negatives")
+    j_opt, k_opt = opt("--j", help=labels), opt("--k", help=labels)
+    j_req, k_empty = opt("--j", required=True, help=labels), opt("--k", default="", help=labels)
+    box = opt("--box", type=_nonnegative, default=2)
+    generators = opt("--generators", action="store_true")
 
-    p = sub.add_parser("weights", help="weight-lattice operations")
-    psub = p.add_subparsers(dest="sub", required=True)
-    for name in ("reduce", "stratum", "level"):
-        q = subcommand(psub, name, _cmd_weights)
-        q.add_argument(
-            "--weight", required=True,
-            help="coroot values, slash, complement values; use --weight=-1,2/0 for negatives",
-        )
-    psub.choices["reduce"].add_argument("--max-steps", type=_nonnegative, default=None)
+    command(commands, "classify", _run_classify, fmt, gcm=opt("gcm", help="matrix file"),
+            help="type classification of a matrix file")
+    command(commands, "spherical", _run_spherical, fmt, gcm=opt("gcm", help="matrix file"),
+            help="spherical subsets of a matrix file")
 
-    p = sub.add_parser("character", help="character-ring operations")
-    psub = p.add_subparsers(dest="sub", required=True)
-    for name in ("levi", "dirac", "numerator", "spinor", "ambient"):
-        q = subcommand(psub, name, _cmd_character)
-        q.add_argument("--j", default=None, required=name != "numerator")
-        if name != "spinor":
-            q.add_argument("--weight", required=True)
-    psub.choices["numerator"].add_argument("--max-length", type=_nonnegative, default=None)
+    coxeter = group("coxeter", "group enumeration")
+    command(coxeter, "ball", _run_ball, length(required=True))
+    command(coxeter, "cosets", _run_cosets, length(required=True), j_opt, k_opt)
+    command(coxeter, "pure", _run_pure, length(required=True), j_opt, k_opt,
+            opt("--maximal", action="store_true"))
 
-    p = sub.add_parser("davis", help="building combinatorics and cohomology")
-    psub = p.add_subparsers(dest="sub", required=True)
-    for name in ("nerve", "hc", "hc-hat"):
-        q = subcommand(psub, name, _cmd_davis)
-        if name != "nerve":
-            q.add_argument("--k", default="")
-        q.add_argument("--max-length", type=_nonnegative, default=6)
-        if name == "hc":
-            q.add_argument("--method", choices=("sector", "snf"), default="sector")
+    weights = group("weights", "weight-lattice operations")
+    command(weights, "reduce", _run_reduce, weight, opt("--max-steps", type=_nonnegative))
+    command(weights, "stratum", _run_stratum, weight)
+    command(weights, "level", _run_level, weight)
 
-    p = sub.add_parser("ktheory", help="closed-form reports and oracles")
-    psub = p.add_subparsers(dest="sub", required=True)
-    for name in ("compact", "extended", "homology", "predicates", "oracle"):
-        q = subcommand(psub, name, _cmd_ktheory)
-        q.add_argument("--box", type=_nonnegative, default=2)
-        q.add_argument("--max-length", type=_nonnegative, default=4)
-        if name in ("compact", "extended", "homology"):
-            q.add_argument("--generators", action="store_true")
-        elif name == "predicates":
-            q.add_argument("--weight", required=True)
-        else:
-            q.add_argument("--k", default="")
-            q.add_argument("--direction", choices=("limit", "colimit"), default="limit")
+    character = group("character", "character-ring operations")
+    command(character, "levi", _run_levi, j_req, weight, fmt)
+    command(character, "dirac", _run_dirac, j_req, weight, fmt)
+    command(character, "numerator", _run_numerator, j_opt, weight, length(), fmt)
+    command(character, "spinor", _run_spinor, j_req, fmt)
+    command(character, "ambient", _run_ambient, j_req, weight)
 
+    davis = group("davis", "building combinatorics and cohomology")
+    command(davis, "nerve", _run_nerve)
+    command(davis, "hc", _run_hc, k_empty, length(default=6),
+            opt("--method", choices=("sector", "snf"), default="sector"), fmt)
+    command(davis, "hc-hat", _run_hc_hat, k_empty, length(default=6), fmt)
+
+    ktheory = group("ktheory", "closed-form reports and oracles")
+    command(ktheory, "compact", _run_compact, box, generators)
+    command(ktheory, "extended", _run_extended, box, length(default=4), generators)
+    command(ktheory, "homology", _run_homology, box, generators)
+    command(ktheory, "predicates", _run_predicates, weight)
+    command(ktheory, "oracle", _run_oracle, k_empty, box, length(default=4),
+            opt("--direction", choices=("limit", "colimit"), default="limit"), fmt)
     return parser
 
 
@@ -442,9 +426,11 @@ def main(argv=None) -> int:
         sys.stderr.write("error output: stdout is closed\n")
         return 1
     try:
-        status = args.run(args, sys.stdout)
+        A = _load_gcm(args.gcm)
+        _header(sys.stdout, A, args)
+        args.run(A, args, sys.stdout)
         sys.stdout.flush()
-        return status
+        return 0
     except OSError as exc:
         # a closed reader (end as SIGPIPE would) or a failed write: silence the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -654,9 +654,12 @@ def test_levi_character_needs_finite_type(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error not-finite-type:")
 
 
-def test_levi_character_respects_element_cap():
+def test_levi_character_respects_element_cap(monkeypatch):
     """The weights a Levi character produces count against the group's
-    element cap; hitting it names the cap, its value and the count."""
+    element cap; hitting it names the cap, its value and the count.  The
+    J-dominant weights count as they are collected: A2 on J = (0,) at
+    (8000, 0) has 4,001 of them, and a cap of 3,000 refuses them before any
+    weight is reflected, so Freudenthal's recursion never starts."""
     J = (0, 1, 2)
     A = gcm_from_rows(A3_ROWS)  # a fresh matrix, so no other test shares its group
     real, group = build_realization(A), weyl_group(A)
@@ -667,6 +670,18 @@ def test_levi_character_respects_element_cap():
     group.element_cap = size - 1
     with pytest.raises(ResourceExceededError, match=rf"cap of {size - 1} weights \(\d+ produced\)"):
         levi_irreducible_character(real, J, mu)
+
+    A = gcm_from_rows([[2, -1], [-1, 2]])
+    real = build_realization(A)
+    weyl_group(A).element_cap = 3000
+
+    def refuse(*args):
+        raise AssertionError("the recursion ran")
+
+    monkeypatch.setattr(Realization, "reflect", refuse)
+    with pytest.raises(ResourceExceededError,
+                       match=r"cap of 3000 weights \(\d+ dominant weights reached\)"):
+        levi_irreducible_character(real, (0,), (8000, 0))
 
 
 # -- dominance of the ambient group ------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import dominantk
-from dominantk.cli import main
+from dominantk.cli import build_parser, main
+from dominantk.gcm import parse_gcm
 
 
 def data_path(name):
@@ -59,8 +61,7 @@ def test_spherical(capsys):
 
 def test_coxeter_ball():
     code, out = run(
-        ["coxeter", "ball", "--gcm", data_path("a2"), "--max-length", "3",
-         "--format", "tsv"]
+        ["coxeter", "ball", "--gcm", data_path("a2"), "--max-length", "3"]
     )
     rows = [line.split("\t") for line in body(out)]
     assert len(rows) == 6
@@ -72,7 +73,7 @@ def test_finite_ball_at_a_huge_length_bound():
     """A2 lists its 6 elements at a 20-digit bound: the walk ends at the
     first empty sphere."""
     argv = ["coxeter", "ball", "--gcm", data_path("a2"), "--max-length",
-            "99999999999999999999", "--format", "tsv"]
+            "99999999999999999999"]
     proc = subprocess.run([sys.executable, "-m", "dominantk", *argv], capture_output=True,
                           text=True, env=_cli_env(), timeout=60, preexec_fn=_limit_memory)
     assert proc.returncode == 0, proc.stderr
@@ -296,6 +297,32 @@ def test_negative_max_steps_is_usage_error(capsys):
     assert "--max-steps" in err
 
 
+# Options these subcommands took and never read: their rows are tab-separated
+# whatever --format says, and the reports below take no length bound or box.
+_NEVER_READ = [
+    (["coxeter", "ball", "--gcm", data_path("a2"), "--max-length", "1"], "--format tsv"),
+    (["coxeter", "cosets", "--gcm", data_path("affine_a1"), "--j", "0", "--max-length", "3"],
+     "--format tsv"),
+    (["coxeter", "pure", "--gcm", data_path("ext4"), "--k", "4", "--j", "1,2,3",
+      "--max-length", "4"], "--format human"),
+    (["weights", "reduce", "--gcm", data_path("affine_a1"), "--weight=-1,2/0"], "--format tsv"),
+    (["weights", "stratum", "--gcm", data_path("affine_a1"), "--weight", "1,1/0"],
+     "--format tsv"),
+    (["weights", "level", "--gcm", data_path("affine_a1"), "--weight", "1,1/0"], "--format tsv"),
+    (["character", "ambient", "--gcm", data_path("affine_a1"), "--j", "1", "--weight=-1,2/0"],
+     "--format tsv"),
+    (["davis", "nerve", "--gcm", data_path("hyper_rank3")], "--max-length 6 --format tsv"),
+    (["ktheory", "compact", "--gcm", data_path("affine_a1"), "--box", "1"],
+     "--max-length 99 --format tsv"),
+    (["ktheory", "extended", "--gcm", data_path("ext4"), "--box", "1", "--max-length", "2"],
+     "--format tsv"),
+    (["ktheory", "homology", "--gcm", data_path("affine_a1"), "--box", "1"],
+     "--max-length 4 --format tsv"),
+    (["ktheory", "predicates", "--gcm", data_path("ext4"), "--weight=1,1,1,-1/"],
+     "--box 1 --max-length 4 --format tsv"),
+]
+
+
 @pytest.mark.parametrize("argv,unread", [
     (["ktheory", "compact", "--gcm", data_path("affine_a1"), "--k", "0", "--weight=1,1/0"],
      "--k 0 --weight=1,1/0"),
@@ -317,9 +344,74 @@ def test_negative_max_steps_is_usage_error(capsys):
       "--max-steps", "2"], "--max-steps 2"),
     (["weights", "stratum", "--gcm", data_path("affine_a1"), "--weight", "1,1/0",
       "--max-steps", "2"], "--max-steps 2"),
+    *(pytest.param(argv + unread.split(), unread, id="-".join(argv[:2]) + "-dropped")
+      for argv, unread in _NEVER_READ),
 ], ids=lambda v: "-".join(v[:2]) if isinstance(v, list) else "unread")
 def test_option_the_subcommand_never_reads_is_usage_error(argv, unread, capsys):
     assert f"unrecognized arguments: {unread}" in _usage_error(argv, capsys)
+
+
+# One valid command line per subcommand, with every option it registers set.
+_EVERY_SUBCOMMAND = [
+    ["classify", data_path("affine_a1"), "--format", "tsv"],
+    ["spherical", data_path("affine_a1"), "--format", "human"],
+    ["coxeter", "ball", "--gcm", data_path("a2"), "--max-length", "2"],
+    ["coxeter", "cosets", "--gcm", data_path("affine_a1"), "--j", "0", "--k", "1",
+     "--max-length", "3"],
+    ["coxeter", "pure", "--gcm", data_path("ext4"), "--k", "4", "--j", "1,2,3",
+     "--max-length", "4", "--maximal"],
+    ["weights", "reduce", "--gcm", data_path("affine_a1"), "--weight=-1,2/0",
+     "--max-steps", "10"],
+    ["weights", "stratum", "--gcm", data_path("affine_a1"), "--weight", "1,1/0"],
+    ["weights", "level", "--gcm", data_path("affine_a1"), "--weight", "1,1/0"],
+    ["character", "levi", "--gcm", data_path("a2"), "--j", "0,1", "--weight", "1,1",
+     "--format", "tsv"],
+    ["character", "dirac", "--gcm", data_path("g2"), "--j", "0,1", "--weight=-2,3",
+     "--format", "human"],
+    ["character", "numerator", "--gcm", data_path("affine_a1"), "--weight", "1,1/0",
+     "--max-length", "2", "--format", "tsv"],
+    ["character", "spinor", "--gcm", data_path("affine_a1"), "--j", "1", "--format", "tsv"],
+    ["character", "ambient", "--gcm", data_path("affine_a1"), "--j", "1", "--weight=-1,2/0"],
+    ["davis", "nerve", "--gcm", data_path("hyper_rank3")],
+    ["davis", "hc", "--gcm", data_path("affine_a1"), "--k", "", "--max-length", "4",
+     "--method", "sector", "--format", "tsv"],
+    ["davis", "hc-hat", "--gcm", data_path("ext4"), "--k", "1,2,3,4", "--max-length", "3",
+     "--format", "tsv"],
+    ["ktheory", "compact", "--gcm", data_path("affine_a1"), "--box", "1", "--generators"],
+    ["ktheory", "extended", "--gcm", data_path("ext4"), "--box", "1", "--max-length", "2",
+     "--generators"],
+    ["ktheory", "homology", "--gcm", data_path("affine_a1"), "--box", "1", "--generators"],
+    ["ktheory", "predicates", "--gcm", data_path("ext4"), "--weight=1,1,1,-1/"],
+    ["ktheory", "oracle", "--gcm", data_path("affine_a1"), "--k", "", "--direction", "colimit",
+     "--max-length", "3", "--box", "1", "--format", "tsv"],
+]
+
+
+def _subcommand(argv):
+    return argv[0] if argv[0] in ("classify", "spherical") else "-".join(argv[:2])
+
+
+def test_every_subcommand_is_listed():
+    assert len({_subcommand(argv) for argv in _EVERY_SUBCOMMAND}) == 21
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=_subcommand)
+def test_subcommand_reads_every_option_it_registers(argv):
+    """Its runner reads each option parsed into the namespace; ``--gcm`` and
+    the dispatch fields are read by ``main``."""
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = build_parser().parse_args(argv, namespace=Recording())
+    registered = set(vars(args)) - {"gcm", "run", "cmd", "sub"}
+    A, runner = parse_gcm(Path(args.gcm).read_text(encoding="utf-8")), args.run
+    read.clear()
+    runner(A, args, io.StringIO())
+    assert registered - read == set()
 
 
 def test_weight_syntax_errors():
@@ -372,6 +464,19 @@ def test_oversized_box_is_refused_before_enumeration():
     assert proc.stderr == ("error resource-exceeded: stratum K = () of Box(coroot_bound=2000,"
                            " complement_bound=2000) has 8000000000 dominant weights, past the"
                            " cap of 1000000\n")
+
+
+def test_levi_character_is_refused_before_freudenthal():
+    """A2 on J = (0,) at (2999999, 0) has 1,500,000 J-dominant weights, past
+    the cap of 1,000,000: they are counted as they are collected, so the
+    run refuses before the recursion, which is quadratic in string length."""
+    argv = ["character", "levi", "--gcm", data_path("a2"), "--j", "0", "--weight", "2999999,0"]
+    proc = subprocess.run([sys.executable, "-m", "dominantk", *argv], capture_output=True,
+                          text=True, env=_cli_env(), timeout=60, preexec_fn=_limit_memory)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error resource-exceeded: Levi character on (0,) exceeded"
+                                  " the cap of 1000000 weights (")
+    assert proc.stderr.endswith(" dominant weights reached)\n")
 
 
 def test_help_documents_tsv_schema(capsys):

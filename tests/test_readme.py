@@ -20,9 +20,11 @@ Freudenthal's recursion: G2 at (1,1), B2 at (2,1) in tsv, G2 Dirac at the
 non-dominant (-2,3), and E10 Dirac on the D4 Levi (4,5,6,8) at a weight
 that is negative on J.  Then comes an ext4 colimit oracle at L = 6,
 recorded while the colimit functor dominantized weights and now built from
-pure double-coset representatives and left strips.  The last line is the
+pure double-coset representatives and left strips, and then the
 E10 extended report at L = 7, recorded while every one of its 1,024 coset
-calls filtered the ball and now read from the walked quotient W^{I0}.
+calls filtered the ball and now read from the walked quotient W^{I0}.  It
+closes with a usage error: the compact report takes no length bound, so
+``ktheory compact --max-length`` exits 2 with nothing on stdout.
 
 Each command runs in-process through ``cli.main`` from the repository root;
 its stdout and exit status are compared with the transcript.  Regenerate a
@@ -90,7 +92,7 @@ def test_readme_commands_match_golden():
 
 def test_oracle_commands_match_golden():
     commands = recorded_commands(ORACLE_GOLDEN)
-    assert len(commands) == 38
+    assert len(commands) == 39
     assert transcript(commands) == ORACLE_GOLDEN.read_text(encoding="utf-8")
 
 
