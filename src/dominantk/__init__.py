@@ -16,7 +16,7 @@ from .gcm import (
     parse_gcm,
     spherical_poset,
 )
-from .coxeter import CoxeterElement, WeylGroup, normal_form, weyl_group
+from .coxeter import CoxeterElement, WeylGroup, weyl_group
 from .weights import Box, Realization, build_realization
 from .characters import FormalCharacter
 
@@ -29,7 +29,6 @@ __all__ = [
     "spherical_poset",
     "CoxeterElement",
     "WeylGroup",
-    "normal_form",
     "weyl_group",
     "Box",
     "Realization",

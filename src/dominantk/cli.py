@@ -77,11 +77,11 @@ def _word_str(A, word) -> str:
 
 
 def _parse_weight(real, text: str):
-    parts = text.split("/")
-    coroot = [int(x) for x in parts[0].split(",")] if parts[0] else []
-    complement = (
-        [int(x) for x in parts[1].split(",")] if len(parts) > 1 and parts[1] else []
-    )
+    head, _, tail = text.partition("/")
+    if "/" in tail:
+        raise ValueError(f"weight {text!r} has more than one '/'")
+    coroot = [int(x) for x in head.split(",")] if head else []
+    complement = [int(x) for x in tail.split(",")] if tail else []
     c = real.rank - real.coroot_count
     if len(coroot) != real.coroot_count or len(complement) != c:
         raise ValueError(
@@ -122,9 +122,9 @@ def _header(out, A, args):
     out.write(f"# gcm sha256={digest} size={A.size}\n")
     values = vars(args)
     if "sub" in values:
-        rendered = " ".join(f"{key.replace('_', '-')}={values[key]}"
-                            for key in _PARAMS if values.get(key) is not None)
-        out.write(f"# params {rendered}\n")
+        rendered = "".join(f" {key.replace('_', '-')}={values[key]}"
+                           for key in _PARAMS if values.get(key) is not None)
+        out.write(f"# params{rendered}\n")
 
 
 def _print_cohomology(out, coh, fmt, prefix="H^", suffix="_c"):

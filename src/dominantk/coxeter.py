@@ -13,10 +13,10 @@ The orbit vector determines the element and its descents (Kac,
 w^{-1}(h_i) is negative, that is when l(r_i w) < l(w).  An element u != e
 has a left descent, so u(rho) != rho, and w -> w(rho) is injective.  Left
 descents are the negative coordinates of w(rho), right descents those of
-w^{-1}(rho); cosets, purity, strips and the Bruhat order are mask tests
-against subset masks.  Root images w(alpha_j) on the simple-root basis,
-through the crystallographic reflection r_i(alpha_j) = alpha_j - a[i][j]
-alpha_i, are filled in per element on first use.
+w^{-1}(rho); cosets, purity and strips are mask tests against subset
+masks.  Root images w(alpha_j) on the simple-root basis, through the
+crystallographic reflection r_i(alpha_j) = alpha_j - a[i][j] alpha_i, are
+filled in per element on first use.
 """
 
 from __future__ import annotations
@@ -105,9 +105,6 @@ class CoxeterElement:
     def sign(self) -> int:
         return -1 if self.length % 2 else 1
 
-    def sort_key(self):
-        return (self.length, self.word)
-
     def __eq__(self, other):
         return (
             isinstance(other, CoxeterElement)
@@ -182,8 +179,8 @@ class Reflections:
 
 
 class WeylGroup(Reflections):
-    """Reflection group of a generalized Cartan matrix with ball enumeration,
-    coset machinery and the Bruhat order."""
+    """Reflection group of a generalized Cartan matrix with ball enumeration
+    and coset machinery."""
 
     def __init__(self, A: GeneralizedCartanMatrix, element_cap: int = DEFAULT_ELEMENT_CAP):
         self.gcm = A
@@ -395,7 +392,7 @@ class WeylGroup(Reflections):
                     )
         return spheres
 
-    # -- cosets, purity, Bruhat order -----------------------------------------
+    # -- cosets and purity ----------------------------------------------------
 
     def min_coset_reps(self, J, K=None, L: int = 0) -> tuple[CoxeterElement, ...]:
         """Elements of length <= L minimal in W_J w (and in W_J w W_K if K
@@ -404,12 +401,6 @@ class WeylGroup(Reflections):
         return tuple(
             w for sphere in self._quotient(L, K or ()) for w in sphere if not w.left & jmask
         )
-
-    def is_min_double_rep(self, w: CoxeterElement, J, K) -> bool:
-        """For w minimal in W_J w: is w the minimal W_J-W_K double coset rep."""
-        if w.left & self.subset_mask(J):
-            raise NotMinimalError("w is not a minimal left W_J-coset representative")
-        return not w.right & self.subset_mask(K)
 
     def continuation_mask(self, w: CoxeterElement, kmask: int) -> int:
         """Right ascents j of a K-left-minimal w with w r_j still K-left minimal.
@@ -425,23 +416,17 @@ class WeylGroup(Reflections):
                 mask |= 1 << j
         return mask
 
-    def _pure_masks(self, w: CoxeterElement, K, J) -> tuple[int, int]:
-        """(mask of J, continuation mask P) of a minimal (K, J) double coset
-        rep w.  w is pure for J' iff J' lies in P, since the right ascents
-        outside P are those with w(alpha_j) positive and supported on K."""
-        kmask, jmask = self.subset_mask(K), self.subset_mask(J)
-        if w.left & kmask or w.right & jmask:
-            raise NotMinimalError("w is not a minimal (K, J) double coset representative")
-        return jmask, self.continuation_mask(w, kmask)
-
     def double_coset_intersection(self, w: CoxeterElement, J, K) -> tuple[int, ...]:
         """Subset L of J with W_K meet w W_J w^{-1} equal to w W_L w^{-1}.
 
         Requires w minimal for (K-left, J-right).  j belongs to L exactly
-        when w(alpha_j) is a positive root supported on K: J minus P.
+        when w(alpha_j) is a positive root supported on K: J minus the
+        continuation mask.
         """
-        jmask, pmask = self._pure_masks(w, K, J)
-        meet = jmask & ~pmask
+        kmask, jmask = self.subset_mask(K), self.subset_mask(J)
+        if w.left & kmask or w.right & jmask:
+            raise NotMinimalError("w is not a minimal (K, J) double coset representative")
+        meet = jmask & ~self.continuation_mask(w, kmask)
         return tuple(j for j in range(self.n) if meet >> j & 1)
 
     def _purity(self, w: CoxeterElement, jmask: int) -> tuple[int, int]:
@@ -472,26 +457,6 @@ class WeylGroup(Reflections):
                 out.append(w)
         return tuple(out)
 
-    def pure_for_proper_superset(self, w, K, J) -> bool:
-        """Is w, minimal for (K-left, J-right), pure for some proper superset
-        of J?  Purity for J' is J' within P, so: is J a proper subset of P?"""
-        jmask, pmask = self._pure_masks(w, K, J)
-        return jmask != pmask and not jmask & ~pmask
-
-    def bruhat_leq(self, v: CoxeterElement, w: CoxeterElement) -> bool:
-        """Bruhat order: v is a subword of any reduced expression of w.
-
-        Computed by the lifting property: with i a left descent of w,
-        v <= w iff (r_i v <= r_i w when i is a descent of v) else v <= r_i w.
-        The letters of w's ShortLex word are those descents in turn.
-        """
-        for k, i in enumerate(w.word):
-            if v.length == 0 or v.length > w.length - k:
-                break
-            if v.left >> i & 1:
-                v = self.lmul_gen(i, v)
-        return v.length == 0
-
     # -- canonical coset minimization -----------------------------------------
 
     def rstrip(self, w: CoxeterElement, S) -> CoxeterElement:
@@ -516,6 +481,3 @@ def weyl_group(A: GeneralizedCartanMatrix) -> WeylGroup:
     right quotients)."""
     return WeylGroup(A)
 
-
-def normal_form(word, A: GeneralizedCartanMatrix) -> CoxeterElement:
-    return weyl_group(A).element(tuple(word))

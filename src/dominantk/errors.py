@@ -39,10 +39,6 @@ class NotAffineError(DominantKError):
     code = "not-affine"
 
 
-class NotProperError(DominantKError):
-    code = "not-proper"
-
-
 class NotMinimalError(DominantKError):
     """Element fails the minimal coset-representative precondition."""
 

@@ -12,7 +12,7 @@ import math
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import MalformedFileError, NotAGCMError, NotFiniteTypeError, WrongTypeError
+from .errors import MalformedFileError, NotAGCMError, NotFiniteTypeError
 
 FINITE = "finite"
 AFFINE = "affine"
@@ -381,7 +381,3 @@ def coxeter_matrix(A: GeneralizedCartanMatrix):
         rows.append(tuple(row))
     return tuple(rows)
 
-
-def require_non_finite(A: GeneralizedCartanMatrix) -> None:
-    if classify_type(A).kind == FINITE:
-        raise WrongTypeError("operation requires a matrix that is not of finite type")

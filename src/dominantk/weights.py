@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from . import intlinalg
 from .coxeter import CoxeterElement, Reflections, weyl_group
-from .errors import NotAffineError, NotDominantError, NotProperError, ResourceExceededError
+from .errors import NotAffineError, NotDominantError, ResourceExceededError
 from .gcm import AFFINE, GeneralizedCartanMatrix, classify_type, finite_subset, per_matrix
 
 Weight = tuple
@@ -99,14 +99,6 @@ class Realization(Reflections):
                     f"node subset {tuple(K)} has an index outside 0..{self.coroot_count - 1}")
             out[k] = 1
         return tuple(out)
-
-    def barycenter_weight(self, J) -> Weight:
-        """Weight attached to the barycenter of a proper subset J: its
-        stabilizer stratum is exactly J."""
-        J = set(J)
-        if not J < set(range(self.coroot_count)):
-            raise NotProperError("J must be a proper subset of the node set")
-        return self.partial_rho(set(range(self.coroot_count)) - J)
 
     def root_weight(self, coeffs) -> Weight:
         """Weight coordinates of an integer combination of simple roots."""

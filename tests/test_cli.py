@@ -414,17 +414,24 @@ def test_subcommand_reads_every_option_it_registers(argv):
     assert registered - read == set()
 
 
-def test_weight_syntax_errors():
+def test_weight_syntax_errors(capsys):
     code, _ = run(
         ["weights", "stratum", "--gcm", data_path("affine_a1"), "--weight", "1,1"]
     )
     assert code == 1  # missing complement block when one is required
+    code, _ = run(
+        ["weights", "stratum", "--gcm", data_path("affine_a1"), "--weight", "1,1/0/7"]
+    )
+    assert code == 1  # a second '/' is refused, not read as 1,1/0
+    assert capsys.readouterr().err.endswith(
+        "error invalid-input: weight '1,1/0/7' has more than one '/'\n")
 
 
 @pytest.mark.parametrize("flags,message", [
     (["--j", "0,1", "--weight", "1,1,1"], "weight needs 2 coroot values"),
     (["--j", "5", "--weight", "1,1"], "unknown node label '5'"),
-], ids=["weight-length", "node-label"])
+    (["--j", "0", "--weight", "1,0//5"], "weight '1,0//5' has more than one '/'"),
+], ids=["weight-length", "node-label", "weight-slashes"])
 def test_bad_input_error_line(flags, message, capsys):
     code, _ = run(["character", "levi", "--gcm", data_path("a2")] + flags)
     assert code == 1

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dominantk import intlinalg
 from dominantk.characters import ambient_dominance_test, levi_positive_roots
 from dominantk.coxeter import weyl_group
-from dominantk.errors import MalformedFileError, NotAGCMError, WrongTypeError
+from dominantk.errors import MalformedFileError, NotAGCMError
 from dominantk.gcm import (
     AFFINE,
     FINITE,
@@ -458,14 +458,6 @@ def test_coxeter_matrix_values(matrices):
     assert coxeter_matrix(matrices["a1xa1"])[0][1] == 2
     assert coxeter_matrix(matrices["affine_a1"])[0][1] == INFINITE_ORDER
     assert all(coxeter_matrix(matrices["a2"])[i][i] == 1 for i in range(2))
-
-
-def test_require_non_finite(matrices):
-    from dominantk.gcm import require_non_finite
-
-    with pytest.raises(WrongTypeError):
-        require_non_finite(matrices["a2"])
-    require_non_finite(matrices["affine_a1"])
 
 
 def test_finite_type_iff_enumeration_terminates():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dominantk.errors import (NotAffineError, NotDominantError, NotFiniteTypeError,
-                              NotProperError, ResourceExceededError)
+                              ResourceExceededError)
 from dominantk.coxeter import weyl_group
 from dominantk.data import load
 from dominantk.gcm import spherical_poset
@@ -248,19 +248,6 @@ def test_affine_level_e9(matrices):
     assert all(x > 0 for x in labels)
     # rho evaluates to the sum of the dual labels
     assert real.affine_level(real.rho()) == sum(labels)
-
-
-def test_barycenter_weight(matrices):
-    real = build_realization(matrices["hyper_rank3"])
-    assert real.barycenter_weight(()) == (1, 1, 1)
-    assert real.barycenter_weight((0, 1)) == (0, 0, 1)
-    from dominantk.gcm import spherical_poset
-
-    for member in spherical_poset(matrices["hyper_rank3"]).members:
-        lam = real.barycenter_weight(member)
-        assert real.stratum(lam) == member
-    with pytest.raises(NotProperError):
-        real.barycenter_weight((0, 1, 2))
 
 
 def test_dominant_box_weights(matrices):
