@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from .coxeter import paused_gc, weyl_group
+from .coxeter import _lowest, paused_gc, weyl_group
 from .errors import (
     ConeReductionFailedError,
     DivisionRemainderError,
@@ -230,15 +230,14 @@ def weyl_numerator(real: Realization, lam: Weight, J=None,
             for w in sphere:
                 terms[w.orbit] = sign
         return FormalCharacter(terms, length_bound=bound)
-    # ShortLex words are closed under suffixes, so w = r_i u with u = word[1:]
-    # in the sphere before; its image is kept for that sphere only
-    images, terms = {(): lam}, {lam: 1}
+    # a walked w links to its suffix u = r_i w (i its least left descent) in
+    # the sphere before; images are keyed by orbit and kept for one sphere
+    images, terms = {group.identity.orbit: lam}, {lam: 1}
     with paused_gc():
         for length in range(1, len(spheres)):
             shorter, images, sign = images, {}, -1 if length % 2 else 1
             for w in spheres[length]:
-                word = w.word
-                key = images[word] = real.reflect(word[0], shorter[word[1:]])
+                key = images[w.orbit] = real.reflect(_lowest(w.left), shorter[w.suffix.orbit])
                 terms[key] = terms.get(key, 0) + sign
     return FormalCharacter(terms, length_bound=bound)
 

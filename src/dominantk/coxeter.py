@@ -1,9 +1,10 @@
 """The Weyl group of a generalized Cartan matrix as a computational object.
 
-An element w is stored as its ShortLex-minimal reduced word (input node order
-as tie-break, so the first letter is the least left descent) and its orbit
-vector w(rho) in coroot coordinates <., h_k>, where rho takes the value 1 on
-every simple coroot; w^{-1}(rho) is folded from the word on first read.  A
+An element w is stored as its orbit vector w(rho) in coroot coordinates
+<., h_k>, where rho takes the value 1 on every simple coroot, plus a link to
+its suffix r_i w, i its least left descent; the ShortLex-minimal reduced word
+(input node order as tie-break, so the first letter is the least left descent)
+is read through the links on first read, and w^{-1}(rho) is folded from it.  A
 simple reflection acts on these coordinates through the matrix alone,
 lam_k <- lam_k - lam_i a[k][i], touching only the nonzero entries of column i.
 
@@ -35,7 +36,7 @@ DEFAULT_ELEMENT_CAP = 10**6
 @contextmanager
 def paused_gc():
     """Pause the cyclic collector while a walk grows: a walk leaves no garbage
-    cycles, yet each element, word and orbit vector it keeps counts towards
+    cycles, yet each element and orbit vector it keeps counts towards
     the next collection.  Only a collector this pause disabled is enabled
     again (in the manner of Mercurial's ``util.nogc``)."""
     if not gc.isenabled():
@@ -49,21 +50,26 @@ def paused_gc():
 
 
 class CoxeterElement:
-    """Group element: its ShortLex reduced word and its orbit vector.
+    """Group element: its orbit vector plus a link to its suffix; the word
+    is read through the links on first read.
 
     ``orbit`` is w(rho) in coroot coordinates; bit i of ``left`` is set when
-    <w(rho), h_i> < 0, that is when l(r_i w) < l(w).  A walk reads no inverse
-    side, so ``inv_orbit`` = w^{-1}(rho) is folded from the word on first
-    read, and with it ``right``: bit j when <w^{-1}(rho), h_j> < 0, that is
-    when w(alpha_j) is negative and l(w r_j) < l(w).  ``roots`` holds the
-    images w(alpha_j) once ``act_on_root`` or the coset tests ask for them.
+    <w(rho), h_i> < 0, that is when l(r_i w) < l(w).  A walked element keeps
+    ``suffix`` = r_i w, i its least left descent; one built from its stripped
+    word has none.  A walk reads no inverse side, so ``inv_orbit`` =
+    w^{-1}(rho) is folded from the word on first read, and with it ``right``:
+    bit j when <w^{-1}(rho), h_j> < 0, that is when w(alpha_j) is negative
+    and l(w r_j) < l(w).  ``roots`` holds the images w(alpha_j) once
+    ``act_on_root`` or the coset tests ask for them.
     """
 
-    __slots__ = ("group", "word", "orbit", "_inv", "_right", "left", "roots")
+    __slots__ = ("group", "_word", "suffix", "length", "orbit", "_inv", "_right", "left", "roots")
 
-    def __init__(self, group, word, orbit, inv_orbit, left, right):
+    def __init__(self, group, word, orbit, inv_orbit, left, right, suffix=None):
         self.group = group
-        self.word = word
+        self._word = word
+        self.suffix = suffix
+        self.length = len(word) if suffix is None else suffix.length + 1
         self.orbit = orbit
         self._inv = inv_orbit
         self.left = left
@@ -86,8 +92,19 @@ class CoxeterElement:
         return inv, right
 
     @property
-    def length(self) -> int:
-        return len(self.word)
+    def word(self) -> tuple[int, ...]:
+        """The ShortLex word (i,) + suffix.word: each element down the links
+        to one that has its word keeps the word built for it."""
+        if self._word is not None:
+            return self._word
+        chain, w = [], self
+        while w._word is None:
+            chain.append(w)
+            w = w.suffix
+        word = w._word
+        for el in reversed(chain):
+            word = el._word = (_lowest(el.left),) + word
+        return word
 
     def act_on_root(self, j: int) -> tuple[int, ...]:
         """Coefficients of w(alpha_j) over the simple-root basis."""
@@ -109,11 +126,11 @@ class CoxeterElement:
         return (
             isinstance(other, CoxeterElement)
             and self.group.key == other.group.key
-            and self.word == other.word
+            and self.orbit == other.orbit
         )
 
     def __hash__(self):
-        return hash((self.group.key, self.word))
+        return hash(self.orbit)  # w -> w(rho) is injective
 
     def __repr__(self):
         return f"CoxeterElement({','.join(map(str, self.word)) or 'e'})"
@@ -224,15 +241,15 @@ class WeylGroup(Reflections):
 
     def _root_images(self, w: CoxeterElement) -> tuple[tuple[int, ...], ...]:
         """w(alpha_j) over the simple roots for every j, filled in on first
-        use from the suffix r_i w (i the first letter): one reflection a root."""
+        use from the suffix r_i w, linked or stripped: one reflection a root."""
         chain = []
         while w.roots is None:
             chain.append(w)
-            w = self._normalize(self._reflect(w.word[0], w.orbit))
+            w = w.suffix or self._normalize(self._reflect(_lowest(w.left), w.orbit))
         roots = w.roots
         for el in reversed(chain):
-            i, row = el.word[0], self._rows[el.word[0]]
-            roots = el.roots = tuple(_reflect_root(i, row, r) for r in roots)
+            i = _lowest(el.left)
+            roots = el.roots = tuple(_reflect_root(i, self._rows[i], r) for r in roots)
         return roots
 
     def subset_mask(self, subset) -> int:
@@ -302,7 +319,8 @@ class WeylGroup(Reflections):
                         f"{what} enumeration exceeded the cap of {self.element_cap} elements"
                         f" ({total} enumerated through length {len(spheres)})"
                     )
-                by_orbit.update((w.orbit, w) for w in sphere)
+                for w in sphere:
+                    by_orbit[w.orbit] = w
                 spheres.append(sphere)
         return spheres[: L + 1]
 
@@ -312,7 +330,7 @@ class WeylGroup(Reflections):
         and u in order, kept when i is the least left descent of w, so each
         w is built once, from its suffix.  left(w) lies in left(u) + {i}: a
         descent of u below i that r_i does not move rules w out unreflected.
-        Only w(rho) is stepped; the inverse side waits for its first read.
+        Only w(rho) is stepped, linked to u; word and inverse wait for a read.
 
         With ``kmask`` it steps the right quotient W^K instead, which is
         closed under suffixes (Bjorner-Brenti, Combinatorics of Coxeter
@@ -348,7 +366,7 @@ class WeylGroup(Reflections):
                     if known is not None:
                         out.append(known)
                         continue
-                out.append(CoxeterElement(self, (i,) + u.word, orbit, None, left, None))
+                out.append(CoxeterElement(self, None, orbit, None, left, None, u))
         return out
 
     def sphere(self, length: int) -> tuple[CoxeterElement, ...]:

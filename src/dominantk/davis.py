@@ -33,10 +33,6 @@ class SimplicialComplexDesc(NamedTuple):
 
     simplices: tuple[tuple[tuple, ...], ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.simplices) - 1
-
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.simplices)
 

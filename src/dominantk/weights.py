@@ -156,11 +156,12 @@ class Realization(Reflections):
         lam = self.check_weight(lam)
         if max_steps is None:
             max_steps = self.default_max_steps(lam)
+        if max_steps < 0:
+            raise ValueError("step bound must be >= 0")
         cls = classify_type(self.gcm)
         if cls.kind == AFFINE and cls.indecomposable and self.affine_level(lam) < 0:
             return ChamberReduction(NOT_IN_CONE, None, None, 0)
-        letters, dominant = self._strip(lam, (1 << self.coroot_count) - 1,
-                                        max(max_steps + 1, 0))
+        letters, dominant = self._strip(lam, (1 << self.coroot_count) - 1, max_steps + 1)
         if len(letters) > max_steps:
             return ChamberReduction(UNDECIDED, None, None, max_steps)
         element = weyl_group(self.gcm).element(reversed(letters))
@@ -185,6 +186,8 @@ class Realization(Reflections):
     def dominant_box_weights(self, K, box: Box):
         """Dominant weights in the box whose stratum is exactly K, refused
         past the group's element cap before any is built."""
+        if min(box) < 0:
+            raise ValueError("box bounds must be >= 0")
         in_k = self.partial_rho(K)
         m = self.coroot_count
         ranges = [range(1) if in_k[i] else range(1, box.coroot_bound + 1) for i in range(m)]

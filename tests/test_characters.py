@@ -24,7 +24,8 @@ from dominantk.characters import (
     weyl_denominator,
     weyl_numerator,
 )
-from dominantk.coxeter import WeylGroup, weyl_group
+from dominantk.coxeter import CoxeterElement, WeylGroup, weyl_group
+from dominantk.data import load
 from dominantk.gcm import gcm_from_rows, is_finite_type, spherical_poset
 from dominantk.weights import Realization, build_realization
 
@@ -784,3 +785,23 @@ def test_weyl_dimension_formula(matrices, name, J):
         char = levi_irreducible_character(real, J, mu)
         assert sum(char.terms.values()) == dim
         assert dim.denominator == 1
+
+
+def test_walked_numerators_read_no_word(monkeypatch):
+    """Each walked w(lam) is reflected from the image of w's suffix, keyed by
+    orbit vector: no numerator reads a word.  The values match the
+    word-keyed reference, read afterwards on the same walks."""
+    def refuse(self):
+        raise AssertionError("the numerator read a word")
+
+    cases = [("e10", None, 6, None), ("affine_a1", None, 6, None), ("e9", None, 3, None),
+             ("e10", (4, 5, 6, 8), None, 2)]
+    with monkeypatch.context() as patch:
+        patch.setattr(CoxeterElement, "word", property(refuse))
+        numerators = []
+        for name, J, bound, k in cases:
+            real = build_realization(load(name))  # a fresh group, walked here
+            lam = tuple(k * x for x in real.rho()) if k else real.rho()
+            numerators.append((real, lam, J, bound, weyl_numerator(real, lam, J, bound)))
+    for real, lam, J, bound, char in numerators:
+        assert char == reference_weyl_numerator(real, lam, J, bound)

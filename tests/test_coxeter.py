@@ -1,6 +1,7 @@
 import gc
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from dominantk.errors import NotFiniteTypeError, NotMinimalError, ResourceExceededError
 from dominantk import coxeter
 from dominantk.coxeter import CoxeterElement, WeylGroup, weyl_group
+from dominantk.data import load
 from dominantk.gcm import classify_type, gcm_from_rows, spherical_poset
 from test_characters import reference_levi_positive_roots
 from test_cli import _cli_env, _limit_memory
@@ -1068,3 +1070,67 @@ def test_parabolics_match_bfs_reference(matrices, name):
             elements = group.subgroup_elements(J)
             assert _fields(elements) == _fields(reference_parabolic(group, J))
             assert all(w is ball[w.word] for w in elements if w.length <= 3)
+
+
+# -- words read through suffix links ---------------------------------------------
+
+
+def _walks(matrices):
+    """Fresh walks: E10 ball(5), the quotient W^K of ext4 with K = (0, 1)
+    at L = 6 and W_J of E10 with J = D4, each element's word unread."""
+    e10, ext4 = WeylGroup(matrices["e10"]), WeylGroup(matrices["ext4"])
+    return {
+        "ball": e10.ball(5),
+        "quotient": [w for sphere in ext4._quotient(6, (0, 1)) for w in sphere],
+        "parabolic": WeylGroup(matrices["e10"]).subgroup_elements((4, 5, 6, 8)),
+    }
+
+
+def test_words_read_through_suffix_links(matrices):
+    """A walked element keeps no word until one is read; read deepest first,
+    each word is w(rho) stripped, and its length the walked length."""
+    for walk, elements in _walks(matrices).items():
+        assert [w.word for w in elements if w._word is not None] == [()], walk
+        assert [w.length for w in elements if w.suffix is None] == [0], walk
+        for w in reversed(elements):
+            assert w.word == w.group._strip(w.orbit)[0], walk
+            assert w.length == len(w.word), walk
+
+
+def test_deep_word_is_read_without_recursion(matrices):
+    """affine_a1 ball(5000): the last element's word, read first, follows
+    5,000 suffix links in a loop."""
+    last = WeylGroup(matrices["affine_a1"]).ball(5000)[-1]
+    assert len(last.word) == last.length == 5000
+    assert last.word == last.group._strip(last.orbit)[0]
+
+
+def test_walks_read_no_word(matrices, monkeypatch):
+    """The ball, a right quotient stepped through root images of the ball's
+    elements, and a parabolic W_J read no word.  W^K of K = A4 has 218
+    elements of length <= 4 (the ball(4) elements with no right descent in
+    K), and W_J of J = D4 has 192."""
+    def refuse(self):
+        raise AssertionError("a walk read a word")
+
+    monkeypatch.setattr(CoxeterElement, "word", property(refuse))
+    group = WeylGroup(matrices["e10"])
+    assert len(group.ball(8)) == 35761
+    assert sum(map(len, group._quotient(4, (1, 2, 3, 4)))) == 218
+    assert sum(map(len, group._subgroup_spheres((4, 5, 6, 8)))) == 192
+
+
+def test_walked_element_bytes():
+    """tracemalloc bytes per element of a fresh E10 ball(7): an element and
+    its orbit vector, with no word tuple."""
+    A = load("e10")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = WeylGroup(A)
+        count = len(group.ball(7))
+        per_element = (tracemalloc.get_traced_memory()[0] - before) / count
+    finally:
+        tracemalloc.stop()
+    assert per_element <= 320

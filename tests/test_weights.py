@@ -107,18 +107,27 @@ def test_chamber_reduce_level_zero_undecided(matrices):
 
 def test_chamber_reduce_step_bound(matrices):
     """A reduction of k letters is decided with max_steps = k and undecided
-    with k - 1, where steps reports the bound; a negative bound decides
-    nothing."""
+    with k - 1, where steps reports the bound."""
     real = build_realization(matrices["affine_a2"])
     lam = (-3, 2, 2, 0)
     k = real.chamber_reduce(lam).steps
     assert k == 5
     res = real.chamber_reduce(lam, max_steps=k)
     assert (res.status, res.steps, res.element.length) == (IN_CONE, k, k)
-    for bound in (k - 1, 0, -1, -2):
+    for bound in (k - 1, 0):
         assert real.chamber_reduce(lam, max_steps=bound) == ChamberReduction(
             UNDECIDED, None, None, bound)
-    assert real.chamber_reduce(real.rho(), max_steps=-1).status == UNDECIDED
+
+
+def test_chamber_reduce_refuses_a_negative_step_bound(matrices):
+    """A negative step bound is refused, not read as undecided: (1,1,1) is
+    dominant and needs no step at all."""
+    real = build_realization(matrices["hyper_rank3"])
+    assert real.chamber_reduce((1, 1, 1), max_steps=0) == ChamberReduction(
+        IN_CONE, (1, 1, 1), weyl_group(matrices["hyper_rank3"]).identity, 0)
+    for bound in (-1, -2):
+        with pytest.raises(ValueError, match="step bound must be >= 0"):
+            real.chamber_reduce((1, 1, 1), max_steps=bound)
 
 
 def reference_dominantize(real, lam, J):
@@ -257,6 +266,16 @@ def test_dominant_box_weights(matrices):
     regular = real.dominant_box_weights((), Box(2, 0))
     assert all(real.stratum(w) == () for w in regular)
     assert len(regular) == 4
+
+
+def test_dominant_box_weights_refuses_a_negative_bound(matrices):
+    """A negative bound is refused whatever K is, rather than giving an
+    empty box for K = () and the origin for K = (0, 1, 2)."""
+    real = build_realization(matrices["hyper_rank3"])
+    for K in ((), (0, 1, 2)):
+        for box in (Box(-1, 0), Box(1, -1)):
+            with pytest.raises(ValueError, match="box bounds must be >= 0"):
+                real.dominant_box_weights(K, box)
 
 
 def test_action_routes_agree(matrices):
