@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import os
 import sys
-from itertools import combinations, zip_longest
 
 from . import __version__
 from .characters import (
@@ -25,10 +24,11 @@ from .coxeter import weyl_group
 from .davis import (
     davis_truncation,
     hat_sector_cohomology,
+    nerve_f_vector,
     sector_filtration_cohomology,
     snf_cohomology,
 )
-from .errors import DominantKError, WrongTypeError
+from .errors import DominantKError
 from .gcm import classify_type, parse_gcm, spherical_poset
 from .ktheory import (
     Box,
@@ -241,19 +241,7 @@ def _run_ambient(A, args, out):
 
 
 def _run_nerve(A, args, out):
-    """f-vector of the nerve of the spherical poset, counted without listing
-    chains: a chain with k + 1 members ending at T is one with k members
-    ending at some T' < T, extended by T."""
-    members = spherical_poset(A).members
-    if A.index_set in members:
-        raise WrongTypeError("nerve is a cone: the full index set is spherical (finite type)")
-    ending = {}
-    for T in members:  # by size, and every subset of a member is a member
-        ending[T] = counts = [1] + [0] * len(T)
-        for Tp in (Tp for size in range(len(T)) for Tp in combinations(T, size)):
-            for k, c in enumerate(ending[Tp]):
-                counts[k + 1] += c
-    f_vector = [sum(column) for column in zip_longest(*ending.values(), fillvalue=0)]
+    f_vector = nerve_f_vector(spherical_poset(A).members)
     out.write("f-vector\t" + ",".join(map(str, f_vector)) + "\n")
 
 

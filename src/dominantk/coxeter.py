@@ -480,7 +480,9 @@ class WeylGroup(Reflections):
     def rstrip(self, w: CoxeterElement, S) -> CoxeterElement:
         """Minimal length element of w W_S: w^{-1}(rho) stripped within S."""
         mask = self.subset_mask(S)
-        return self._from_inverse(self._strip(w.inv_orbit, mask)[1]) if w.right & mask else w
+        if mask and w.right & mask:  # an empty S reads no inverse
+            return self._from_inverse(self._strip(w.inv_orbit, mask)[1])
+        return w
 
     def lstrip(self, w: CoxeterElement, S) -> CoxeterElement:
         """Minimal length element of W_S w: w(rho) stripped within S."""

@@ -9,11 +9,11 @@ agree once truncations stabilize, and the test suite enforces that.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, repeat, zip_longest
 from typing import NamedTuple
 
 from . import intlinalg
-from .coxeter import CoxeterElement, weyl_group
+from .coxeter import CoxeterElement, _lowest, weyl_group
 from .errors import DominantKError, ResourceExceededError, WrongTypeError
 from .gcm import FINITE, GeneralizedCartanMatrix, classify_type, spherical_poset
 
@@ -21,15 +21,15 @@ FULL = "full"
 EMPTY = "empty"
 SILENT = "silent"
 
-#: cells are enumerated per chamber; complexes past this many chains per
-#: chamber are refused rather than silently truncated
+#: cells are enumerated per chamber; posets with more chains than this are
+#: refused, counted before any chain is listed, rather than silently truncated
 CHAIN_CAP = 500_000
 
 
 class SimplicialComplexDesc(NamedTuple):
-    """Finite simplicial complex; ``simplices[d]`` holds the dimension-d cells
-    as tuples of vertex labels, every cell listing its vertices in one shared
-    order (poset order, for chains of the spherical poset)."""
+    """Finite simplicial complex: ``simplices[d]`` holds the d-cells as tuples of
+    vertex labels in one shared order (poset order for chains; a truncation
+    labels the points w(lambda_T) 0, 1, ... as first met, see davis_truncation)."""
 
     simplices: tuple[tuple[tuple, ...], ...]
 
@@ -86,24 +86,33 @@ def _chains(members) -> list[tuple]:
                 if top < ms:
                     nxt.append(chain + (m,))
         out.extend(nxt)
-        if len(out) > CHAIN_CAP:
-            raise ResourceExceededError(f"poset has more than {CHAIN_CAP} inclusion chains")
         frontier = nxt
     return out
 
 
-def nerve_complex(poset) -> SimplicialComplexDesc:
-    """Geometric realization data of the nerve of a spherical poset.
-
-    The poset must not have a terminal object (finite-type matrices are
-    excluded by convention).
-    """
-    members = poset.members
+def nerve_f_vector(members, cap=None) -> tuple[int, ...]:
+    """f-vector of the nerve of a poset of subsets closed under subsets and
+    listed by size, refused for a cone (finite type) or past ``cap`` chains:
+    chains with k + 1 members ending at T extend those with k ending below T."""
     if tuple(sorted(set().union(*members))) in members:
-        raise WrongTypeError(
-            "nerve is a cone: the full index set is spherical (finite type)"
-        )
-    return SimplicialComplexDesc(_levels(_chains(members)))
+        raise WrongTypeError("nerve is a cone: the full index set is spherical (finite type)")
+    ending = {}
+    for T in members:
+        ending[T] = counts = [1] + [0] * len(T)
+        for Tp in (Tp for size in range(len(T)) for Tp in combinations(T, size)):
+            for k, c in enumerate(ending[Tp]):
+                counts[k + 1] += c
+    f_vector = tuple(map(sum, zip_longest(*ending.values(), fillvalue=0)))
+    if cap is not None and sum(f_vector) > cap:
+        raise ResourceExceededError(
+            f"poset has {sum(f_vector)} inclusion chains, past the cap of {cap}")
+    return f_vector
+
+
+def nerve_complex(poset) -> SimplicialComplexDesc:
+    """Geometric realization data of the nerve of a spherical poset that is no cone."""
+    nerve_f_vector(poset.members, CHAIN_CAP)
+    return SimplicialComplexDesc(_levels(_chains(poset.members)))
 
 
 # -- Davis complex truncations ------------------------------------------------
@@ -129,39 +138,47 @@ def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):
 
     Chambers are the minimal (K-left, J0-right) coset representatives of
     length at most L; the frontier consists of cells also carried by sector
-    chambers of length above L.
+    chambers of length above L.  The vertex w W_T of member m, T = m + J0, is
+    the point w(lambda_T), lambda_T 1 off T and 0 on T in coroot coordinates
+    (stabilizer W_T: Kac, Prop. 3.12), numbered 0, 1, ... as chambers then members first meet it.
     """
     members, i0, j0 = _building_data(A)
+    nerve_f_vector(members, CHAIN_CAP)  # refused before any chamber is walked
     group = weyl_group(A)
-    K = tuple(sorted(set(K)))
-    chambers = group.min_coset_reps(K, j0, L)
+    kmask, chambers = group.subset_mask(K), group.min_coset_reps(K, j0, L)
 
-    glued = {m: tuple(sorted(set(m) | set(j0))) for m in members}
-    longest = {m: group.longest(glued[m]) for m in members}
-    # per chamber w, the vertex w W_T of each m, T = m + J0, labelled (base
-    # word, m).  base = rstrip(w, T), a prefix of w, is minimal in W_K base W_T,
-    # so by Deodhar's lemma the vertex's sector chambers are base x with x
-    # minimal for (M-left, J0-right); the longest such x projects w_T.
-    # A cell is in the frontier when its first vertex, that of the smallest m
-    # in its chain, meets a long chamber; dropping a vertex keeps that coset
-    # or moves to a larger one, so the frontier is closed under faces.
-    vertices = []
-    meets_long = {}
+    glued = [tuple(sorted(set(m) | set(j0))) for m in members]
+    # w(lambda_T) for each T by w(rho), reflected from the suffix's, linked or stripped
+    points = {group._rho: tuple(tuple(int(k not in T) for k in range(A.size)) for T in glued)}
+    # The first chamber w to meet a vertex is minimal in w W_T and W_K w W_T, so
+    # (Deodhar) its sector chambers are w x, x minimal for (M-left, J0-right), M
+    # the j in T with w(alpha_j) simple in K; the longest x projects w_T.  A cell
+    # is in the frontier when its first vertex (least m) meets a long chamber;
+    # a face keeps that coset or moves to a larger one, so stays in the frontier.
+    number, meets_long, far, vertices = {}, [], {}, []
     for w in chambers:
-        chamber = {}
-        for m in members:
-            base = group.rstrip(w, glued[m])
-            vertex = chamber[m] = (base.word, m)
-            if vertex not in meets_long:
-                meet = group.double_coset_intersection(base, glued[m], K)
-                far = group.double_strip(longest[m], meet, j0)
-                meets_long[vertex] = base.length + far.length > L
+        chain, u = [], w
+        while u.orbit not in points:
+            chain.append(u)
+            u = u.suffix or group._normalize(group._reflect(_lowest(u.left), u.orbit))
+        for v in reversed(chain):
+            points[v.orbit] = tuple(map(group._reflect, repeat(_lowest(v.left)), points[u.orbit]))
+            u = v
+        roots, chamber = group._root_images(w) if kmask else (), []
+        for T, point in zip(glued, points[w.orbit]):
+            if point not in number:
+                number[point] = len(number)
+                meet = tuple(j for j in T if kmask and group._simple.get(roots[j], 0) & kmask)
+                if (T, meet) not in far:
+                    far[T, meet] = group.double_strip(group.longest(T), meet, j0).length
+                meets_long.append(w.length + far[T, meet] > L)
+            chamber.append(number[point])
         vertices.append(chamber)
     # the cells of a chamber are its chains, a complex closed under faces
     simplices = tuple(
-        tuple(dict.fromkeys(tuple(chamber[m] for m in chain)
+        tuple(dict.fromkeys(tuple(map(chamber.__getitem__, chain))
                             for chamber in vertices for chain in level))
-        for level in _levels(_chains(members))
+        for level in _levels([tuple(map(members.index, chain)) for chain in _chains(members)])
     )
     frontier = _levels(cell for level in simplices for cell in level if meets_long[cell[0]])
     return SimplicialComplexDesc(simplices), SimplicialComplexDesc(frontier)

@@ -83,11 +83,14 @@ class GeneralizedCartanMatrix:
         return tuple(sorted(out))
 
     def label_indices(self, names) -> tuple[int, ...]:
-        lookup = {lab: i for i, lab in enumerate(self.labels)}
-        try:
-            return tuple(sorted(lookup[name] for name in names))
-        except KeyError as exc:
-            raise KeyError(f"unknown node label {exc.args[0]!r}") from None
+        lookup, indices = {lab: i for i, lab in enumerate(self.labels)}, set()
+        for name in names:
+            if name not in lookup:
+                raise KeyError(f"unknown node label {name!r}")
+            if lookup[name] in indices:
+                raise KeyError(f"node label {name!r} given twice")
+            indices.add(lookup[name])
+        return tuple(sorted(indices))
 
     def canonical_text(self) -> str:
         """Canonical serialization (used for reproducibility hashes)."""

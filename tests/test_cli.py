@@ -431,7 +431,8 @@ def test_weight_syntax_errors(capsys):
     (["--j", "0,1", "--weight", "1,1,1"], "weight needs 2 coroot values"),
     (["--j", "5", "--weight", "1,1"], "unknown node label '5'"),
     (["--j", "0", "--weight", "1,0//5"], "weight '1,0//5' has more than one '/'"),
-], ids=["weight-length", "node-label", "weight-slashes"])
+    (["--j", "0,0", "--weight", "1,1"], "node label '0' given twice"),
+], ids=["weight-length", "node-label", "weight-slashes", "repeated-label"])
 def test_bad_input_error_line(flags, message, capsys):
     code, _ = run(["character", "levi", "--gcm", data_path("a2")] + flags)
     assert code == 1

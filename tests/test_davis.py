@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dominantk import davis
-from dominantk.errors import WrongTypeError
-from dominantk.coxeter import weyl_group
+from dominantk.data import load
+from dominantk.errors import ResourceExceededError, WrongTypeError
+from dominantk.coxeter import WeylGroup, weyl_group
 from dominantk.davis import (
     EMPTY,
     FULL,
@@ -19,8 +20,10 @@ from dominantk.davis import (
     nerve_complex,
     sector_filtration_cohomology,
     snf_cohomology,
+    _building_data,
     _chains,
     _complex_from_cells,
+    _levels,
     _two_degree_cohomology,
 )
 from dominantk.gcm import classify_type, spherical_poset
@@ -212,6 +215,90 @@ def test_truncation_chamber_census(matrices):
     assert len(chambers) == 6 * len(group.ball(2))
 
 
+def reference_davis_truncation(A, K, L):
+    """The truncation by the route the orbit points replaced: the vertex
+    w W_T of member m labelled (word of rstrip(w, T), m), read for every
+    (chamber, member) pair, with the frontier decided at the first chamber
+    whose vertex it is."""
+    members, _, j0 = _building_data(A)
+    group = weyl_group(A)
+    K = tuple(sorted(set(K)))
+    glued = {m: tuple(sorted(set(m) | set(j0))) for m in members}
+    vertices, meets_long = [], {}
+    for w in group.min_coset_reps(K, j0, L):
+        chamber = {}
+        for m in members:
+            base = group.rstrip(w, glued[m])
+            vertex = chamber[m] = (base.word, m)
+            if vertex not in meets_long:
+                meet = group.double_coset_intersection(base, glued[m], K)
+                far = group.double_strip(group.longest(glued[m]), meet, j0)
+                meets_long[vertex] = base.length + far.length > L
+        vertices.append(chamber)
+    simplices = tuple(
+        tuple(dict.fromkeys(tuple(chamber[m] for m in chain)
+                            for chamber in vertices for chain in level))
+        for level in _levels(_chains(members))
+    )
+    frontier = _levels(cell for level in simplices for cell in level if meets_long[cell[0]])
+    return SimplicialComplexDesc(simplices), SimplicialComplexDesc(frontier)
+
+
+def relabelled_reference(A, K, L):
+    """``reference_davis_truncation`` with its vertices numbered by first
+    appearance, and the (word, m) label of each number."""
+    complex_, frontier = reference_davis_truncation(A, K, L)
+    number = {}
+    for level in complex_.simplices:
+        for cell in level:
+            for vertex in cell:
+                number.setdefault(vertex, len(number))
+
+    def relabel(desc):
+        return SimplicialComplexDesc(tuple(tuple(tuple(number[v] for v in cell) for cell in level)
+                                           for level in desc.simplices))
+
+    return relabel(complex_), relabel(frontier), list(number)
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("affine_a1", 8), ("affine_a2", 5), ("hyper_rank2", 6), ("hyper_rank3", 6), ("ext4", 6),
+])
+def test_truncation_matches_coset_word_reference(matrices, name, bound):
+    """Vertices named by the points w(lambda_T) and numbered as first met give
+    the complex and frontier of the (word, member) route cell for cell, in
+    order, for every K and L <= bound (J0 nonempty on ext4)."""
+    A = matrices[name]
+    for K in _all_subsets(A.size):
+        for L in range(bound + 1):
+            complex_, frontier, _ = relabelled_reference(A, K, L)
+            assert davis_truncation(A, K, L) == (complex_, frontier)
+
+
+def test_truncation_reads_no_word_or_inverse():
+    """A K = () truncation reflects each chamber's points from its suffix's:
+    no chamber but the identity gets its word or its inverse orbit."""
+    A = load("hyper_rank3")  # a group of its own, which no other test has read
+    davis_truncation(A, (), 6)
+    chambers = weyl_group(A).min_coset_reps((), (), 6)
+    assert len(chambers) > 1
+    assert all(w._word is None and w._inv is None for w in chambers if w.length)
+
+
+def test_truncation_refuses_past_the_chain_cap_before_any_work(matrices, monkeypatch):
+    """E9's chains are counted, not listed, and refused before a chamber is
+    walked; the nerve of its spherical poset too."""
+    def unreachable(*args):
+        raise AssertionError("reached past the chain count")
+
+    monkeypatch.setattr(davis, "_chains", unreachable)
+    monkeypatch.setattr(WeylGroup, "min_coset_reps", unreachable)
+    for build in (lambda A: davis_truncation(A, (), 6), lambda A: nerve_complex(spherical_poset(A))):
+        with pytest.raises(ResourceExceededError) as exc:
+            build(matrices["e9"])
+        assert "14174521" in str(exc.value) and str(davis.CHAIN_CAP) in str(exc.value)
+
+
 def reference_cell_meets_long_chamber(group, base, glue_subset, j0, kmask, L) -> bool:
     """The loop the frontier test replaced: some base x, x in W_T, strips to
     a K-left-minimal chamber longer than L."""
@@ -227,7 +314,8 @@ def reference_cell_meets_long_chamber(group, base, glue_subset, j0, kmask, L) ->
 ])
 def test_frontier_matches_parabolic_loop_reference(matrices, name, bound):
     """The frontier read from the projection of w_T is the one the loop over
-    W_T finds, for every K and L <= bound (J0 nonempty on ext4)."""
+    W_T finds, for every K and L <= bound (J0 nonempty on ext4); a vertex's
+    (word, m) is read through the reference's numbering."""
     A = matrices[name]
     group = weyl_group(A)
     cls = classify_type(A)
@@ -236,11 +324,13 @@ def test_frontier_matches_parabolic_loop_reference(matrices, name, bound):
         kmask = group.subset_mask(K)
         for L in range(bound + 1):
             complex_, frontier = davis_truncation(A, K, L)
+            labels = relabelled_reference(A, K, L)[2]
             meets = {}
             for level in complex_.simplices:
-                for word, m in (cell[0] for cell in level):
-                    if (word, m) not in meets:
-                        meets[(word, m)] = reference_cell_meets_long_chamber(
+                for vertex in (cell[0] for cell in level):
+                    if vertex not in meets:
+                        word, m = labels[vertex]
+                        meets[vertex] = reference_cell_meets_long_chamber(
                             group, group.element(word), tuple(sorted(set(m) | set(j0))),
                             j0, kmask, L)
             expected = {cell for level in complex_.simplices for cell in level
