@@ -4,20 +4,19 @@ An element w is stored as its orbit vector w(rho) in coroot coordinates
 <., h_k>, where rho takes the value 1 on every simple coroot, plus a link to
 its suffix r_i w, i its least left descent; the ShortLex-minimal reduced word
 (input node order as tie-break, so the first letter is the least left descent)
-is read through the links on first read, and w^{-1}(rho) is folded from it.  A
-simple reflection acts on these coordinates through the matrix alone,
-lam_k <- lam_k - lam_i a[k][i], touching only the nonzero entries of column i.
+is read through the links on first read.  A simple reflection acts on these
+coordinates through the matrix alone, lam_k <- lam_k - lam_i a[k][i],
+touching only the nonzero entries of column i.
 
-The orbit vector determines the element and its descents (Kac,
+The orbit vector determines the element and its left descents (Kac,
 *Infinite-dimensional Lie algebras*, Prop. 3.12 and Lemma 3.11):
 <w(rho), h_i> = <rho, w^{-1}(h_i)> is negative exactly when the coroot
 w^{-1}(h_i) is negative, that is when l(r_i w) < l(w).  An element u != e
-has a left descent, so u(rho) != rho, and w -> w(rho) is injective.  Left
-descents are the negative coordinates of w(rho), right descents those of
-w^{-1}(rho); cosets, purity and strips are mask tests against subset
-masks.  Root images w(alpha_j) on the simple-root basis, through the
-crystallographic reflection r_i(alpha_j) = alpha_j - a[i][j] alpha_i, are
-filled in per element on first use.
+has a left descent, so u(rho) != rho, and w -> w(rho) is injective.  Root
+images w(alpha_j) on the simple-root basis, through r_i(alpha_j) = alpha_j -
+a[i][j] alpha_i, are filled in on first use; the right descents are the j
+with w(alpha_j) negative, and w r_j(rho) = w(rho) - w(alpha_j).  Cosets,
+purity and strips are mask tests against subset masks.
 """
 
 from __future__ import annotations
@@ -56,40 +55,28 @@ class CoxeterElement:
     ``orbit`` is w(rho) in coroot coordinates; bit i of ``left`` is set when
     <w(rho), h_i> < 0, that is when l(r_i w) < l(w).  A walked element keeps
     ``suffix`` = r_i w, i its least left descent; one built from its stripped
-    word has none.  A walk reads no inverse side, so ``inv_orbit`` =
-    w^{-1}(rho) is folded from the word on first read, and with it ``right``:
-    bit j when <w^{-1}(rho), h_j> < 0, that is when w(alpha_j) is negative
-    and l(w r_j) < l(w).  ``roots`` holds the images w(alpha_j) once
-    ``act_on_root`` or the coset tests ask for them.
+    word has none.  ``roots`` holds the images w(alpha_j) once
+    ``act_on_root``, the coset tests or ``right`` ask for them, and with
+    them the mask of ``right``: bit j when w(alpha_j) is negative, that is
+    when l(w r_j) < l(w).  A ball walk reads no root image.
     """
 
-    __slots__ = ("group", "_word", "suffix", "length", "orbit", "_inv", "_right", "left", "roots")
+    __slots__ = ("group", "_word", "suffix", "length", "orbit", "_right", "left", "roots")
 
-    def __init__(self, group, word, orbit, inv_orbit, left, right, suffix=None):
+    def __init__(self, group, word, orbit, left, suffix=None):
         self.group = group
         self._word = word
         self.suffix = suffix
         self.length = len(word) if suffix is None else suffix.length + 1
         self.orbit = orbit
-        self._inv = inv_orbit
         self.left = left
-        self._right = right
         self.roots = None
 
     @property
-    def inv_orbit(self) -> tuple[int, ...]:
-        return self._inv if self._inv is not None else self._fold_inverse()[0]
-
-    @property
     def right(self) -> int:
-        return self._right if self._inv is not None else self._fold_inverse()[1]
-
-    def _fold_inverse(self) -> tuple[tuple[int, ...], int]:
-        # _right is set before _inv, so a thread that sees _inv reads a set _right
-        inv = self.group._fold(self.word, self.group._rho)
-        self._right = right = _negative_mask(inv)
-        self._inv = inv
-        return inv, right
+        if self.roots is None:
+            self.group._root_images(self)
+        return self._right
 
     @property
     def word(self) -> tuple[int, ...]:
@@ -215,7 +202,8 @@ class WeylGroup(Reflections):
         # rows k whose coordinate r_i moves: a[k][i] != 0
         self._moved = tuple(sum(1 << k for k, _ in column) for column in self._columns)
         self._rho = (1,) * n
-        self.identity = CoxeterElement(self, (), self._rho, self._rho, 0, 0)
+        self.identity = CoxeterElement(self, (), self._rho, 0)
+        self.identity._right = 0
         self.identity.roots = tuple(
             tuple(1 if k == j else 0 for k in range(n)) for j in range(n)
         )
@@ -232,12 +220,7 @@ class WeylGroup(Reflections):
         if cached is not None:
             return cached
         word, _ = self._strip(orbit)
-        return CoxeterElement(self, word, orbit, None, _negative_mask(orbit), None)
-
-    def _from_inverse(self, inv_orbit) -> CoxeterElement:
-        """The element w with w^{-1}(rho) = ``inv_orbit``: the inverse of the
-        element w^{-1} that ``inv_orbit`` names, whose own inverse orbit is w(rho)."""
-        return self._normalize(self._normalize(inv_orbit).inv_orbit)
+        return CoxeterElement(self, word, orbit, _negative_mask(orbit))
 
     def _root_images(self, w: CoxeterElement) -> tuple[tuple[int, ...], ...]:
         """w(alpha_j) over the simple roots for every j, filled in on first
@@ -249,7 +232,11 @@ class WeylGroup(Reflections):
         roots = w.roots
         for el in reversed(chain):
             i = _lowest(el.left)
-            roots = el.roots = tuple(_reflect_root(i, self._rows[i], r) for r in roots)
+            roots = tuple(_reflect_root(i, self._rows[i], r) for r in roots)
+            # a root is negative when its least coefficient is (they share one
+            # sign); _right goes first, so a thread that sees roots reads it set
+            el._right = _negative_mask(map(min, roots))
+            el.roots = roots
         return roots
 
     def subset_mask(self, subset) -> int:
@@ -276,14 +263,13 @@ class WeylGroup(Reflections):
         return self.element((s,))
 
     def multiply(self, u: CoxeterElement, v: CoxeterElement) -> CoxeterElement:
-        # (uv)^{-1} rho = v^{-1} u^{-1} rho
-        return self._from_inverse(self._fold(v.word, u.inv_orbit))
+        return self._normalize(self._fold(reversed(u.word), v.orbit))
 
     def inverse(self, w: CoxeterElement) -> CoxeterElement:
-        return self._normalize(w.inv_orbit)
+        return self._normalize(self._fold(w.word, self._rho))
 
     def rmul_gen(self, w: CoxeterElement, s: int) -> CoxeterElement:
-        return self._from_inverse(self._reflect(s, w.inv_orbit))
+        return self.multiply(w, self.generator(s))
 
     def lmul_gen(self, s: int, w: CoxeterElement) -> CoxeterElement:
         return self._normalize(self._reflect(s, w.orbit))
@@ -307,42 +293,35 @@ class WeylGroup(Reflections):
             spheres = self._quotients.setdefault(kmask, [[self.identity]])
             by_orbit = self._by_orbit
             while len(spheres) <= L and spheres[-1]:
-                sphere = self._step(spheres[-1], range(self.n), kmask)
-                # distinct elements: those held and the sphere's new ones, at
-                # most all of it, so the orbits are looked up only near the cap
-                total = len(by_orbit) + len(sphere)
-                if total > self.element_cap:
-                    total -= sum(w.orbit in by_orbit for w in sphere)
-                if total > self.element_cap:
-                    what = f"quotient W^K of K = {tuple(sorted(set(K)))}" if kmask else "ball"
-                    raise ResourceExceededError(
-                        f"{what} enumeration exceeded the cap of {self.element_cap} elements"
-                        f" ({total} enumerated through length {len(spheres)})"
-                    )
+                # an element held beyond this walk's own may be met, and is reused
+                reuse = len(by_orbit) > sum(map(len, spheres))
+                room = self.element_cap - len(by_orbit)
+                sphere = self._step(spheres[-1], range(self.n), kmask, reuse, room)
                 for w in sphere:
                     by_orbit[w.orbit] = w
                 spheres.append(sphere)
         return spheres[: L + 1]
 
-    def _step(self, shorter, letters, kmask: int = 0) -> list[CoxeterElement]:
+    def _step(self, shorter, letters, kmask: int = 0, reuse=False, room=None) -> list[CoxeterElement]:
         """The next sphere, in ShortLex order, of the group generated by
         ``letters`` after its sphere ``shorter``: w = r_i u for i ascending
         and u in order, kept when i is the least left descent of w, so each
         w is built once, from its suffix.  left(w) lies in left(u) + {i}: a
         descent of u below i that r_i does not move rules w out unreflected.
-        Only w(rho) is stepped, linked to u; word and inverse wait for a read.
+        Only w(rho) is stepped, linked to u; word and root images wait for a read.
 
         With ``kmask`` it steps the right quotient W^K instead, which is
         closed under suffixes (Bjorner-Brenti, Combinatorics of Coxeter
         Groups, 2.4): r_i u leaves W^K iff u(alpha_k) = alpha_i for some k
-        in K (Deodhar's lemma).  An element another walk has kept is reused."""
+        in K (Deodhar's lemma).  ``reuse`` reuses the elements held; a letter's
+        pass that takes the new ones past ``room``, if given, is refused."""
         if kmask:  # bit i of exits[t]: r_i shorter[t] leaves W^K
             simple = self._simple
             exits = [sum(simple.get(root, 0) for k, root in enumerate(self._root_images(u))
                          if kmask >> k & 1) for u in shorter]
         # (row k, a[k][i], bit k) over the nonzero a[k][i] of each column i
         columns = [tuple((k, a, 1 << k) for k, a in column) for column in self._columns]
-        by_orbit, moved, out = self._by_orbit, self._moved, []
+        by_orbit, moved, out, reused = self._by_orbit, self._moved, [], 0
         for i in letters:
             below, column, keep = (1 << i) - 1, columns[i], ~moved[i]
             blocked = below & keep | 1 << i
@@ -361,12 +340,21 @@ class WeylGroup(Reflections):
                 if left & below:
                     continue
                 orbit = tuple(orbit)
-                if kmask:
+                if reuse:
                     known = by_orbit.get(orbit)
                     if known is not None:
                         out.append(known)
+                        reused += 1
                         continue
-                out.append(CoxeterElement(self, None, orbit, None, left, None, u))
+                out.append(CoxeterElement(self, None, orbit, left, u))
+            if room is not None and len(out) - reused > room:
+                K = tuple(k for k in range(self.n) if kmask >> k & 1)
+                what = f"quotient W^K of K = {K}" if kmask else "ball"
+                raise ResourceExceededError(
+                    f"{what} enumeration exceeded the cap of {self.element_cap} elements"
+                    f" ({len(by_orbit) + len(out) - reused} enumerated through length"
+                    f" {shorter[0].length + 1})"
+                )
         return out
 
     def sphere(self, length: int) -> tuple[CoxeterElement, ...]:
@@ -400,8 +388,7 @@ class WeylGroup(Reflections):
         with paused_gc():
             while spheres[-1]:
                 # elements within the enumerated ball are the ball's own
-                spheres.append([self._by_orbit.get(w.orbit, w)
-                                for w in self._step(spheres[-1], J)])
+                spheres.append(self._step(spheres[-1], J, 0, True))
                 total += len(spheres[-1])
                 if total > self.element_cap:
                     raise ResourceExceededError(
@@ -478,11 +465,21 @@ class WeylGroup(Reflections):
     # -- canonical coset minimization -----------------------------------------
 
     def rstrip(self, w: CoxeterElement, S) -> CoxeterElement:
-        """Minimal length element of w W_S: w^{-1}(rho) stripped within S."""
+        """Minimal length element of w W_S: while some j in S has w(alpha_j)
+        negative, step to w r_j, with w r_j(rho) = w(rho) - w(alpha_j) and
+        (w r_j)(alpha_m) = w(alpha_m) - a[j][m] w(alpha_j)."""
         mask = self.subset_mask(S)
-        if mask and w.right & mask:  # an empty S reads no inverse
-            return self._from_inverse(self._strip(w.inv_orbit, mask)[1])
-        return w
+        if not mask or not w.right & mask:  # an empty S reads no root image
+            return w
+        orbit, roots = w.orbit, list(w.roots)
+        while right := _negative_mask(map(min, roots)) & mask:
+            j = _lowest(right)
+            root = roots[j]
+            # <root, h_k> = sum_m a[k][m] root_m, row k of the matrix
+            orbit = tuple(x - sum(a * root[m] for m, a in row) for x, row in zip(orbit, self._rows))
+            for m, a in self._rows[j]:
+                roots[m] = tuple(x - a * y for x, y in zip(roots[m], root))
+        return self._normalize(orbit)
 
     def lstrip(self, w: CoxeterElement, S) -> CoxeterElement:
         """Minimal length element of W_S w: w(rho) stripped within S."""

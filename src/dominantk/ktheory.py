@@ -345,15 +345,15 @@ def strata_limit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> Fun
     K = tuple(sorted(set(K)))
 
     def window(J):
-        # the w whose W_J-orbit K-strips to length <= L.  By Deodhar's lemma
-        # rstrip(u w, K) has length l(w) + l(rstrip(u, M)), where W_J meet
-        # w W_K w^{-1} = W_M; the longest is that of the projection of w_J.
-        longest = group.longest(J)
-        return [
-            w for w in group.min_coset_reps(J, K, L)
-            if w.length + group.rstrip(
-                longest, group.double_coset_intersection(group.inverse(w), J, K)).length <= L
-        ]
+        # the w whose W_J-orbit K-strips to length <= L: by Deodhar's lemma the
+        # longest strip is l(w) + l(w_J) - l(w_M), as W_J meet w W_K w^{-1} = W_M
+        # for M the j in J with alpha_j = w(alpha_k), k in K, and min(w_J W_M) = w_J w_M
+        top, kept = group.longest(J).length, []
+        for w in group.min_coset_reps(J, K, L):
+            meet = sum(group._simple.get(group._root_images(w)[k], 0) for k in K)  # bit j in M
+            if w.length + top - (meet and group.longest(j for j in J if meet >> j & 1).length) <= L:
+                kept.append(w)
+        return kept
 
     return _strata_functor(A, K, box, "contravariant", window,
                            lambda w, Jp: (group.double_strip(w, Jp, K), 1))

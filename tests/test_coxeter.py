@@ -1,4 +1,5 @@
 import gc
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ from dominantk.coxeter import CoxeterElement, WeylGroup, weyl_group
 from dominantk.data import load
 from dominantk.gcm import classify_type, gcm_from_rows, spherical_poset
 from test_characters import reference_levi_positive_roots
-from test_cli import _cli_env, _limit_memory
+from test_cli import _cli_env, _limit_memory, data_path
 
 
 # -- independent oracle: W(A2) as permutations of three letters --------------------
@@ -261,12 +262,18 @@ def test_element_cap():
                                  r" \(11 enumerated through length 10\)"):
             call()
     assert len(group.min_coset_reps((), (0,), 9)) == 10
+    # a cap lowered below the elements held refuses the next sphere's first one
+    group.element_cap = 5
+    with pytest.raises(ResourceExceededError,
+                       match=r"cap of 5 elements \(11 enumerated through length 1\)"):
+        group.ball(6)
 
 
 def test_element_cap_counts_distinct_elements():
     """An element held by the ball and by a right quotient counts once: with
     the cap at |ball(6)| = 13 of affine A1, W^K of K = (0,) to length 6 holds
-    only ball elements, in either order, and the next sphere is refused."""
+    only ball elements, in either order, and the next sphere is refused at
+    its first element past the cap."""
     A = gcm_from_rows([[2, -2], [-2, 2]])
     for quotient_first in (False, True):
         group = WeylGroup(A, element_cap=13)
@@ -275,9 +282,24 @@ def test_element_cap_counts_distinct_elements():
             calls.reverse()
         assert [len(call()) for call in calls] == ([7, 13] if quotient_first else [13, 7])
         with pytest.raises(ResourceExceededError,
-                           match=r"cap of 13 elements \(15 enumerated through length 7\)"):
+                           match=r"cap of 13 elements \(14 enumerated through length 7\)"):
             group.ball(7)
         assert len(group._by_orbit) == 13
+
+
+def test_e10_ball_is_refused_within_its_last_sphere():
+    """The cap is checked after each letter's pass of a sphere step, not after
+    the sphere: E10 ball(14) is refused near 10^6 elements, not after building
+    all 1,331,342 elements of length <= 14."""
+    argv = ["coxeter", "ball", "--gcm", data_path("e10"), "--max-length", "14"]
+    proc = subprocess.run([sys.executable, "-m", "dominantk", *argv], capture_output=True,
+                          text=True, env=_cli_env(), timeout=120, preexec_fn=_limit_memory)
+    assert proc.returncode == 1
+    match = re.fullmatch(r"error resource-exceeded: ball enumeration exceeded the cap of"
+                         r" 1000000 elements \((\d+) enumerated through length 14\)\n",
+                         proc.stderr)
+    assert match, proc.stderr
+    assert 1_000_000 < int(match.group(1)) < 1_100_000
 
 
 # -- cosets ------------------------------------------------------------------------
@@ -627,6 +649,22 @@ class MatrixWeylGroup:
         return [w for sphere in self._spheres[: L + 1] for w in sphere]
 
 
+def _matrix_strip(ref, w, S, side):
+    """w stripped within S on one side, one letter at a time."""
+    mask = sum(1 << k for k in S)
+    while getattr(w, side) & mask:
+        s = _lowest(getattr(w, side) & mask)
+        w = ref.rmul_gen(w, s) if side == "right" else ref.lmul_gen(s, w)
+    return w
+
+
+def _matrix_double_strip(ref, w, J, K):
+    """The minimum of W_J w W_K: both strips, until neither moves w."""
+    while (v := _matrix_strip(ref, _matrix_strip(ref, w, J, "left"), K, "right")) is not w:
+        w = v
+    return w
+
+
 def _same(w, ref) -> bool:
     """Same word, both descent masks and every root image."""
     n = len(ref.cols)
@@ -662,14 +700,17 @@ def test_ball_matches_matrix_reference(matrices, name):
     words=st.tuples(st.lists(st.integers(0, 9), max_size=14),
                     st.lists(st.integers(0, 9), max_size=14)),
     s=st.integers(0, 9),
+    masks=st.tuples(st.integers(0, 1023), st.integers(0, 1023)),
 )
-def test_cache_misses_match_matrix_reference(matrices, name, cached, words, s):
+def test_cache_misses_match_matrix_reference(matrices, name, cached, words, s, masks):
     """Elements past the enumerated ball are normalized by stripping the orbit
-    vector: element, inverse, one-letter products and multiply agree with
-    the reference."""
+    vector: element, inverse, one-letter products, multiply and the coset
+    strips, whose root images come through that normalization, agree with
+    the reference's one-letter loops."""
     A = matrices[name]
     n = A.size
     w1, w2 = (tuple(x % n for x in word) for word in words)
+    J, K = (tuple(k for k in range(n) if mask >> k & 1) for mask in masks)
     s %= n
     group, ref = WeylGroup(A), MatrixWeylGroup(A)
     group.ball(cached)
@@ -680,6 +721,8 @@ def test_cache_misses_match_matrix_reference(matrices, name, cached, words, s):
     assert _same(group.rmul_gen(u, s), ref.rmul_gen(ru, s))
     assert _same(group.lmul_gen(s, u), ref.lmul_gen(s, ru))
     assert _same(group.multiply(u, v), ref.multiply(ru, rv))
+    assert _same(group.rstrip(u, K), _matrix_strip(ref, ru, K, "right"))
+    assert _same(group.double_strip(v, J, K), _matrix_double_strip(ref, rv, J, K))
 
 
 def test_thread_pool_shares_one_group(matrices):
@@ -967,16 +1010,11 @@ def reference_ball(group, L):
                 if not el.left >> i & 1:  # r_i el is longer
                     frontier.setdefault(group._reflect(i, el.orbit))
         # ShortLex word: least left descent, then the cached normal form
-        # of the shorter element it strips to; w^{-1}(rho) is that of
-        # the word's prefix w r_s reflected by the last letter s.
-        prefixes = {el.word: el.inv_orbit for el in shorter}
+        # of the shorter element it strips to
         for orbit in frontier:
             i = coxeter._lowest(coxeter._negative_mask(orbit))
             word = (i,) + by_orbit[group._reflect(i, orbit)].word
-            inv_orbit = group._reflect(word[-1], prefixes[word[:-1]])
-            frontier[orbit] = CoxeterElement(group, word, orbit, inv_orbit,
-                                             coxeter._negative_mask(orbit),
-                                             coxeter._negative_mask(inv_orbit))
+            frontier[orbit] = CoxeterElement(group, word, orbit, coxeter._negative_mask(orbit))
         sphere = sorted(frontier.values(), key=lambda e: e.word)
         by_orbit.update(frontier)
         spheres.append(sphere)
@@ -1000,12 +1038,12 @@ def reference_parabolic(group, J):
 
 
 def _fields(elements):
-    return [(w.word, w.orbit, w.inv_orbit, w.left, w.right) for w in elements]
+    return [(w.word, w.orbit, w.left, w.right) for w in elements]
 
 
 @pytest.mark.parametrize("name", ALL_MATRICES)
 def test_ball_matches_sort_reference(matrices, name):
-    """The sphere step gives the words, both orbit vectors, both descent
+    """The sphere step gives the words, the orbit vectors, both descent
     masks and the order of the dedupe-then-sort loop."""
     A = matrices[name]
     bound = 6 if A.size <= 4 else 5
@@ -1013,34 +1051,34 @@ def test_ball_matches_sort_reference(matrices, name):
     assert _fields(group.ball(bound)) == _fields(reference_ball(group, bound))
 
 
-def test_walk_folds_no_inverse_side(matrices):
-    """A walk leaves w^{-1}(rho) and the right descents unread: after E10
-    ball(6) only the identity holds them.  Their first read gives the
+def test_walk_reads_no_root_image(matrices):
+    """A walk leaves the root images and the right descents unread: after
+    E10 ball(6) only the identity holds them.  Their first read gives the
     values of the dedupe-then-sort reference."""
     A = matrices["e10"]
     ball = WeylGroup(A).ball(6)
-    assert [w.word for w in ball if w._inv is not None or w._right is not None] == [()]
+    assert [w.word for w in ball if w.roots is not None] == [()]
     assert _fields(ball) == _fields(reference_ball(WeylGroup(A), 6))
 
 
-def test_thread_pool_folds_one_inverse_side(matrices):
-    """Four threads read right and inv_orbit of the same fresh E10 ball(6)
-    elements, in the same order, two of them right first; each thread sees
-    the values of a serial group, never a vector without its mask."""
+def test_thread_pool_reads_one_set_of_root_images(matrices):
+    """Four threads read right and the root images of the same fresh E10
+    ball(6) elements, in the same order, two of them right first; each
+    thread sees the values of a serial group, never roots without their mask."""
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
     A = matrices["e10"]
-    expected = [(w.word, w.right, w.inv_orbit) for w in WeylGroup(A).ball(6)]
+    expected = [(w.word, w.right, w.group._root_images(w)) for w in WeylGroup(A).ball(6)]
     ball = WeylGroup(A).ball(6)
     start = threading.Barrier(4)
 
     def read(w, right_first):
         if right_first:
             right = w.right
-            return w.word, right, w.inv_orbit
-        inv_orbit = w.inv_orbit
-        return w.word, w.right, inv_orbit
+            return w.word, right, w.roots
+        roots = w.group._root_images(w)
+        return w.word, w.right, roots
 
     def work(seed):
         start.wait(timeout=60)
@@ -1133,4 +1171,4 @@ def test_walked_element_bytes():
         per_element = (tracemalloc.get_traced_memory()[0] - before) / count
     finally:
         tracemalloc.stop()
-    assert per_element <= 320
+    assert per_element <= 300

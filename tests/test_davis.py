@@ -275,14 +275,14 @@ def test_truncation_matches_coset_word_reference(matrices, name, bound):
             assert davis_truncation(A, K, L) == (complex_, frontier)
 
 
-def test_truncation_reads_no_word_or_inverse():
+def test_truncation_reads_no_word_or_root_image():
     """A K = () truncation reflects each chamber's points from its suffix's:
-    no chamber but the identity gets its word or its inverse orbit."""
+    no chamber but the identity gets its word or its root images."""
     A = load("hyper_rank3")  # a group of its own, which no other test has read
     davis_truncation(A, (), 6)
     chambers = weyl_group(A).min_coset_reps((), (), 6)
     assert len(chambers) > 1
-    assert all(w._word is None and w._inv is None for w in chambers if w.length)
+    assert all(w._word is None and w.roots is None for w in chambers if w.length)
 
 
 def test_truncation_refuses_past_the_chain_cap_before_any_work(matrices, monkeypatch):
