@@ -1,10 +1,10 @@
 """The Weyl group of a generalized Cartan matrix as a computational object.
 
 An element w is stored as its orbit vector w(rho) in coroot coordinates
-<., h_k>, where rho takes the value 1 on every simple coroot, plus a link to
-its suffix r_i w, i its least left descent; the ShortLex-minimal reduced word
-(input node order as tie-break, so the first letter is the least left descent)
-is read through the links on first read.  A simple reflection acts on these
+<., h_k>, where rho takes the value 1 on every simple coroot; every element
+but e links to its suffix r_i w, i its least left descent, and the ShortLex
+word (input node order as tie-break) is i then the suffix's word, spelled
+from the links on each read.  A simple reflection acts on these
 coordinates through the matrix alone, lam_k <- lam_k - lam_i a[k][i],
 touching only the nonzero entries of column i.
 
@@ -49,25 +49,23 @@ def paused_gc():
 
 
 class CoxeterElement:
-    """Group element: its orbit vector plus a link to its suffix; the word
-    is read through the links on first read.
+    """Group element: its orbit vector plus, for every element but e, a link
+    to its suffix; the word is spelled from the links on each read.
 
     ``orbit`` is w(rho) in coroot coordinates; bit i of ``left`` is set when
-    <w(rho), h_i> < 0, that is when l(r_i w) < l(w).  A walked element keeps
-    ``suffix`` = r_i w, i its least left descent; one built from its stripped
-    word has none.  ``roots`` holds the images w(alpha_j) once
-    ``act_on_root``, the coset tests or ``right`` ask for them, and with
-    them the mask of ``right``: bit j when w(alpha_j) is negative, that is
-    when l(w r_j) < l(w).  A ball walk reads no root image.
+    <w(rho), h_i> < 0, that is when l(r_i w) < l(w).  ``suffix`` is r_i w, i
+    the least left descent (None for e).  ``roots`` holds the images
+    w(alpha_j) once ``act_on_root``, the coset tests or ``right`` ask for
+    them, and with them the mask of ``right``: bit j when w(alpha_j) is
+    negative, that is when l(w r_j) < l(w).  A ball walk reads no root image.
     """
 
-    __slots__ = ("group", "_word", "suffix", "length", "orbit", "_right", "left", "roots")
+    __slots__ = ("group", "suffix", "length", "orbit", "_right", "left", "roots")
 
-    def __init__(self, group, word, orbit, left, suffix=None):
+    def __init__(self, group, orbit, left, suffix=None):
         self.group = group
-        self._word = word
         self.suffix = suffix
-        self.length = len(word) if suffix is None else suffix.length + 1
+        self.length = 0 if suffix is None else suffix.length + 1
         self.orbit = orbit
         self.left = left
         self.roots = None
@@ -80,18 +78,13 @@ class CoxeterElement:
 
     @property
     def word(self) -> tuple[int, ...]:
-        """The ShortLex word (i,) + suffix.word: each element down the links
-        to one that has its word keeps the word built for it."""
-        if self._word is not None:
-            return self._word
-        chain, w = [], self
-        while w._word is None:
-            chain.append(w)
+        """The ShortLex word: the least left descent of each element down the
+        links to e."""
+        letters, w = [], self
+        while w.suffix is not None:
+            letters.append(_lowest(w.left))
             w = w.suffix
-        word = w._word
-        for el in reversed(chain):
-            word = el._word = (_lowest(el.left),) + word
-        return word
+        return tuple(letters)
 
     def act_on_root(self, j: int) -> tuple[int, ...]:
         """Coefficients of w(alpha_j) over the simple-root basis."""
@@ -202,7 +195,7 @@ class WeylGroup(Reflections):
         # rows k whose coordinate r_i moves: a[k][i] != 0
         self._moved = tuple(sum(1 << k for k, _ in column) for column in self._columns)
         self._rho = (1,) * n
-        self.identity = CoxeterElement(self, (), self._rho, 0)
+        self.identity = CoxeterElement(self, self._rho, 0)
         self.identity._right = 0
         self.identity.roots = tuple(
             tuple(1 if k == j else 0 for k in range(n)) for j in range(n)
@@ -215,20 +208,25 @@ class WeylGroup(Reflections):
         self._lock = threading.RLock()  # enumeration caches are shared state
 
     def _normalize(self, orbit) -> CoxeterElement:
-        """The element w with w(rho) = ``orbit``: cached, or built from its stripped word."""
-        cached = self._by_orbit.get(orbit)
-        if cached is not None:
-            return cached
-        word, _ = self._strip(orbit)
-        return CoxeterElement(self, word, orbit, _negative_mask(orbit))
+        """The element w with w(rho) = ``orbit``: held, or stepped down by least
+        left descents to one held (e is), each new one linked to the one below."""
+        chain, below = [], self._by_orbit.get(orbit)
+        while below is None:
+            left = _negative_mask(orbit)
+            chain.append((orbit, left))
+            orbit = self._reflect(_lowest(left), orbit)
+            below = self._by_orbit.get(orbit)
+        for orbit, left in reversed(chain):
+            below = CoxeterElement(self, orbit, left, below)
+        return below
 
     def _root_images(self, w: CoxeterElement) -> tuple[tuple[int, ...], ...]:
         """w(alpha_j) over the simple roots for every j, filled in on first
-        use from the suffix r_i w, linked or stripped: one reflection a root."""
+        use from the suffix r_i w: one reflection a root."""
         chain = []
         while w.roots is None:
             chain.append(w)
-            w = w.suffix or self._normalize(self._reflect(_lowest(w.left), w.orbit))
+            w = w.suffix
         roots = w.roots
         for el in reversed(chain):
             i = _lowest(el.left)
@@ -302,19 +300,22 @@ class WeylGroup(Reflections):
                 spheres.append(sphere)
         return spheres[: L + 1]
 
-    def _step(self, shorter, letters, kmask: int = 0, reuse=False, room=None) -> list[CoxeterElement]:
+    def _step(self, shorter, letters, kmask: int = 0, reuse=False, room=None,
+              parabolic=False) -> list[CoxeterElement]:
         """The next sphere, in ShortLex order, of the group generated by
         ``letters`` after its sphere ``shorter``: w = r_i u for i ascending
         and u in order, kept when i is the least left descent of w, so each
         w is built once, from its suffix.  left(w) lies in left(u) + {i}: a
         descent of u below i that r_i does not move rules w out unreflected.
-        Only w(rho) is stepped, linked to u; word and root images wait for a read.
+        Only w(rho) is stepped, linked to u; root images wait for a read.
 
         With ``kmask`` it steps the right quotient W^K instead, which is
         closed under suffixes (Bjorner-Brenti, Combinatorics of Coxeter
         Groups, 2.4): r_i u leaves W^K iff u(alpha_k) = alpha_i for some k
         in K (Deodhar's lemma).  ``reuse`` reuses the elements held; a letter's
-        pass that takes the new ones past ``room``, if given, is refused."""
+        pass that takes the new ones past ``room``, if given, is refused.  A
+        ``parabolic`` walk of W_J on ``letters`` counts every element of its
+        own, reused or not."""
         if kmask:  # bit i of exits[t]: r_i shorter[t] leaves W^K
             simple = self._simple
             exits = [sum(simple.get(root, 0) for k, root in enumerate(self._root_images(u))
@@ -346,13 +347,15 @@ class WeylGroup(Reflections):
                         out.append(known)
                         reused += 1
                         continue
-                out.append(CoxeterElement(self, None, orbit, left, u))
-            if room is not None and len(out) - reused > room:
+                out.append(CoxeterElement(self, orbit, left, u))
+            new = len(out) if parabolic else len(out) - reused
+            if room is not None and new > room:
                 K = tuple(k for k in range(self.n) if kmask >> k & 1)
-                what = f"quotient W^K of K = {K}" if kmask else "ball"
+                what = (f"parabolic subgroup on {tuple(letters)}" if parabolic else
+                        f"quotient W^K of K = {K} enumeration" if kmask else "ball enumeration")
                 raise ResourceExceededError(
-                    f"{what} enumeration exceeded the cap of {self.element_cap} elements"
-                    f" ({len(by_orbit) + len(out) - reused} enumerated through length"
+                    f"{what} exceeded the cap of {self.element_cap} elements"
+                    f" ({self.element_cap - room + new} enumerated through length"
                     f" {shorter[0].length + 1})"
                 )
         return out
@@ -382,15 +385,17 @@ class WeylGroup(Reflections):
 
     def _subgroup_spheres(self, J) -> list[list[CoxeterElement]]:
         """The spheres of W_J (J of finite type), the last one empty: sphere
-        steps over the letters of J."""
+        steps over the letters of J, refused after the letter's pass that
+        takes W_J past the element cap."""
         J = finite_subset(self.gcm, J)
         spheres, total = [[self.identity]], 1
         with paused_gc():
             while spheres[-1]:
                 # elements within the enumerated ball are the ball's own
-                spheres.append(self._step(spheres[-1], J, 0, True))
+                room = self.element_cap - total
+                spheres.append(self._step(spheres[-1], J, 0, True, room, True))
                 total += len(spheres[-1])
-                if total > self.element_cap:
+                if total > self.element_cap:  # the backstop: _step refuses first
                     raise ResourceExceededError(
                         f"parabolic subgroup on {J} exceeded the cap of {self.element_cap}"
                         f" elements ({total} enumerated)"

@@ -148,7 +148,7 @@ def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):
     kmask, chambers = group.subset_mask(K), group.min_coset_reps(K, j0, L)
 
     glued = [tuple(sorted(set(m) | set(j0))) for m in members]
-    # w(lambda_T) for each T by w(rho), reflected from the suffix's, linked or stripped
+    # w(lambda_T) for each T by w(rho), reflected from the suffix's
     points = {group._rho: tuple(tuple(int(k not in T) for k in range(A.size)) for T in glued)}
     # The first chamber w to meet a vertex is minimal in w W_T and W_K w W_T, so
     # (Deodhar) its sector chambers are w x, x minimal for (M-left, J0-right), M
@@ -160,7 +160,7 @@ def davis_truncation(A: GeneralizedCartanMatrix, K, L: int):
         chain, u = [], w
         while u.orbit not in points:
             chain.append(u)
-            u = u.suffix or group._normalize(group._reflect(_lowest(u.left), u.orbit))
+            u = u.suffix
         for v in reversed(chain):
             points[v.orbit] = tuple(map(group._reflect, repeat(_lowest(v.left)), points[u.orbit]))
             u = v

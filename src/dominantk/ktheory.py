@@ -138,8 +138,9 @@ def extended_type_report(A: GeneralizedCartanMatrix, L: int, box: Box) -> KTheor
         need, forbid = group._purity(w, i0mask)
         # need misses forbid: w(alpha_j) = alpha_k for an ascent j makes k an ascent
         if need >= 0:
+            word = w.word
             for kmask in _between(need, full & ~forbid):
-                words.setdefault(kmask, []).append(w.word)
+                words.setdefault(kmask, []).append(word)
 
     def summand(degree, kmask, index):
         K = tuple(i for i in A.index_set if kmask >> i & 1)
@@ -314,19 +315,18 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
 def _strata_functor(A, K, box, variance, reps, column) -> FunctorOnPoset:
     """Functor of the K-stratum built from representatives: Z^m ⊗ G for the
     m stratum weights tau, since no row depends on tau.  G's basis over J is
-    the word of each w of ``reps(J)``.  Along a cover J < Jp the row of w
-    holds the coefficient v at the column of wp, where ``(wp, v) =
+    ``reps(J)`` itself, each w indexed by w(rho).  Along a cover J < Jp the
+    row of w holds the coefficient v at the column of wp, where ``(wp, v) =
     column(w, Jp)``; it is empty when wp is not among ``reps(Jp)``."""
     members = spherical_poset(A).members
-    reps = {J: reps(J) for J in members}
-    basis = {J: tuple(w.word for w in reps[J]) for J in members}
+    basis = {J: reps(J) for J in members}
     transitions = {}
     # the covers J = Jp - s < Jp: every subset of a member is a member
     for J, Jp in ((Jp[:i] + Jp[i + 1:], Jp) for Jp in members for i in range(len(Jp))):
-        index = {word: c for c, word in enumerate(basis[Jp])}
-        cols = (column(w, Jp) for w in reps[J])
+        index = {w.orbit: c for c, w in enumerate(basis[Jp])}
+        cols = (column(w, Jp) for w in basis[J])
         transitions[(J, Jp)] = tuple(
-            {} if (c := index.get(wp.word)) is None else {c: v} for wp, v in cols)
+            {} if (c := index.get(wp.orbit)) is None else {c: v} for wp, v in cols)
     copies = len(build_realization(A).dominant_box_weights(K, box))
     return FunctorOnPoset(members, variance, basis, transitions, copies)
 

@@ -302,6 +302,23 @@ def test_e10_ball_is_refused_within_its_last_sphere():
     assert 1_000_000 < int(match.group(1)) < 1_100_000
 
 
+def test_e10_parabolic_is_refused_within_its_last_sphere():
+    """The parabolic walk checks the cap after each letter's pass too: W_J of
+    J = (0, 1, 2, 3, 4, 5, 6, 8) of E10, type D8 with 5,160,960 elements, is
+    refused inside sphere 22, not after the 1,173,804 elements of spheres
+    0..22, and the count is of W_J's own elements."""
+    argv = ["character", "numerator", "--gcm", data_path("e10"), "--j", "0,1,2,3,4,5,6,8",
+            "--weight", ",".join("1" * 10)]
+    proc = subprocess.run([sys.executable, "-m", "dominantk", *argv], capture_output=True,
+                          text=True, env=_cli_env(), timeout=120, preexec_fn=_limit_memory)
+    assert proc.returncode == 1
+    match = re.fullmatch(r"error resource-exceeded: parabolic subgroup on \(0, 1, 2, 3, 4, 5, 6,"
+                         r" 8\) exceeded the cap of 1000000 elements \((\d+) enumerated"
+                         r" through length 22\)\n", proc.stderr)
+    assert match, proc.stderr
+    assert 1_000_000 < int(match.group(1)) < 1_173_804
+
+
 # -- cosets ------------------------------------------------------------------------
 
 
@@ -359,16 +376,16 @@ def test_quotient_walk_matches_ball_filter(matrices, name):
     (prefixes outside W^K are folded) and on one whose ball is enumerated
     (its elements are reused)."""
     A = matrices[name]
-    ref = WeylGroup(A)
+    ref, ref_words = WeylGroup(A), {}
     ref.ball(9)
     subsets = _all_subsets(A.size)
     for K in subsets:
-        walked = WeylGroup(A)
+        walked, words = WeylGroup(A), {}
         for L in range(10):
             for J in subsets:
-                expected = _fields(reference_min_coset_reps(ref, J, K, L))
-                assert _fields(walked.min_coset_reps(J, K, L)) == expected
-                assert _fields(ref.min_coset_reps(J, K, L)) == expected
+                expected = _fields(reference_min_coset_reps(ref, J, K, L), ref_words)
+                assert _fields(walked.min_coset_reps(J, K, L), words) == expected
+                assert _fields(ref.min_coset_reps(J, K, L), ref_words) == expected
 
 
 @pytest.mark.parametrize("name,L,smallest", [("ext4", 7, 0), ("e10", 5, 0), ("e10", 7, 7)])
@@ -381,14 +398,14 @@ def test_quotient_walk_matches_ball_filter_extended(matrices, name, L, smallest)
     is too slow for this suite and takes K with at least 7 nodes."""
     A = matrices[name]
     i0, j0 = classify_type(A).extended_compact
-    ref, walked = WeylGroup(A), WeylGroup(A)
+    ref, walked, ref_words, words = WeylGroup(A), WeylGroup(A), {}, {}
     ref.ball(L)
     for K in reversed(_all_subsets(A.size)):
         if len(K) < smallest:
             continue
         for J in ((), i0, j0, (0,)):
-            expected = _fields(reference_min_coset_reps(ref, J, K, L))
-            assert _fields(walked.min_coset_reps(J, K, L)) == expected
+            expected = _fields(reference_min_coset_reps(ref, J, K, L), ref_words)
+            assert _fields(walked.min_coset_reps(J, K, L), words) == expected
 
 
 def test_double_coset_intersection(matrices):
@@ -1000,7 +1017,8 @@ def test_longest_needs_finite_type(matrices):
 
 def reference_ball(group, L):
     """Each sphere as the set of ascents r_i u of the last one, deduplicated
-    by orbit vector, each word read from its least left descent, then sorted."""
+    by orbit vector, each linked to the element its least left descent strips
+    it to, then sorted by word."""
     spheres, by_orbit = [[group.identity]], {group.identity.orbit: group.identity}
     while len(spheres) <= L:
         shorter = spheres[-1]
@@ -1009,12 +1027,12 @@ def reference_ball(group, L):
             for i in range(group.n):
                 if not el.left >> i & 1:  # r_i el is longer
                     frontier.setdefault(group._reflect(i, el.orbit))
-        # ShortLex word: least left descent, then the cached normal form
-        # of the shorter element it strips to
+        # ShortLex word: least left descent, then the word of the shorter
+        # element it strips to
         for orbit in frontier:
-            i = coxeter._lowest(coxeter._negative_mask(orbit))
-            word = (i,) + by_orbit[group._reflect(i, orbit)].word
-            frontier[orbit] = CoxeterElement(group, word, orbit, coxeter._negative_mask(orbit))
+            left = coxeter._negative_mask(orbit)
+            suffix = by_orbit[group._reflect(coxeter._lowest(left), orbit)]
+            frontier[orbit] = CoxeterElement(group, orbit, left, suffix)
         sphere = sorted(frontier.values(), key=lambda e: e.word)
         by_orbit.update(frontier)
         spheres.append(sphere)
@@ -1037,8 +1055,16 @@ def reference_parabolic(group, J):
     return tuple(sorted(out, key=lambda e: (e.length, e.word)))
 
 
-def _fields(elements):
-    return [(w.word, w.orbit, w.left, w.right) for w in elements]
+def _fields(elements, words=None):
+    """(word, orbit, left, right) of each element.  A test that reads the
+    elements of one group many times passes ``words``, a dict that keeps each
+    word, spelled once, by element id (the group keeps its elements alive)."""
+    if words is None:
+        return [(w.word, w.orbit, w.left, w.right) for w in elements]
+    for w in elements:
+        if id(w) not in words:
+            words[id(w)] = w.word
+    return [(words[id(w)], w.orbit, w.left, w.right) for w in elements]
 
 
 @pytest.mark.parametrize("name", ALL_MATRICES)
@@ -1125,14 +1151,45 @@ def _walks(matrices):
 
 
 def test_words_read_through_suffix_links(matrices):
-    """A walked element keeps no word until one is read; read deepest first,
+    """Every walked element but e links to its suffix; read deepest first,
     each word is w(rho) stripped, and its length the walked length."""
     for walk, elements in _walks(matrices).items():
-        assert [w.word for w in elements if w._word is not None] == [()], walk
         assert [w.length for w in elements if w.suffix is None] == [0], walk
         for w in reversed(elements):
             assert w.word == w.group._strip(w.orbit)[0], walk
             assert w.length == len(w.word), walk
+
+
+def test_element_past_the_ball_links_down_to_the_ball(matrices):
+    """An element built past a walked E10 ball(3) is linked down by least left
+    descents until it reaches the ball: the links below length 4 are the
+    ball's own elements, not copies."""
+    group = WeylGroup(matrices["e10"])
+    ball = {w.orbit: w for w in group.ball(3)}
+    w = group.element(range(10))
+    assert w.word == tuple(range(10)) == group._strip(w.orbit)[0]
+    assert w.orbit not in ball
+    chain = [w]
+    while chain[-1].suffix is not None:
+        chain.append(chain[-1].suffix)
+    assert [u.length for u in chain] == list(range(10, -1, -1))
+    for u in chain:
+        assert (u is ball[u.orbit]) if u.length <= 3 else u.orbit not in ball
+    assert chain[-1] is group.identity
+
+
+def test_long_element_is_built_read_and_dropped_without_recursion(matrices):
+    """affine_a1 element((0, 1) * 50,000) links 100,000 elements down to e:
+    it is built, its right descents and its word are read, and it is freed,
+    all in loops, with no RecursionError."""
+    group = WeylGroup(matrices["affine_a1"])
+    w = group.element((0, 1) * 50_000)
+    assert w.length == 100_000
+    assert w.right == 0b10
+    word = w.word
+    assert len(word) == 100_000 and word[:2] == word[-2:] == (0, 1)
+    del w
+    gc.collect()
 
 
 def test_deep_word_is_read_without_recursion(matrices):
@@ -1171,4 +1228,21 @@ def test_walked_element_bytes():
         per_element = (tracemalloc.get_traced_memory()[0] - before) / count
     finally:
         tracemalloc.stop()
-    assert per_element <= 300
+    assert per_element <= 280
+
+
+def test_reading_words_keeps_no_memory():
+    """Reading every word of a fresh E10 ball(7) keeps nothing: a word is
+    spelled from the suffix links and stored nowhere (a cached word tuple
+    would keep about 90 B an element)."""
+    group = WeylGroup(load("e10"))
+    ball = group.ball(7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert sum(len(w.word) for w in ball) == sum(w.length for w in ball)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown <= 16 * len(ball)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dominantk import davis
 from dominantk.data import load
 from dominantk.errors import ResourceExceededError, WrongTypeError
-from dominantk.coxeter import WeylGroup, weyl_group
+from dominantk.coxeter import CoxeterElement, WeylGroup, weyl_group
 from dominantk.davis import (
     EMPTY,
     FULL,
@@ -275,14 +275,19 @@ def test_truncation_matches_coset_word_reference(matrices, name, bound):
             assert davis_truncation(A, K, L) == (complex_, frontier)
 
 
-def test_truncation_reads_no_word_or_root_image():
+def test_truncation_reads_no_word_or_root_image(monkeypatch):
     """A K = () truncation reflects each chamber's points from its suffix's:
-    no chamber but the identity gets its word or its root images."""
+    it reads no word, and no chamber but the identity gets its root images."""
+    def refuse(self):
+        raise AssertionError("the truncation read a word")
+
     A = load("hyper_rank3")  # a group of its own, which no other test has read
-    davis_truncation(A, (), 6)
+    with monkeypatch.context() as patch:
+        patch.setattr(CoxeterElement, "word", property(refuse))
+        davis_truncation(A, (), 6)
     chambers = weyl_group(A).min_coset_reps((), (), 6)
     assert len(chambers) > 1
-    assert all(w._word is None and w.roots is None for w in chambers if w.length)
+    assert all(w.roots is None for w in chambers if w.length)
 
 
 def test_truncation_refuses_past_the_chain_cap_before_any_work(matrices, monkeypatch):

@@ -606,8 +606,8 @@ def expand_copies(A, functor, K, box, label):
     each row of G repeats in every block, shifted to that block's columns."""
     taus = stratum_basis(A, K, box).weights
     assert functor.copies == len(taus)
-    basis = {J: tuple(label(word, tau) for tau in taus for word in words)
-             for J, words in functor.basis.items()}
+    basis = {J: tuple(label(w, tau) for tau in taus for w in reps)
+             for J, reps in functor.basis.items()}
     transitions = {}
     for (J, Jp), rows in functor.transitions.items():
         width = len(functor.basis[Jp])
@@ -634,7 +634,7 @@ def test_limit_functor_matches_orbit_reference(matrices, name, direction):
     }[direction]
     A = matrices[name]
     real = build_realization(A)
-    label = (lambda word, tau: (word, tau)) if direction == "limit" else real.act
+    label = (lambda w, tau: (w.word, tau)) if direction == "limit" else real.act
     for K in all_subsets(A.size):
         for L in (2, 4, 6):
             for box in (Box(1), Box(2, 0), Box(2, 1)):
@@ -822,11 +822,11 @@ def test_colimit_functor_transitions_match_induction(matrices):
         assert functor.copies == len(taus)
         for (J, Jp), images in functor.transitions.items():
             assert len(images) == len(functor.basis[J])
-            for word, image in zip(functor.basis[J], images):
+            for w, image in zip(functor.basis[J], images):
                 assert len(image) <= 1
                 assert all(image.values())
                 for tau in taus:
-                    induced = dirac_induction(real, Jp, real.act(word, tau))
+                    induced = dirac_induction(real, Jp, real.act(w, tau))
                     if not induced:
                         assert not image
                         continue
