@@ -196,7 +196,7 @@ def _run_reduce(A, args, out):
     out.write(f"status\t{res.status}\n")
     if res.weight is not None:
         out.write(f"dominant\t{_weight_str(real, res.weight)}\n")
-        out.write(f"word\t{_word_str(A, res.element.word)}\n")
+        out.write(f"word\t{_word_str(A, res.word)}\n")
         out.write(f"steps\t{res.steps}\n")
 
 

@@ -7,7 +7,7 @@ are exact at any size.
 
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from math import gcd
 
 
@@ -73,69 +73,76 @@ def smith_invariants(dense_rows, ncols=None, *, pivots=None) -> list[int]:
     0 at the earlier ones, so the minor is a unimodular row change of a
     triangular matrix with ±1 on its diagonal.  Two stages:
 
-    1. Unit sweep.  Rows are taken shortest first from a lazy heap keyed by
-       row length; a row changed by a row operation is pushed again.  In
-       each row the ±1 entry whose column has the fewest nonzeros is the
-       pivot: row operations clear its column, and the pivot row and column
-       are dropped with an invariant factor 1.  A unit pivot needs no column
-       operations, since they would touch nothing outside its row.
+    1. Unit sweep.  Rows are taken shortest first from stacks indexed by row
+       length: a row changed by a row operation is pushed again, and the
+       scan restarts at the shortest row a pivot changed.  In each row the
+       ±1 entry whose column lists the fewest rows is the pivot: row
+       operations clear its column, and the pivot row and column are dropped
+       with an invariant factor 1.  A unit pivot needs no column operations,
+       since they would touch nothing outside its row.  A column's list is
+       lazy: fill appends a row, and a row that has lost the entry or been
+       pivoted away is skipped when read, so a list's length, which only
+       the pivot choice reads, may overcount.
     2. Residual.  Once no ±1 entry is left, the remaining rows go to a dense
        Euclidean Smith normal form.  Boundary matrices usually leave none.
     """
     if ncols is None:
         dense_rows = [dict(enumerate(row)) for row in dense_rows]
-    rows = {i: {j: v for j, v in r.items() if v} for i, r in enumerate(dense_rows)}
-    rows = {i: r for i, r in rows.items() if r}
-    col_rows: dict[int, set[int]] = {}
-    for i, r in rows.items():
+    rows = [dict(r) if 0 not in r.values() else {j: v for j, v in r.items() if v}
+            for r in dense_rows]
+    cols: dict[int, list[int]] = defaultdict(list)
+    # row indices by the length they were pushed at
+    buckets: list[list[int]] = [[] for _ in range(max(map(len, rows), default=0) + 1)]
+    for i, r in enumerate(rows):
         for j in r:
-            col_rows.setdefault(j, set()).add(i)
+            cols[j].append(i)
+        buckets[len(r)].append(i)
 
-    units = 0
-    heap = [(len(r), i) for i, r in rows.items()]
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        size, pi = pop(heap)
-        prow = rows.get(pi)
+    units, size = 0, 0
+    while size < len(buckets):
+        if not buckets[size]:
+            size += 1
+            continue
+        pi = buckets[size].pop()
+        prow = rows[pi]
         if prow is None or len(prow) != size:
             continue  # stale: the row was used or changed and pushed again
         pj, fewest = None, None
         for j, v in prow.items():
-            if (v == 1 or v == -1) and (pj is None or len(col_rows[j]) < fewest):
-                pj, fewest = j, len(col_rows[j])
+            if (v == 1 or v == -1) and (pj is None or len(cols[j]) < fewest):
+                pj, fewest = j, len(cols[j])
         if pj is None:
             continue
-        del rows[pi]
-        others = col_rows.pop(pj)
-        others.discard(pi)
+        rows[pi] = None
         p = prow.pop(pj)
-        for j in prow:
-            col_rows[j].discard(pi)
-        for i in others:
+        for i in cols.pop(pj):
+            row = rows[i]
+            if row is None or pj not in row:
+                continue  # stale: pivoted away, or the entry cancelled
             # row[i] -= c * row[pi] clears column pj: the pop alone when the
             # pivot row has no other entry
-            row = rows[i]
             c = row.pop(pj) * p
             for j, v in prow.items():
                 new = row.get(j, 0) - c * v
                 if new:
                     if j not in row:
-                        col_rows[j].add(i)
+                        cols[j].append(i)
                     row[j] = new
                 else:
                     del row[j]
-                    col_rows[j].discard(i)
-            if row:
-                push(heap, (len(row), i))
-            else:
-                del rows[i]
+            n = len(row)
+            while n >= len(buckets):
+                buckets.append([])
+            buckets[n].append(i)
+            if n < size:
+                size = n
         if pivots is not None:
             pivots.add(pj)
         units += 1
 
-    used = sorted({j for r in rows.values() for j in r})
-    return [1] * units + _dense_smith([[r.get(j, 0) for j in used] for r in rows.values()])
+    rest = [r for r in rows if r]
+    used = sorted({j for r in rest for j in r})
+    return [1] * units + _dense_smith([[r.get(j, 0) for j in used] for r in rest])
 
 
 def _dense_smith(m) -> list[int]:

@@ -283,8 +283,8 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
         rows = []
         for cell in cells[p + 1]:
             Tp, T = cell
-            first = offset[cell]
-            kept = [k for k in range(len(basis[Tp])) if first + k not in skip]
+            first, size = offset[cell], len(basis[Tp])
+            kept = [k for k in range(size) if first + k not in skip] if skip else range(size)
             if not kept:
                 continue
             gaps = []  # per s: sign, transition rows, raised and lowered face
@@ -295,7 +295,8 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
             for k in kept:
                 row = {}
                 for sign, rows_up, up, down in gaps:
-                    row.update((up + c, sign * v) for c, v in rows_up[k].items())
+                    for c, v in rows_up[k].items():
+                        row[up + c] = sign * v
                     row[down + k] = -sign
                 rows.append(row)
         return rows
@@ -409,7 +410,7 @@ def splitting_maps(A: GeneralizedCartanMatrix, J, mu: Weight,
         raise ConeReductionFailedError(
             f"mu + rho_J = {shifted} did not reduce to the dominant chamber"
         )
-    w = reduction.element if element is None else element
+    w = weyl_group(A).element(reduction.word) if element is None else element
     tau = real.act(w, shifted)
     if not real.is_dominant(tau):
         raise ConeReductionFailedError("provided element does not reduce mu + rho_J")

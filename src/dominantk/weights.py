@@ -34,7 +34,7 @@ class Box(NamedTuple):
 class ChamberReduction(NamedTuple):
     status: str
     weight: Weight | None
-    element: CoxeterElement | None
+    word: tuple[int, ...] | None  # ShortLex word of the element w reaching it
     steps: int
 
 
@@ -151,7 +151,8 @@ class Realization(Reflections):
 
         The dominant representative does not depend on that choice.  For an
         indecomposable affine matrix a negative level certifies that the
-        weight lies outside the Tits cone.
+        weight lies outside the Tits cone.  The letters spent fold rho to
+        w(rho), whose strip spells w's ShortLex word with no element built.
         """
         lam = self.check_weight(lam)
         if max_steps is None:
@@ -164,8 +165,9 @@ class Realization(Reflections):
         letters, dominant = self._strip(lam, (1 << self.coroot_count) - 1, max_steps + 1)
         if len(letters) > max_steps:
             return ChamberReduction(UNDECIDED, None, None, max_steps)
-        element = weyl_group(self.gcm).element(reversed(letters))
-        return ChamberReduction(IN_CONE, dominant, element, len(letters))
+        group = weyl_group(self.gcm)
+        word = group._strip(group._fold(letters, group._rho))[0]
+        return ChamberReduction(IN_CONE, dominant, word, len(letters))
 
     # -- affine level ------------------------------------------------------------
 

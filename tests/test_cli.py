@@ -105,6 +105,42 @@ def test_weights_reduce():
     assert rows["word"] == "0"
 
 
+#: runs argv[2:] with stdout to argv[1], then prints its exit status and peak
+#: RSS in KB.  The child is forked from this small interpreter: a child of the
+#: test process would count the test process's pages in its peak.
+_PEAK = ("import resource, subprocess, sys\n"
+         "with open(sys.argv[1], 'w') as out:\n"
+         "    code = subprocess.call(sys.argv[2:], stdout=out)\n"
+         "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+
+
+def _peak_rss_mb(argv, sink):
+    """Exit status and peak resident memory in MB of a CLI child writing
+    stdout to ``sink``."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK, str(sink), sys.executable, "-m",
+                           "dominantk", *argv], capture_output=True, text=True,
+                          env=_cli_env(), timeout=60)
+    code, kb = map(int, proc.stdout.split())
+    return code, kb / 1024
+
+
+def test_long_reduction_builds_no_element_chain(tmp_path):
+    """A 20,000-letter chamber reduction on affine_a1 spells its word from
+    w(rho), with no element per letter: the run peaks within 1 MB of a
+    reduction of no letters in the same interpreter (19.2 MB against 19.6 MB
+    with CPython 3.11 on Linux x86-64, where an element chain peaked at
+    25.6 MB)."""
+    reduce = ["weights", "reduce", "--gcm", data_path("affine_a1")]
+    code, short = _peak_rss_mb(reduce + ["--weight=1,1/0"], tmp_path / "short.txt")
+    assert code == 0
+    code, long = _peak_rss_mb(reduce + ["--weight=-20000,20001/0"], tmp_path / "long.txt")
+    assert code == 0
+    rows = dict(line.split("\t", 1) for line in body((tmp_path / "long.txt").read_text()))
+    assert (rows["status"], rows["steps"]) == ("in-cone", "20000")
+    assert rows["word"] == ",".join(["1", "0"] * 10_000)
+    assert long - short <= 1.0, (short, long)
+
+
 def test_weights_stratum_and_level():
     _, out = run(
         ["weights", "stratum", "--gcm", data_path("affine_a1"), "--weight", "2,0/0"]

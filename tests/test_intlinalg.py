@@ -381,6 +381,45 @@ def test_smith_pivot_columns_are_unimodular(matrix):
     assert smith_invariants_reference(kept, ncols) == [1] * len(pivots)
 
 
+@st.composite
+def two_per_column_matrices(draw):
+    """±1 matrices up to 40 x 40 with at most two nonzeros per column: the
+    shape of a truncation's top coboundary and of the oracle's face maps."""
+    nrows, ncols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rows = [{} for _ in range(nrows)]
+    for j in range(ncols):
+        for i in draw(st.lists(st.integers(0, nrows - 1), max_size=2, unique=True)):
+            rows[i][j] = draw(st.sampled_from((1, -1)))
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_per_column_matrices())
+def test_smith_on_two_per_column_matrices(matrix):
+    rows, ncols = matrix
+    before = [dict(row) for row in rows]
+    pivots = set()
+    result = intlinalg.smith_invariants(rows, ncols, pivots=pivots)
+    assert rows == before  # the input is not modified
+    assert result == smith_invariants_reference(rows, ncols)
+    kept = [{j: v for j, v in row.items() if j in pivots} for row in rows]
+    assert smith_invariants_reference(kept, ncols) == [1] * len(pivots)
+
+
+def test_smith_skips_a_column_entry_lost_and_regained():
+    """Row 2 loses column 0 by cancellation under the pivot of row 3, and
+    regains it through fill under the pivot of row 1; so column 0's list
+    holds row 2 twice, and the pivot of row 0 visits it once more after
+    clearing it, and skips it."""
+    rows = [{0: 2, 1: -1}, {0: -1, 1: 1}, {0: -1, 1: 2, 2: -1}, {0: 1, 2: 1}]
+    before = [dict(row) for row in rows]
+    pivots = set()
+    assert intlinalg.smith_invariants(rows, 3, pivots=pivots) == [1, 1, 1]
+    assert pivots == {0, 1, 2}
+    assert rows == before
+    assert smith_invariants_reference(rows, 3) == [1, 1, 1]
+
+
 def test_smith_torsion_block_beside_unit_rows():
     block = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     rows = [{3: 1, 0: 2, 1: -3}]
