@@ -257,6 +257,11 @@ class WeylGroup(Reflections):
                 raise IndexError(f"generator index {s} out of range")
         return self._normalize(self._fold(reversed(word), self._rho))
 
+    def shortlex(self, word) -> tuple[int, ...]:
+        """ShortLex normal form of a generator word, with no element built:
+        the strip of w(rho)."""
+        return self._strip(self._fold(reversed(tuple(word)), self._rho))[0]
+
     def generator(self, s: int) -> CoxeterElement:
         return self.element((s,))
 

@@ -88,8 +88,7 @@ def smith_invariants(dense_rows, ncols=None, *, pivots=None) -> list[int]:
     """
     if ncols is None:
         dense_rows = [dict(enumerate(row)) for row in dense_rows]
-    rows = [dict(r) if 0 not in r.values() else {j: v for j, v in r.items() if v}
-            for r in dense_rows]
+    rows = [{j: v for j, v in r.items() if v} for r in dense_rows]
     cols: dict[int, list[int]] = defaultdict(list)
     # row indices by the length they were pushed at
     buckets: list[list[int]] = [[] for _ in range(max(map(len, rows), default=0) + 1)]

@@ -283,8 +283,8 @@ def derived_limit_oracle(A: GeneralizedCartanMatrix, functor: FunctorOnPoset,
         rows = []
         for cell in cells[p + 1]:
             Tp, T = cell
-            first, size = offset[cell], len(basis[Tp])
-            kept = [k for k in range(size) if first + k not in skip] if skip else range(size)
+            first = offset[cell]
+            kept = [k for k in range(len(basis[Tp])) if first + k not in skip]
             if not kept:
                 continue
             gaps = []  # per s: sign, transition rows, raised and lowered face

@@ -151,8 +151,8 @@ class Realization(Reflections):
 
         The dominant representative does not depend on that choice.  For an
         indecomposable affine matrix a negative level certifies that the
-        weight lies outside the Tits cone.  The letters spent fold rho to
-        w(rho), whose strip spells w's ShortLex word with no element built.
+        weight lies outside the Tits cone.  The letters spent spell w, whose
+        ShortLex word is returned with no element built.
         """
         lam = self.check_weight(lam)
         if max_steps is None:
@@ -165,8 +165,7 @@ class Realization(Reflections):
         letters, dominant = self._strip(lam, (1 << self.coroot_count) - 1, max_steps + 1)
         if len(letters) > max_steps:
             return ChamberReduction(UNDECIDED, None, None, max_steps)
-        group = weyl_group(self.gcm)
-        word = group._strip(group._fold(letters, group._rho))[0]
+        word = weyl_group(self.gcm).shortlex(reversed(letters))
         return ChamberReduction(IN_CONE, dominant, word, len(letters))
 
     # -- affine level ------------------------------------------------------------

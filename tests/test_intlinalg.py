@@ -359,28 +359,6 @@ def test_smith_property_against_minor_gcds(matrix):
     assert intlinalg.smith_invariants(dense) == expected
 
 
-@settings(max_examples=150, deadline=None)
-@given(sparse_matrices(30))
-def test_smith_property_against_reference(matrix):
-    rows, ncols = matrix
-    before = [dict(row) for row in rows]
-    assert intlinalg.smith_invariants(rows, ncols) == smith_invariants_reference(rows, ncols)
-    assert rows == before  # the input is not modified
-
-
-@settings(max_examples=150, deadline=None)
-@given(sparse_matrices(30))
-def test_smith_pivot_columns_are_unimodular(matrix):
-    """The columns that the sweep pivots on carry a unimodular minor: the
-    matrix cut down to them has invariant factors 1, one per pivot column."""
-    rows, ncols = matrix
-    pivots = set()
-    result = intlinalg.smith_invariants(rows, ncols, pivots=pivots)
-    assert len(pivots) <= result.count(1)
-    kept = [{j: v for j, v in row.items() if j in pivots} for row in rows]
-    assert smith_invariants_reference(kept, ncols) == [1] * len(pivots)
-
-
 @st.composite
 def two_per_column_matrices(draw):
     """±1 matrices up to 40 x 40 with at most two nonzeros per column: the
@@ -393,15 +371,24 @@ def two_per_column_matrices(draw):
     return rows, ncols
 
 
-@settings(max_examples=200, deadline=None)
-@given(two_per_column_matrices())
-def test_smith_on_two_per_column_matrices(matrix):
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_matrices(30), two_per_column_matrices()))
+def test_smith_property_against_reference(matrix):
     rows, ncols = matrix
     before = [dict(row) for row in rows]
+    assert intlinalg.smith_invariants(rows, ncols) == smith_invariants_reference(rows, ncols)
+    assert rows == before  # the input is not modified
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_matrices(30), two_per_column_matrices()))
+def test_smith_pivot_columns_are_unimodular(matrix):
+    """The columns that the sweep pivots on carry a unimodular minor: the
+    matrix cut down to them has invariant factors 1, one per pivot column."""
+    rows, ncols = matrix
     pivots = set()
     result = intlinalg.smith_invariants(rows, ncols, pivots=pivots)
-    assert rows == before  # the input is not modified
-    assert result == smith_invariants_reference(rows, ncols)
+    assert len(pivots) <= result.count(1)
     kept = [{j: v for j, v in row.items() if j in pivots} for row in rows]
     assert smith_invariants_reference(kept, ncols) == [1] * len(pivots)
 
