@@ -328,8 +328,7 @@ def dirac_induction(real: Realization, J, mu: Weight) -> FormalCharacter:
 # -- ambient dominance -------------------------------------------------------------
 
 
-def ambient_dominance_test(real: Realization, J, mu: Weight,
-                           max_steps: int | None = None) -> bool:
+def ambient_dominance_test(real: Realization, J, mu: Weight) -> bool:
     """Does the Levi irreducible L_mu consist of characters of the maximal
     dominant representation?
 
@@ -340,7 +339,7 @@ def ambient_dominance_test(real: Realization, J, mu: Weight,
     J, mu = finite_subset(real.gcm, J), real.check_weight(mu)
     if not real.is_dominant_for(mu, J):
         raise NotDominantError(f"{mu} is not dominant for the Levi on {J}")
-    result = real.chamber_reduce(mu, max_steps=max_steps)
+    result = real.chamber_reduce(mu)
     if result.status == NOT_IN_CONE:
         return False
     if result.status == IN_CONE:
@@ -350,13 +349,12 @@ def ambient_dominance_test(real: Realization, J, mu: Weight,
     )
 
 
-def ambient_dominance_oracle(real: Realization, J, mu: Weight,
-                             max_steps: int | None = None) -> bool:
+def ambient_dominance_oracle(real: Realization, J, mu: Weight) -> bool:
     """Weight-by-weight route: every weight of the Levi irreducible lies in
     the Tits cone.  Cross-checks ambient_dominance_test."""
     char = levi_irreducible_character(real, J, mu)
     for lam in char.support():
-        result = real.chamber_reduce(lam, max_steps=max_steps)
+        result = real.chamber_reduce(lam)
         if result.status == NOT_IN_CONE:
             return False
         if result.status != IN_CONE:

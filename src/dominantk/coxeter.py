@@ -16,7 +16,8 @@ has a left descent, so u(rho) != rho, and w -> w(rho) is injective.  Root
 images w(alpha_j) on the simple-root basis, through r_i(alpha_j) = alpha_j -
 a[i][j] alpha_i, are filled in on first use; the right descents are the j
 with w(alpha_j) negative, and w r_j(rho) = w(rho) - w(alpha_j).  Cosets,
-purity and strips are mask tests against subset masks.
+purity and strips are mask tests against subset masks.  An element holds no
+group: the group fills in its root images and reads its right descents.
 """
 
 from __future__ import annotations
@@ -49,32 +50,27 @@ def paused_gc():
 
 
 class CoxeterElement:
-    """Group element: its orbit vector plus, for every element but e, a link
-    to its suffix; the word is spelled from the links on each read.
+    """Group element as a value: its orbit vector plus, for every element but
+    e, a link to its suffix; it holds no group, and the word is spelled from
+    the links on each read.  Equality and hash read the orbit vector alone,
+    so elements of two groups compare by orbit vector.
 
     ``orbit`` is w(rho) in coroot coordinates; bit i of ``left`` is set when
     <w(rho), h_i> < 0, that is when l(r_i w) < l(w).  ``suffix`` is r_i w, i
     the least left descent (None for e).  ``roots`` holds the images
-    w(alpha_j) once ``act_on_root``, the coset tests or ``right`` ask for
-    them, and with them the mask of ``right``: bit j when w(alpha_j) is
+    w(alpha_j) once the group's coset tests or ``WeylGroup.right`` ask for
+    them, and with them the mask ``_right``: bit j when w(alpha_j) is
     negative, that is when l(w r_j) < l(w).  A ball walk reads no root image.
     """
 
-    __slots__ = ("group", "suffix", "length", "orbit", "_right", "left", "roots")
+    __slots__ = ("suffix", "length", "orbit", "left", "roots", "_right")
 
-    def __init__(self, group, orbit, left, suffix=None):
-        self.group = group
+    def __init__(self, orbit, left, suffix=None):
         self.suffix = suffix
         self.length = 0 if suffix is None else suffix.length + 1
         self.orbit = orbit
         self.left = left
         self.roots = None
-
-    @property
-    def right(self) -> int:
-        if self.roots is None:
-            self.group._root_images(self)
-        return self._right
 
     @property
     def word(self) -> tuple[int, ...]:
@@ -86,28 +82,11 @@ class CoxeterElement:
             w = w.suffix
         return tuple(letters)
 
-    def act_on_root(self, j: int) -> tuple[int, ...]:
-        """Coefficients of w(alpha_j) over the simple-root basis."""
-        if not 0 <= j < self.group.n:
-            raise IndexError(f"root index {j} out of range")
-        return self.group._root_images(self)[j]
-
-    def descent_set(self, side: str = "right") -> tuple[int, ...]:
-        """Indices i with l(w r_i) < l(w) (right) or l(r_i w) < l(w) (left)."""
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', not {side!r}")
-        mask = self.right if side == "right" else self.left
-        return tuple(i for i in range(self.group.n) if mask >> i & 1)
-
     def sign(self) -> int:
         return -1 if self.length % 2 else 1
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CoxeterElement)
-            and self.group.key == other.group.key
-            and self.orbit == other.orbit
-        )
+        return isinstance(other, CoxeterElement) and self.orbit == other.orbit
 
     def __hash__(self):
         return hash(self.orbit)  # w -> w(rho) is injective
@@ -154,8 +133,12 @@ class Reflections:
         return tuple(out)
 
     def _fold(self, letters, vector):
-        """Apply r_s for each s of ``letters`` in turn, the first one first."""
+        """Apply r_s for each s of ``letters`` in turn, the first one first;
+        a letter that names no node is refused."""
+        n = len(self._table)
         for s in letters:
+            if not 0 <= s < n:
+                raise IndexError(f"generator index {s} out of range")
             vector = self._reflect(s, vector)
         return vector
 
@@ -182,7 +165,6 @@ class WeylGroup(Reflections):
     def __init__(self, A: GeneralizedCartanMatrix, element_cap: int = DEFAULT_ELEMENT_CAP):
         self.gcm = A
         self.n = A.size
-        self.key = A.entries
         self.element_cap = element_cap
         n, a = self.n, A.entries
         # nonzero a[k][i] by column i (coroot coordinates) and by row i (roots)
@@ -195,7 +177,7 @@ class WeylGroup(Reflections):
         # rows k whose coordinate r_i moves: a[k][i] != 0
         self._moved = tuple(sum(1 << k for k, _ in column) for column in self._columns)
         self._rho = (1,) * n
-        self.identity = CoxeterElement(self, self._rho, 0)
+        self.identity = CoxeterElement(self._rho, 0)
         self.identity._right = 0
         self.identity.roots = tuple(
             tuple(1 if k == j else 0 for k in range(n)) for j in range(n)
@@ -217,7 +199,7 @@ class WeylGroup(Reflections):
             orbit = self._reflect(_lowest(left), orbit)
             below = self._by_orbit.get(orbit)
         for orbit, left in reversed(chain):
-            below = CoxeterElement(self, orbit, left, below)
+            below = CoxeterElement(orbit, left, below)
         return below
 
     def _root_images(self, w: CoxeterElement) -> tuple[tuple[int, ...], ...]:
@@ -237,6 +219,13 @@ class WeylGroup(Reflections):
             el.roots = roots
         return roots
 
+    def right(self, w: CoxeterElement) -> int:
+        """Mask of the right descents of w: bit j when l(w r_j) < l(w), that
+        is when w(alpha_j) is negative, read with the root images."""
+        if w.roots is None:
+            self._root_images(w)
+        return w._right
+
     def subset_mask(self, subset) -> int:
         """Bitmask of a set of node indices, to test against descent masks."""
         mask = 0
@@ -251,11 +240,7 @@ class WeylGroup(Reflections):
 
     def element(self, word) -> CoxeterElement:
         """Normal form of an arbitrary generator word."""
-        word = tuple(word)
-        for s in word:
-            if not 0 <= s < self.n:
-                raise IndexError(f"generator index {s} out of range")
-        return self._normalize(self._fold(reversed(word), self._rho))
+        return self._normalize(self._fold(reversed(tuple(word)), self._rho))
 
     def shortlex(self, word) -> tuple[int, ...]:
         """ShortLex normal form of a generator word, with no element built:
@@ -275,7 +260,7 @@ class WeylGroup(Reflections):
         return self.multiply(w, self.generator(s))
 
     def lmul_gen(self, s: int, w: CoxeterElement) -> CoxeterElement:
-        return self._normalize(self._reflect(s, w.orbit))
+        return self._normalize(self._fold((s,), w.orbit))
 
     # -- ball and quotient enumeration ------------------------------------------
 
@@ -352,7 +337,7 @@ class WeylGroup(Reflections):
                         out.append(known)
                         reused += 1
                         continue
-                out.append(CoxeterElement(self, orbit, left, u))
+                out.append(CoxeterElement(orbit, left, u))
             new = len(out) if parabolic else len(out) - reused
             if room is not None and new > room:
                 K = tuple(k for k in range(self.n) if kmask >> k & 1)
@@ -425,7 +410,7 @@ class WeylGroup(Reflections):
         dropped exactly when w(alpha_j) is a simple root in K, and a positive
         root w(alpha_j) supported on K is always such a simple root.
         """
-        simple, right, mask = self._simple, w.right, 0
+        simple, right, mask = self._simple, self.right(w), 0
         for j, root in enumerate(self._root_images(w)):
             if not (right >> j & 1 or simple.get(root, 0) & kmask):
                 mask |= 1 << j
@@ -439,7 +424,7 @@ class WeylGroup(Reflections):
         continuation mask.
         """
         kmask, jmask = self.subset_mask(K), self.subset_mask(J)
-        if w.left & kmask or w.right & jmask:
+        if w.left & kmask or self.right(w) & jmask:
             raise NotMinimalError("w is not a minimal (K, J) double coset representative")
         meet = jmask & ~self.continuation_mask(w, kmask)
         return tuple(j for j in range(self.n) if meet >> j & 1)
@@ -452,7 +437,7 @@ class WeylGroup(Reflections):
         alpha_k for some j in J; ``need`` the k with w(alpha_j) = alpha_k for
         each right ascent j outside J, or -1 when one such image is not simple
         (Deodhar's lemma, as in ``continuation_mask``)."""
-        simple, right, need, forbid = self._simple, w.right, 0, w.left
+        simple, right, need, forbid = self._simple, self.right(w), 0, w.left
         for j, root in enumerate(self._root_images(w)):
             if jmask >> j & 1:
                 forbid |= simple.get(root, 0)
@@ -479,7 +464,7 @@ class WeylGroup(Reflections):
         negative, step to w r_j, with w r_j(rho) = w(rho) - w(alpha_j) and
         (w r_j)(alpha_m) = w(alpha_m) - a[j][m] w(alpha_j)."""
         mask = self.subset_mask(S)
-        if not mask or not w.right & mask:  # an empty S reads no root image
+        if not mask or not self.right(w) & mask:  # an empty S reads no root image
             return w
         orbit, roots = w.orbit, list(w.roots)
         while right := _negative_mask(map(min, roots)) & mask:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from .coxeter import CoxeterElement, weyl_group
+from .coxeter import weyl_group
 from .davis import IntegerCohomology, cochain_cohomology
 from .characters import FormalCharacter, dirac_induction
 from .errors import (
@@ -385,22 +385,22 @@ def strata_colimit_functor(A: GeneralizedCartanMatrix, K, L: int, box: Box) -> F
 class SplitRecord(NamedTuple):
     sign: int
     cone_weight: Weight
-    element: CoxeterElement
+    word: tuple[int, ...]  # ShortLex word of the element w reaching the cone weight
     stratum: tuple[int, ...]
     roundtrip: FormalCharacter
 
 
 def splitting_maps(A: GeneralizedCartanMatrix, J, mu: Weight,
                    max_steps: int | None = None,
-                   element: CoxeterElement | None = None) -> SplitRecord:
+                   word: tuple[int, ...] | None = None) -> SplitRecord:
     """Split/retract pair for a Levi class: reduce mu + rho_J into the
-    dominant chamber to get (tau, w), record the sign of w, then reconstruct
-    the class by induction of w^{-1}(tau) = mu + rho_J; the roundtrip must
-    reproduce the character of L_mu.
+    dominant chamber to get (tau, w), record the ShortLex word of w and its
+    sign, then reconstruct the class by induction of w^{-1}(tau) = mu + rho_J;
+    the roundtrip must reproduce the character of L_mu.
 
-    ``element`` may replace w by another solution of w^{-1}(tau) = mu + rho_J
-    (for example w composed with a stabilizer reflection of tau); the
-    recorded sign flips while the roundtrip is unchanged.
+    ``word`` may spell another solution of w^{-1}(tau) = mu + rho_J in place
+    of w (for example a stabilizer reflection of tau then w); the recorded
+    sign flips while the roundtrip is unchanged.  No element is built.
     """
     J = tuple(sorted(set(J)))
     real = build_realization(A)
@@ -410,14 +410,14 @@ def splitting_maps(A: GeneralizedCartanMatrix, J, mu: Weight,
         raise ConeReductionFailedError(
             f"mu + rho_J = {shifted} did not reduce to the dominant chamber"
         )
-    w = weyl_group(A).element(reduction.word) if element is None else element
-    tau = real.act(w, shifted)
+    word = reduction.word if word is None else weyl_group(A).shortlex(word)
+    tau = real.act(word, shifted)
     if not real.is_dominant(tau):
-        raise ConeReductionFailedError("provided element does not reduce mu + rho_J")
+        raise ConeReductionFailedError("provided word does not reduce mu + rho_J")
     return SplitRecord(
-        sign=w.sign(),
+        sign=-1 if len(word) % 2 else 1,
         cone_weight=tau,
-        element=w,
+        word=word,
         stratum=real.stratum(tau),
         roundtrip=dirac_induction(real, J, shifted),
     )

@@ -12,7 +12,7 @@ from itertools import product
 from typing import NamedTuple
 
 from . import intlinalg
-from .coxeter import CoxeterElement, Reflections, weyl_group
+from .coxeter import Reflections, weyl_group
 from .errors import NotAffineError, NotDominantError, ResourceExceededError
 from .gcm import AFFINE, GeneralizedCartanMatrix, classify_type, finite_subset, per_matrix
 
@@ -110,10 +110,9 @@ class Realization(Reflections):
     # simple reflection lam - <lam, h_i> alpha_i, on the sparse alpha_i
     reflect = Reflections._reflect
 
-    def act(self, w, lam: Weight) -> Weight:
-        """Apply a group element (or raw word) to a weight."""
-        word = w.word if isinstance(w, CoxeterElement) else tuple(w)
-        return self._fold(reversed(word), lam)
+    def act(self, word, lam: Weight) -> Weight:
+        """Apply the element that a generator word spells to a weight."""
+        return self._fold(reversed(tuple(word)), lam)
 
     # -- dominance and strata ----------------------------------------------------
 

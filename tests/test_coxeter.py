@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -17,6 +18,11 @@ from dominantk.data import load
 from dominantk.gcm import classify_type, gcm_from_rows, spherical_poset
 from test_characters import reference_levi_positive_roots
 from test_cli import _cli_env, _limit_memory, data_path
+
+
+def _bits(mask: int, n: int) -> tuple[int, ...]:
+    """The indices 0..n-1 set in a descent mask."""
+    return tuple(i for i in range(n) if mask >> i & 1)
 
 
 # -- independent oracle: W(A2) as permutations of three letters --------------------
@@ -73,8 +79,19 @@ def test_normal_form_examples(matrices):
 
 
 def test_index_out_of_range(matrices):
+    group = weyl_group(matrices["a2"])
     with pytest.raises(IndexError):
-        weyl_group(matrices["a2"]).element((2,))
+        group.element((2,))
+    with pytest.raises(IndexError, match="generator index -1 out of range"):
+        group.lmul_gen(-1, group.identity)
+
+
+def test_elements_of_two_groups_compare_by_orbit_vector(matrices):
+    """An element holds no group: the identities of two different 3-node
+    groups have the same orbit vector, so they are equal and hash alike."""
+    e = weyl_group(matrices["affine_a2"]).identity
+    f = weyl_group(matrices["hyper_rank3"]).identity
+    assert e == f and hash(e) == hash(f)
 
 
 @settings(max_examples=100, deadline=None)
@@ -105,13 +122,13 @@ def test_normal_form_is_a_group_invariant(matrices, words, spot, gen):
 def test_act_on_root_basics(matrices):
     group = weyl_group(matrices["a2"])
     r0 = group.generator(0)
-    assert r0.act_on_root(0) == (-1, 0)
-    assert r0.act_on_root(1) == (1, 1)
+    assert group._root_images(r0)[0] == (-1, 0)
+    assert group._root_images(r0)[1] == (1, 1)
     dihedral = weyl_group(matrices["affine_a1"])
     w = dihedral.element((0, 1))
     # compose the two reflection steps by hand: r1(a1) = -a1,
     # r0(-a1) = -(a1 + 2a0)
-    assert w.act_on_root(1) == (-2, -1)
+    assert dihedral._root_images(w)[1] == (-2, -1)
 
 
 def test_length_counts_inversions(matrices):
@@ -159,7 +176,7 @@ def test_root_positivity_dichotomy(matrices):
     group = weyl_group(matrices["hyper_rank3"])
     for w in group.ball(5):
         for j in range(3):
-            img = w.act_on_root(j)
+            img = group._root_images(w)[j]
             assert all(x >= 0 for x in img) or all(x <= 0 for x in img)
 
 
@@ -173,19 +190,19 @@ def test_descents(matrices):
         group = weyl_group(A)
         for w in group.ball(3 if A.size > 4 else 5):
             for j in range(A.size):
-                assert bool(w.right >> j & 1) == (group.rmul_gen(w, j).length < w.length)
+                assert bool(group.right(w) >> j & 1) == (group.rmul_gen(w, j).length < w.length)
                 shorter = group.multiply(group.generator(j), w).length < w.length
                 assert bool(w.left >> j & 1) == shorter
     group = weyl_group(matrices["a2"])
-    assert group.identity.descent_set("right") == ()
+    assert _bits(group.right(group.identity), 2) == ()
     longest = group.element((0, 1, 0))
-    assert longest.descent_set("right") == (0, 1)
+    assert _bits(group.right(longest), 2) == (0, 1)
     dihedral = weyl_group(matrices["affine_a1"])
     w = dihedral.element((0, 1, 0))
     assert dihedral.element((0, 1, 0, 1)).length == 4
     assert dihedral.element((0, 1)).length == 2
-    assert w.descent_set("right") == (0,)
-    assert w.descent_set("left") == (0,)
+    assert _bits(dihedral.right(w), 2) == (0,)
+    assert _bits(w.left, 2) == (0,)
 
 
 def test_descent_sets_are_spherical(matrices):
@@ -195,8 +212,8 @@ def test_descent_sets_are_spherical(matrices):
         poset = spherical_poset(A)
         group = weyl_group(A)
         for w in group.ball(3 if A.size > 4 else 5):
-            assert w.descent_set("right") in poset
-            assert w.descent_set("left") in poset
+            assert _bits(group.right(w), A.size) in poset
+            assert _bits(w.left, A.size) in poset
 
 
 # -- balls -------------------------------------------------------------------------
@@ -363,7 +380,7 @@ def reference_min_coset_reps(group, J, K=None, L: int = 0):
     """Elements of length <= L minimal in W_J w (and in W_J w W_K if K given)."""
     jmask, kmask = group.subset_mask(J), group.subset_mask(K or ())
     return tuple(
-        w for w in group.ball(L) if not (w.left & jmask or w.right & kmask)
+        w for w in group.ball(L) if not (w.left & jmask or group.right(w) & kmask)
     )
 
 
@@ -383,9 +400,9 @@ def test_quotient_walk_matches_ball_filter(matrices, name):
         walked, words = WeylGroup(A), {}
         for L in range(10):
             for J in subsets:
-                expected = _fields(reference_min_coset_reps(ref, J, K, L), ref_words)
-                assert _fields(walked.min_coset_reps(J, K, L), words) == expected
-                assert _fields(ref.min_coset_reps(J, K, L), ref_words) == expected
+                expected = _fields(ref, reference_min_coset_reps(ref, J, K, L), ref_words)
+                assert _fields(walked, walked.min_coset_reps(J, K, L), words) == expected
+                assert _fields(ref, ref.min_coset_reps(J, K, L), ref_words) == expected
 
 
 @pytest.mark.parametrize("name,L,smallest", [("ext4", 7, 0), ("e10", 5, 0), ("e10", 7, 7)])
@@ -404,8 +421,8 @@ def test_quotient_walk_matches_ball_filter_extended(matrices, name, L, smallest)
         if len(K) < smallest:
             continue
         for J in ((), i0, j0, (0,)):
-            expected = _fields(reference_min_coset_reps(ref, J, K, L), ref_words)
-            assert _fields(walked.min_coset_reps(J, K, L), words) == expected
+            expected = _fields(ref, reference_min_coset_reps(ref, J, K, L), ref_words)
+            assert _fields(walked, walked.min_coset_reps(J, K, L), words) == expected
 
 
 def test_double_coset_intersection(matrices):
@@ -477,7 +494,7 @@ def test_maximally_pure_subset_of_pure(matrices):
 def superset_purity_oracle(group, w, K, J):
     """Is w pure for some proper superset of J: every superset, one by one."""
     rest = [i for i in range(group.n) if i not in J]
-    right = set(w.descent_set("right"))
+    right = set(_bits(group.right(w), group.n))
     for bits in range(1, 1 << len(rest)):
         extra = [rest[t] for t in range(len(rest)) if bits >> t & 1]
         if any(i in right for i in extra):
@@ -682,10 +699,9 @@ def _matrix_double_strip(ref, w, J, K):
     return w
 
 
-def _same(w, ref) -> bool:
+def _same(group, w, ref) -> bool:
     """Same word, both descent masks and every root image."""
-    n = len(ref.cols)
-    return (w.word, w.left, w.right, tuple(w.act_on_root(j) for j in range(n))) == (
+    return (w.word, w.left, group.right(w), group._root_images(w)) == (
         ref.word, ref.left, ref.right, ref.cols)
 
 
@@ -703,7 +719,7 @@ def test_ball_matches_matrix_reference(matrices, name):
     ball, expected = group.ball(bound), ref.ball(bound)
     assert len(ball) == len(expected)
     for w, r in zip(ball, expected):
-        assert _same(w, r)
+        assert _same(group, w, r)
     for w, r in zip(ball[:400], expected[:400]):
         for s in range(A.size):
             assert group.rmul_gen(w, s).word == ref.rmul_gen(r, s).word
@@ -733,13 +749,13 @@ def test_cache_misses_match_matrix_reference(matrices, name, cached, words, s, m
     group.ball(cached)
     u, v = group.element(w1), group.element(w2)
     ru, rv = ref.element(w1), ref.element(w2)
-    assert _same(u, ru) and _same(v, rv)
-    assert _same(group.inverse(u), ref.inverse(ru))
-    assert _same(group.rmul_gen(u, s), ref.rmul_gen(ru, s))
-    assert _same(group.lmul_gen(s, u), ref.lmul_gen(s, ru))
-    assert _same(group.multiply(u, v), ref.multiply(ru, rv))
-    assert _same(group.rstrip(u, K), _matrix_strip(ref, ru, K, "right"))
-    assert _same(group.double_strip(v, J, K), _matrix_double_strip(ref, rv, J, K))
+    assert _same(group, u, ru) and _same(group, v, rv)
+    assert _same(group, group.inverse(u), ref.inverse(ru))
+    assert _same(group, group.rmul_gen(u, s), ref.rmul_gen(ru, s))
+    assert _same(group, group.lmul_gen(s, u), ref.lmul_gen(s, ru))
+    assert _same(group, group.multiply(u, v), ref.multiply(ru, rv))
+    assert _same(group, group.rstrip(u, K), _matrix_strip(ref, ru, K, "right"))
+    assert _same(group, group.double_strip(v, J, K), _matrix_double_strip(ref, rv, J, K))
 
 
 def test_thread_pool_shares_one_group(matrices):
@@ -818,7 +834,7 @@ def reference_double_coset_intersection(group, w, J, K):
     when w(alpha_j) is a positive root supported on K.
     """
     kmask = group.subset_mask(K)
-    if w.left & kmask or w.right & group.subset_mask(J):
+    if w.left & kmask or group.right(w) & group.subset_mask(J):
         raise NotMinimalError("w is not a minimal (K, J) double coset representative")
     # j in J is a right ascent, so w(alpha_j) is positive
     roots = group._root_images(w)
@@ -835,7 +851,7 @@ def reference_pure_for_proper_superset(group, w, K, J) -> bool:
     """
     if reference_double_coset_intersection(group, w, J, K):
         return False
-    outside, kmask = ~(group.subset_mask(J) | w.right), group.subset_mask(K)
+    outside, kmask = ~(group.subset_mask(J) | group.right(w)), group.subset_mask(K)
     roots = group._root_images(w)
     return any(
         outside >> j & 1 and _support(roots[j]) & ~kmask for j in range(group.n)
@@ -856,8 +872,8 @@ def reference_pure_reps(group, K, J, L: int, maximal: bool = False):
 def reference_rstrip(group, w, S):
     """Minimal length element of w W_S, one right multiplication at a time."""
     smask = group.subset_mask(S)
-    while w.right & smask:
-        w = group.rmul_gen(w, _lowest(w.right & smask))
+    while group.right(w) & smask:
+        w = group.rmul_gen(w, _lowest(group.right(w) & smask))
     return w
 
 
@@ -928,7 +944,7 @@ def test_continuation_mask_is_deodhar_continuation(matrices):
         kmask = group.subset_mask(K)
         for w in group.min_coset_reps(K, (), 6):
             expected = sum(1 << j for j in range(4)
-                           if not w.right >> j & 1 and not group.rmul_gen(w, j).left & kmask)
+                           if not group.right(w) >> j & 1 and not group.rmul_gen(w, j).left & kmask)
             assert group.continuation_mask(w, kmask) == expected
 
 
@@ -988,7 +1004,7 @@ def test_longest_is_the_top_of_the_parabolic(matrices, name):
         w, jmask = group.longest(J), group.subset_mask(J)
         roots = reference_levi_positive_roots(A, J)
         assert set(w.word) <= set(J)
-        assert w.left & jmask == jmask == w.right & jmask
+        assert w.left & jmask == jmask == group.right(w) & jmask
         assert w.length == len(roots)
         if _parabolic_order(roots) <= 10**4:
             assert w == group.subgroup_elements(J)[-1]
@@ -1032,7 +1048,7 @@ def reference_ball(group, L):
         for orbit in frontier:
             left = coxeter._negative_mask(orbit)
             suffix = by_orbit[group._reflect(coxeter._lowest(left), orbit)]
-            frontier[orbit] = CoxeterElement(group, orbit, left, suffix)
+            frontier[orbit] = CoxeterElement(orbit, left, suffix)
         sphere = sorted(frontier.values(), key=lambda e: e.word)
         by_orbit.update(frontier)
         spheres.append(sphere)
@@ -1047,7 +1063,7 @@ def reference_parabolic(group, J):
         nxt = {}
         for el in layer:
             for s in J:
-                if not el.right >> s & 1:
+                if not group.right(el) >> s & 1:
                     w = group.rmul_gen(el, s)
                     nxt[w.word] = w
         layer = list(nxt.values())
@@ -1055,16 +1071,17 @@ def reference_parabolic(group, J):
     return tuple(sorted(out, key=lambda e: (e.length, e.word)))
 
 
-def _fields(elements, words=None):
-    """(word, orbit, left, right) of each element.  A test that reads the
-    elements of one group many times passes ``words``, a dict that keeps each
-    word, spelled once, by element id (the group keeps its elements alive)."""
+def _fields(group, elements, words=None):
+    """(word, orbit, left, right) of each element of ``group``.  A test that
+    reads the elements of one group many times passes ``words``, a dict that
+    keeps each word, spelled once, by element id (the group keeps its
+    elements alive)."""
     if words is None:
-        return [(w.word, w.orbit, w.left, w.right) for w in elements]
+        return [(w.word, w.orbit, w.left, group.right(w)) for w in elements]
     for w in elements:
         if id(w) not in words:
             words[id(w)] = w.word
-    return [(words[id(w)], w.orbit, w.left, w.right) for w in elements]
+    return [(words[id(w)], w.orbit, w.left, group.right(w)) for w in elements]
 
 
 @pytest.mark.parametrize("name", ALL_MATRICES)
@@ -1074,7 +1091,7 @@ def test_ball_matches_sort_reference(matrices, name):
     A = matrices[name]
     bound = 6 if A.size <= 4 else 5
     group = WeylGroup(A)
-    assert _fields(group.ball(bound)) == _fields(reference_ball(group, bound))
+    assert _fields(group, group.ball(bound)) == _fields(group, reference_ball(group, bound))
 
 
 def test_walk_reads_no_root_image(matrices):
@@ -1082,9 +1099,10 @@ def test_walk_reads_no_root_image(matrices):
     E10 ball(6) only the identity holds them.  Their first read gives the
     values of the dedupe-then-sort reference."""
     A = matrices["e10"]
-    ball = WeylGroup(A).ball(6)
+    group, ref = WeylGroup(A), WeylGroup(A)
+    ball = group.ball(6)
     assert [w.word for w in ball if w.roots is not None] == [()]
-    assert _fields(ball) == _fields(reference_ball(WeylGroup(A), 6))
+    assert _fields(group, ball) == _fields(ref, reference_ball(ref, 6))
 
 
 def test_thread_pool_reads_one_set_of_root_images(matrices):
@@ -1095,16 +1113,18 @@ def test_thread_pool_reads_one_set_of_root_images(matrices):
     from concurrent.futures import ThreadPoolExecutor
 
     A = matrices["e10"]
-    expected = [(w.word, w.right, w.group._root_images(w)) for w in WeylGroup(A).ball(6)]
-    ball = WeylGroup(A).ball(6)
+    serial = WeylGroup(A)
+    expected = [(w.word, serial.right(w), serial._root_images(w)) for w in serial.ball(6)]
+    group = WeylGroup(A)
+    ball = group.ball(6)
     start = threading.Barrier(4)
 
     def read(w, right_first):
         if right_first:
-            right = w.right
+            right = group.right(w)
             return w.word, right, w.roots
-        roots = w.group._root_images(w)
-        return w.word, w.right, roots
+        roots = group._root_images(w)
+        return w.word, group.right(w), roots
 
     def work(seed):
         start.wait(timeout=60)
@@ -1132,7 +1152,7 @@ def test_parabolics_match_bfs_reference(matrices, name):
     for J in spherical_poset(A).members:
         if _parabolic_order(reference_levi_positive_roots(A, J)) <= cap:
             elements = group.subgroup_elements(J)
-            assert _fields(elements) == _fields(reference_parabolic(group, J))
+            assert _fields(group, elements) == _fields(group, reference_parabolic(group, J))
             assert all(w is ball[w.word] for w in elements if w.length <= 3)
 
 
@@ -1140,23 +1160,24 @@ def test_parabolics_match_bfs_reference(matrices, name):
 
 
 def _walks(matrices):
-    """Fresh walks: E10 ball(5), the quotient W^K of ext4 with K = (0, 1)
-    at L = 6 and W_J of E10 with J = D4, each element's word unread."""
-    e10, ext4 = WeylGroup(matrices["e10"]), WeylGroup(matrices["ext4"])
+    """Fresh walks, each with its group: E10 ball(5), the quotient W^K of
+    ext4 with K = (0, 1) at L = 6 and W_J of E10 with J = D4, each element's
+    word unread."""
+    e10, ext4, e10_j = (WeylGroup(matrices[name]) for name in ("e10", "ext4", "e10"))
     return {
-        "ball": e10.ball(5),
-        "quotient": [w for sphere in ext4._quotient(6, (0, 1)) for w in sphere],
-        "parabolic": WeylGroup(matrices["e10"]).subgroup_elements((4, 5, 6, 8)),
+        "ball": (e10, e10.ball(5)),
+        "quotient": (ext4, [w for sphere in ext4._quotient(6, (0, 1)) for w in sphere]),
+        "parabolic": (e10_j, e10_j.subgroup_elements((4, 5, 6, 8))),
     }
 
 
 def test_words_read_through_suffix_links(matrices):
     """Every walked element but e links to its suffix; read deepest first,
     each word is w(rho) stripped, and its length the walked length."""
-    for walk, elements in _walks(matrices).items():
+    for walk, (group, elements) in _walks(matrices).items():
         assert [w.length for w in elements if w.suffix is None] == [0], walk
         for w in reversed(elements):
-            assert w.word == w.group._strip(w.orbit)[0], walk
+            assert w.word == group._strip(w.orbit)[0], walk
             assert w.length == len(w.word), walk
 
 
@@ -1185,7 +1206,7 @@ def test_long_element_is_built_read_and_dropped_without_recursion(matrices):
     group = WeylGroup(matrices["affine_a1"])
     w = group.element((0, 1) * 50_000)
     assert w.length == 100_000
-    assert w.right == 0b10
+    assert group.right(w) == 0b10
     word = w.word
     assert len(word) == 100_000 and word[:2] == word[-2:] == (0, 1)
     del w
@@ -1195,9 +1216,10 @@ def test_long_element_is_built_read_and_dropped_without_recursion(matrices):
 def test_deep_word_is_read_without_recursion(matrices):
     """affine_a1 ball(5000): the last element's word, read first, follows
     5,000 suffix links in a loop."""
-    last = WeylGroup(matrices["affine_a1"]).ball(5000)[-1]
+    group = WeylGroup(matrices["affine_a1"])
+    last = group.ball(5000)[-1]
     assert len(last.word) == last.length == 5000
-    assert last.word == last.group._strip(last.orbit)[0]
+    assert last.word == group._strip(last.orbit)[0]
 
 
 def test_walks_read_no_word(matrices, monkeypatch):
@@ -1228,7 +1250,20 @@ def test_walked_element_bytes():
         per_element = (tracemalloc.get_traced_memory()[0] - before) / count
     finally:
         tracemalloc.stop()
-    assert per_element <= 280
+    assert per_element <= 266
+
+
+def test_dropped_group_is_freed_without_the_collector():
+    """No walked element refers back to its group, so a fresh E10 group
+    walked to ball(6) and one right quotient is freed as soon as it is
+    dropped, with the cyclic collector paused."""
+    group = WeylGroup(load("e10"))
+    group.ball(6)
+    group.min_coset_reps((), (1, 2, 3, 4), 6)
+    ref = weakref.ref(group)
+    with coxeter.paused_gc():
+        del group
+        assert ref() is None
 
 
 def test_reading_words_keeps_no_memory():

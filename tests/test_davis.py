@@ -449,7 +449,7 @@ def reference_scan_steps(A, K, L):
     for w in group.min_coset_reps(K, i0, L):
         continuation = tuple(
             j for j in range(A.size)
-            if not w.right >> j & 1 and not group.rmul_gen(w, j).left & kmask
+            if not group.right(w) >> j & 1 and not group.rmul_gen(w, j).left & kmask
         )
         if not continuation:
             verdict = EMPTY
@@ -496,7 +496,7 @@ def test_descent_subcomplexes_contractible(matrices, name):
     for w in group.ball(5):
         if w.length == 0:
             continue
-        descents = set(w.descent_set("right"))
+        descents = {j for j in range(A.size) if group.right(w) >> j & 1}
         key = frozenset(descents)
         if key in seen:
             continue

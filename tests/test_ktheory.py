@@ -582,7 +582,7 @@ def reference_strata_colimit_functor(A, K, L, box):
     members = spherical_poset(A).members
     cosets = group.min_coset_reps((), K, L)
 
-    all_weights = dict.fromkeys(real.act(w, tau) for tau in taus for w in cosets)
+    all_weights = dict.fromkeys(real.act(w.word, tau) for tau in taus for w in cosets)
     basis = {
         J: tuple(lam for lam in all_weights
                  if real.is_dominant_for(lam, J) and real.is_regular_for(lam, J))
@@ -634,7 +634,8 @@ def test_limit_functor_matches_orbit_reference(matrices, name, direction):
     }[direction]
     A = matrices[name]
     real = build_realization(A)
-    label = (lambda w, tau: (w.word, tau)) if direction == "limit" else real.act
+    label = ((lambda w, tau: (w.word, tau)) if direction == "limit"
+             else lambda w, tau: real.act(w.word, tau))
     for K in all_subsets(A.size):
         for L in (2, 4, 6):
             for box in (Box(1), Box(2, 0), Box(2, 1)):
@@ -654,8 +655,9 @@ def test_colimit_functor_neither_dominantizes_nor_filters_weights(matrices, monk
 
     for name in ("dominantize", "is_regular_for", "is_dominant_for"):
         monkeypatch.setattr(Realization, name, refuse)
+    real = build_realization(A)
     functor = expand_copies(A, strata_colimit_functor(A, (), 4, Box(1, 0)), (), Box(1, 0),
-                            build_realization(A).act)
+                            lambda w, tau: real.act(w.word, tau))
     assert functor.basis == expected.basis
     assert functor.transitions == expected.transitions
 
@@ -744,7 +746,7 @@ def test_splitting_identity_element(matrices):
     A = matrices["affine_a1"]
     real = build_realization(A)
     record = splitting_maps(A, (1,), real.zero())
-    assert record.element.word == ()
+    assert record.word == ()
     assert record.sign == 1
     assert record.roundtrip == divided_levi_character(real, (1,), real.zero())
 
@@ -753,7 +755,7 @@ def test_splitting_nontrivial(matrices):
     A = matrices["affine_a1"]
     record = splitting_maps(A, (1,), (-1, 1, 0))
     assert record.roundtrip == divided_levi_character(build_realization(A), (1,), (-1, 1, 0))
-    assert record.element.length > 0
+    assert len(record.word) > 0
     assert record.sign == -1
 
 
@@ -767,18 +769,29 @@ def test_splitting_refuses_a_weight_of_the_wrong_length(matrices):
 
 def test_splitting_sign_flip(matrices):
     A = matrices["affine_a1"]
-    group = weyl_group(A)
     real = build_realization(A)
     mu = (0, 1, 0)
     record = splitting_maps(A, (1,), mu)
     stratum = record.stratum
     assert stratum  # the reduced weight sits on a wall for this choice
     k = stratum[0]
-    other = group.multiply(group.generator(k), record.element)
-    flipped = splitting_maps(A, (1,), mu, element=other)
+    flipped = splitting_maps(A, (1,), mu, word=(k,) + record.word)
+    assert flipped.word == weyl_group(A).shortlex((k,) + record.word)
     assert flipped.sign == -record.sign
     assert flipped.roundtrip == record.roundtrip
     assert flipped.roundtrip == divided_levi_character(real, (1,), mu)
+
+
+def test_letters_outside_the_nodes_are_refused(matrices):
+    """A letter that names no node is refused, naming it, wherever a word is
+    folded: a negative one does not index from the end."""
+    A = matrices["affine_a1"]
+    for letter in (-1, 2):
+        for call in (lambda: build_realization(A).act((letter,), (1, 2, 3)),
+                     lambda: weyl_group(A).shortlex((letter,)),
+                     lambda: splitting_maps(A, (1,), (0, 1, 0), word=(letter,))):
+            with pytest.raises(IndexError, match=f"generator index {letter} out of range"):
+                call()
 
 
 def test_splitting_requires_reduction(matrices):
@@ -826,12 +839,12 @@ def test_colimit_functor_transitions_match_induction(matrices):
                 assert len(image) <= 1
                 assert all(image.values())
                 for tau in taus:
-                    induced = dirac_induction(real, Jp, real.act(w, tau))
+                    induced = dirac_induction(real, Jp, real.act(w.word, tau))
                     if not induced:
                         assert not image
                         continue
                     ((row, sign),) = image.items()
-                    target = real.act(functor.basis[Jp][row], tau)
+                    target = real.act(functor.basis[Jp][row].word, tau)
                     assert induced == dirac_induction(real, Jp, target).scaled(sign)
                     signs.append(sign)
     assert -1 in signs
